@@ -38,7 +38,7 @@ from repro.obs.observe import Observation
 from repro.obs.sinks import MemorySink
 from repro.oracles.spanning_tree import SpanningTreeWakeupOracle, build_spanning_tree
 from repro.simulator import Simulation, make_scheduler
-from repro.vectorized.gadgets import _gadget_tree, gadget_spanning_program
+from repro.vectorized.gadgets import _bfs_tree, _edge_arrays, gadget_spanning_program
 from repro.vectorized import run_batch
 
 
@@ -264,12 +264,15 @@ class TestImplicitGadgets:
     @settings(max_examples=20, deadline=None)
     @given(gadget_params)
     def test_gadget_tree_matches_bfs(self, params):
-        """``_gadget_tree`` derives exactly the oracle's BFS tree."""
+        """The closed-form tree is exactly the oracle's BFS tree."""
         n, seed = params
         rng = random.Random(seed)
         edge_tuple = sample_edge_tuple(n, n, rng)
         graph = subdivision_family_graph(n, edge_tuple)
-        links = _gadget_tree(n, edge_tuple)
+        par, pport, cport = _bfs_tree(n, *_edge_arrays(n, edge_tuple))
+        links = {
+            i + 1: (int(par[i]), int(pport[i]), int(cport[i])) for i in range(1, par.size)
+        }
         parent = build_spanning_tree(graph, "bfs")
         assert {c: p for c, p in parent.items() if p is not None} == {
             c: p for c, (p, _pp, _cp) in links.items()

@@ -15,9 +15,11 @@ import time
 import pytest
 
 from repro.analysis.fits import classify_growth
-from repro.vectorized import mega_gadget_batch, mega_gadget_wakeup
+from repro.vectorized import MegaGadgetRow, mega_gadget_batch, mega_gadget_wakeup
 
-#: Generous for CI: the run takes ~1-2 s on one unloaded core.
+#: Generous for CI.  Three n = 10^5 gadgets take a median 0.66 s
+#: (perfbench ``mega``, reference seconds, 2-vCPU x86-64 VM), against
+#: 5.38 s when the BFS tree was built by a per-node loop.
 WALL_BUDGET_S = 60.0
 
 
@@ -57,3 +59,22 @@ def test_batch_matches_single_runs():
     singles = [mega_gadget_wakeup(2_000, seed=s) for s in (0, 1, 2)]
     batch = mega_gadget_batch(2_000, [0, 1, 2])
     assert batch == singles
+
+
+def test_mega_rows_pinned():
+    """The n = 10^5 rows the per-node BFS loop produced, to the bit."""
+    expected = [
+        MegaGadgetRow(
+            n=100_000,
+            seed=seed,
+            gadget_nodes=200_000,
+            gadget_edges=5_000_050_000,
+            oracle_bits=bits,
+            messages=199_999,
+            rounds=2,
+            success=True,
+            flooding_messages=9_999_900_001,
+        )
+        for seed, bits in ((0, 4_281_174), (1, 4_281_546), (2, 4_279_254))
+    ]
+    assert mega_gadget_batch(100_000, [0, 1, 2]) == expected
