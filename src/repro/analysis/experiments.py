@@ -480,14 +480,14 @@ def experiment_e6_separation(
         for p in points
     ]
     series = measured_series(rows, experiment="E6")
-    ns = list(series["wakeup_bits"].xs)
+    ns = series["wakeup_bits"].xs
     wake_fit = classify_growth(series["wakeup_bits"].xs, series["wakeup_bits"].ys)
     bcast_fit = classify_growth(series["broadcast_bits"].xs, series["broadcast_bits"].ys)
     findings = [
         f"wakeup advice best fit: {wake_fit[0]} (runner-up {wake_fit[1]})",
         f"broadcast advice best fit: {bcast_fit[0]} (runner-up {bcast_fit[1]})",
         f"advice ratio grows {rows[0]['ratio']:.2f} -> {rows[-1]['ratio']:.2f} "
-        f"across n={ns[0]}..{ns[-1]} (the log n separation)",
+        f"across n={ns[0]:.0f}..{ns[-1]:.0f} (the log n separation)",
         "both tasks stay linear in messages while flooding grows with m",
     ]
     return ExperimentResult("E6", f"The separation, on the {family} family", rows, findings)

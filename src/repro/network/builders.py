@@ -23,9 +23,10 @@ Two kinds of builders live here:
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
 from .graph import GraphError, PortLabeledGraph
 
@@ -174,6 +175,82 @@ def random_tree(
     return _finish(g, source=0, port_order=port_order, rng=rng)
 
 
+#: Pairs drawn per block of rows when sampling ``G(n, p)``.  It sets how
+#: far a try reads between isolated-node checks, never what a try returns.
+_GNP_BLOCK_PAIRS = 1024
+
+
+class _DisjointSets:
+    """Union-find over ``0..n-1`` (path halving) that counts its sets."""
+
+    __slots__ = ("parent", "count")
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+        self.count = n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Join the sets of ``a`` and ``b``; False if they were one already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        self.count -= 1
+        return True
+
+    def join(self, us: List[int], vs: List[int]) -> int:
+        """Union the edges ``(us[i], vs[i])`` until one set is left; the set count."""
+        for a, b in zip(us, vs):
+            if self.union(a, b) and self.count == 1:
+                break
+        return self.count
+
+
+def _gnp_edges(
+    state: np.random.RandomState,
+    draw_seed: int,
+    p: float,
+    offsets: np.ndarray,
+    starts: List[int],
+    stop_at_isolated: bool,
+) -> Optional[Tuple[List[int], List[int]]]:
+    """The edges ``nx.gnp_random_graph(n, p, seed=draw_seed)`` adds, in its order.
+
+    ``state.seed([draw_seed])`` is the MT19937 state of
+    ``random.Random(draw_seed)``, so ``random_sample`` returns the doubles
+    networkx draws, one per pair of ``combinations(range(n), 2)``.  Row
+    ``u`` holds the pairs ``(u, u+1..n-1)`` from ``offsets[u]`` on; the
+    rows are drawn in blocks from ``starts``.  With ``stop_at_isolated``
+    the draw ends, returning None, at the first block that leaves a node
+    with all its pairs drawn and none kept: the sample is disconnected.
+    """
+    state.seed([draw_seed])
+    seen = np.zeros(len(offsets) - 1, dtype=bool)
+    us: List[np.ndarray] = []
+    vs: List[np.ndarray] = []
+    for r0, r1 in zip(starts, starts[1:]):
+        lo, hi = offsets[r0], offsets[r1]
+        kept = np.flatnonzero(state.random_sample(hi - lo) < p) + lo
+        u = np.searchsorted(offsets, kept, side="right") - 1
+        v = kept - offsets[u] + u + 1
+        us.append(u)
+        vs.append(v)
+        if stop_at_isolated:
+            seen[u] = True
+            seen[v] = True
+            # Rows 0..r1-1 are drawn, so nodes 0..r1-1 have their final degree.
+            if not seen[r0:r1].all():
+                return None
+    return np.concatenate(us).tolist(), np.concatenate(vs).tolist()
+
+
 def random_connected_gnp(
     n: int,
     p: float,
@@ -184,26 +261,64 @@ def random_connected_gnp(
 ) -> PortLabeledGraph:
     """Connected Erdős–Rényi ``G(n, p)``.
 
-    Samples until connected (up to ``max_tries``); if ``p`` is too small for
-    connectivity to be likely, a uniform random spanning tree worth of edges
-    is added to the last sample instead of failing, so the builder is total.
+    Samples until connected (up to ``max_tries``).  If every try is
+    disconnected, the last sample is joined up instead of failing, so the
+    builder is total: ``rng`` shuffles the nodes, and each consecutive
+    pair of that order not yet connected gets an edge — one edge per
+    extra component.
+
+    Stream contract: the graph, down to node and neighbour insertion
+    order, and the state ``rng`` is left in are exactly those of the
+    networkx loop
+
+    .. code-block:: python
+
+        for __ in range(max_tries):
+            g = nx.gnp_random_graph(n, p, seed=rng.randrange(2**32))
+            if nx.is_connected(g):
+                break
+        else:
+            order = list(g.nodes())
+            rng.shuffle(order)
+            for prev, cur in zip(order, order[1:]):
+                if not nx.has_path(g, prev, cur):
+                    g.add_edge(prev, cur)
+
+    followed by the port assignment.  Each try replays networkx's
+    ``random()`` stream in numpy row blocks and ends at its first
+    isolated node; only the accepted sample becomes a graph.
     """
     if n < 2:
         raise GraphError("G(n, p) needs n >= 2")
     if not 0.0 <= p <= 1.0:
         raise GraphError("p must be in [0, 1]")
+    if max_tries < 1:
+        raise GraphError("max_tries must be >= 1")
     rng = resolve_rng(rng, seed)
-    g: Optional[nx.Graph] = None
+    rows = np.arange(n + 1, dtype=np.int64)
+    offsets = rows * (n - 1) - rows * (rows - 1) // 2
+    # A block is the rows whose first pair falls in one span of
+    # _GNP_BLOCK_PAIRS pairs: at least one row, about that many pairs.
+    starts = np.unique(offsets[:-1] // _GNP_BLOCK_PAIRS, return_index=True)[1].tolist() + [n]
+    # One generator per call, so concurrent callers share no state; every
+    # try reseeds it before drawing.
+    state = np.random.RandomState(0)
     for __ in range(max_tries):
-        g = nx.gnp_random_graph(n, p, seed=rng.randrange(2**32))
-        if nx.is_connected(g):
-            return _finish(g, source=0, port_order=port_order, rng=rng)
-    assert g is not None
-    order = list(g.nodes())
-    rng.shuffle(order)
-    for prev, cur in zip(order, order[1:]):
-        if not nx.has_path(g, prev, cur):
-            g.add_edge(prev, cur)
+        draw_seed = rng.randrange(2**32)
+        edges = _gnp_edges(state, draw_seed, p, offsets, starts, stop_at_isolated=True)
+        if edges is not None and _DisjointSets(n).join(*edges) == 1:
+            joins = []
+            break
+    else:
+        edges = _gnp_edges(state, draw_seed, p, offsets, starts, stop_at_isolated=False)
+        sets = _DisjointSets(n)
+        sets.join(*edges)
+        order = list(range(n))
+        rng.shuffle(order)
+        joins = [(prev, cur) for prev, cur in zip(order, order[1:]) if sets.union(prev, cur)]
+    g = nx.empty_graph(n)
+    g.add_edges_from(zip(*edges))
+    g.add_edges_from(joins)
     return _finish(g, source=0, port_order=port_order, rng=rng)
 
 
@@ -215,6 +330,8 @@ def random_regular(
     seed: Optional[int] = None,
 ) -> PortLabeledGraph:
     """Connected random ``degree``-regular graph on ``0..n-1``."""
+    if degree < 0:
+        raise GraphError("degree must be >= 0")
     if degree * n % 2 != 0:
         raise GraphError("degree * n must be even")
     if degree >= n:

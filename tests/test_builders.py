@@ -1,8 +1,10 @@
 """Tests for the stock topology builders."""
 
+import hashlib
 import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from repro.network import (
     random_regular,
     random_tree,
     star_graph,
+    to_json,
 )
 
 
@@ -142,6 +145,10 @@ class TestRandomFamilies:
         with pytest.raises(GraphError):
             random_connected_gnp(5, 1.5, random.Random(0))
 
+    def test_gnp_needs_a_try(self):
+        with pytest.raises(GraphError, match="max_tries"):
+            random_connected_gnp(5, 0.5, random.Random(0), max_tries=0)
+
     def test_random_regular(self):
         g = random_regular(12, 3, random.Random(2))
         assert all(g.degree(v) == 3 for v in g.nodes())
@@ -154,11 +161,85 @@ class TestRandomFamilies:
         with pytest.raises(GraphError):
             random_regular(4, 4, random.Random(0))
 
+    def test_random_regular_negative_degree(self):
+        with pytest.raises(GraphError, match="degree"):
+            random_regular(6, -2, random.Random(0))
+
     def test_random_port_order(self):
         sorted_g = random_connected_gnp(15, 0.4, random.Random(5))
         shuffled = random_connected_gnp(15, 0.4, random.Random(5), port_order="random")
         shuffled.validate()
         assert set(sorted_g.edges()) == set(shuffled.edges())
+
+
+def _reference_gnp(n, p, rng, port_order="sorted", max_tries=200):
+    """The per-try networkx loop ``random_connected_gnp`` must replay."""
+    from repro.network.builders import _finish
+
+    for __ in range(max_tries):
+        g = nx.gnp_random_graph(n, p, seed=rng.randrange(2**32))
+        if nx.is_connected(g):
+            return _finish(g, source=0, port_order=port_order, rng=rng)
+    order = list(g.nodes())
+    rng.shuffle(order)
+    for prev, cur in zip(order, order[1:]):
+        if not nx.has_path(g, prev, cur):
+            g.add_edge(prev, cur)
+    return _finish(g, source=0, port_order=port_order, rng=rng)
+
+
+def _insertion_order(g):
+    return list(g.nodes()), [list(g.neighbors(v)) for v in g.nodes()]
+
+
+def _digest(g):
+    return hashlib.sha256(to_json(g).encode()).hexdigest()
+
+
+#: sha256 of ``to_json(FAMILY_BUILDERS[family](n))``, measured with the
+#: per-try networkx loop.
+GNP_DIGESTS = {
+    ("gnp_sparse", 8): "598e629e6851f0c26f62dd1e20e794bbf0ba57ff72385cd5b3a2d0cbf035d134",
+    ("gnp_sparse", 16): "cf2d53004186e46df162f82d5671d50aea9b655b3eeaec1e2059099bc9704798",
+    ("gnp_sparse", 24): "163a1802557ca6962dfa8a1b26816e15ab33102335f1f2179a283819166076a4",
+    ("gnp_sparse", 32): "3a4504f5654e015070e500a5a48be5f727f10d08852541ebe96cbec9a7630101",
+    ("gnp_sparse", 64): "279bec405b02090e7c18ec35c4dee3bf643458deb9557ae84299fe02944e8a1c",
+    ("gnp_sparse", 128): "88647fbae49e8d65b6a21eab96609b719debcdba3b388464cba9629a5a7dc013",
+    ("gnp_sparse", 256): "cf56088e1cde636d27c72cad19b69fb93280ebceac8832e99b61eaa46065c368",
+    ("gnp_sparse", 2000): "177add1776b185720776996171424cf69f667661d329c6873269e8112ddc7466",
+    ("gnp_dense", 8): "80d543573b88a6fa6c0f7363645a35666a29e9230d3a51d33ac1ab3556bec0d5",
+    ("gnp_dense", 16): "fc4528e94e3eb92f9d140ffd06ea3ab126cf85d0eb5399e42bc06fb2e08ebb89",
+    ("gnp_dense", 24): "44c5ebb3ef4cc0bc31a807e038398796ef45fb56b516becba49e2d21d7c4625a",
+    ("gnp_dense", 32): "b32482268cfbcef7f0e86ca05181026af4c7c05ea37645e0c79c3ccaeb77e003",
+    ("gnp_dense", 64): "aa97b10579772819bf504e8307222f8cb86a8f3963e42d7e1e64edb7cc198d9d",
+    ("gnp_dense", 128): "807a4d97aa59bef66ab1393fdcfab39fa9af1f6a1868647db79314a8ab553622",
+    ("gnp_dense", 256): "f00774a6d977d78f0aeef953292f89e8416da46b956731afc03bb40fb53545ef",
+}
+
+
+class TestGnpReplaysNetworkx:
+    """``random_connected_gnp`` returns the networkx loop's graph and rng state."""
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 8, 16, 47, 64))
+    @pytest.mark.parametrize("p", ("0", "1e-9", "3/(n-1)", "0.5", "1-1e-9", "1"))
+    def test_matches_reference(self, n, p):
+        prob = {"0": 0.0, "1e-9": 1e-9, "3/(n-1)": min(1.0, 3 / (n - 1)),
+                "0.5": 0.5, "1-1e-9": 1 - 1e-9, "1": 1.0}[p]
+        for k, (max_tries, port_order) in enumerate(
+            (t, o) for t in (1, 3, 200) for o in ("sorted", "random")
+        ):
+            case = f"n={n} p={p} max_tries={max_tries} port_order={port_order}"
+            ours, theirs = random.Random(1000 * n + k), random.Random(1000 * n + k)
+            got = random_connected_gnp(n, prob, ours, port_order=port_order, max_tries=max_tries)
+            want = _reference_gnp(n, prob, theirs, port_order=port_order, max_tries=max_tries)
+            assert _digest(got) == _digest(want), case
+            assert _insertion_order(got) == _insertion_order(want), case
+            assert ours.getstate() == theirs.getstate(), case
+            assert ours.random() == theirs.random(), case
+
+    @pytest.mark.parametrize("family,n", sorted(GNP_DIGESTS))
+    def test_family_digests_are_pinned(self, family, n):
+        assert _digest(FAMILY_BUILDERS[family](n)) == GNP_DIGESTS[family, n]
 
 
 class TestFamilyRegistry:

@@ -81,6 +81,7 @@ class TestE6:
         ratios = [row["ratio"] for row in r.rows]
         assert ratios == sorted(ratios)
         assert any("n log n" in f for f in r.findings)
+        assert any("across n=16..128 " in f for f in r.findings)
 
     def test_other_family(self):
         r = run_experiment("E6", sizes=(16, 32, 64), family="gnp_sparse")
