@@ -97,6 +97,7 @@ import sys
 from typing import List, Optional
 
 from .analysis.experiments import EXPERIMENTS, format_experiment, run_experiment
+from .simulator.engine import ENGINES
 
 __all__ = ["main"]
 
@@ -904,10 +905,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_trace.add_argument(
         "--engine",
-        choices=("auto", "legacy", "fastpath", "vectorized"),
+        choices=ENGINES,
         default="auto",
         help="pin the execution engine (byte-identical streams either way); "
-        "default 'auto' honors REPRO_FASTPATH / REPRO_VECTORIZED",
+        "default 'auto' honors REPRO_FASTPATH",
     )
 
     p_mega = sub.add_parser(

@@ -10,10 +10,10 @@ halves:
   ``0..n-1`` indices, neighbor-via-port and arrival-port lookups turned
   into two flat-array indexings.  Compiled at ``freeze()`` time and cached
   on the graph.
-* :mod:`repro.fastpath.engine` — :func:`run_fastpath`, the optimized
-  execution loops.  Synchronous runs use a scheduler-free round-batched
-  core over plain tuples; every other scheduler gets a generic loop that
-  still benefits from the compiled lookups.
+* :mod:`repro.fastpath.engine` — :func:`run_fastpath`.  Runs with a
+  fresh synchronous scheduler use a scheduler-free round-batched core
+  over plain tuples; every other scheduler runs the legacy reference
+  loop.
 
 The correctness contract (enforced by ``tests/test_fastpath.py``): at
 ``trace_level="full"`` the fast path is **byte-identical** to the legacy

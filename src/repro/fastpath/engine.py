@@ -1,29 +1,32 @@
-"""The compiled execution loops.
+"""The compiled synchronous execution loop.
 
 :func:`run_fastpath` is what :meth:`repro.simulator.Simulation.run`
-dispatches to unless ``REPRO_FASTPATH=0``.  Two loops live here:
+dispatches to unless ``REPRO_FASTPATH=0``.  A fresh
+:class:`~repro.simulator.schedulers.SynchronousScheduler` runs
+:func:`_run_sync`, the scheduler-free synchronous core; every other
+scheduler — and a pre-seeded one — runs the reference loop,
+:meth:`Simulation._run_legacy`.
 
-* :func:`_run_sync` — the scheduler-free synchronous core.  Messages are
-  plain tuples ``(repr(receiver), arrival_port, seq, receiver_idx,
-  payload, sender_label, send_port, sender_informed)`` binned by round;
-  sorting a round's list once reproduces exactly the order the legacy
-  heap (key ``(deliver_at, repr(receiver), arrival_port, seq)``) would
-  deliver in, because ``seq`` is globally unique.  No
-  ``InFlightMessage`` is allocated for a delivered message — only
-  messages left in flight when the run stops are materialized, so the
-  trace's ``undelivered`` list is byte-identical to the legacy one.
-* :func:`_run_generic` — every other scheduler.  The scheduler protocol
-  needs real :class:`~repro.simulator.messages.InFlightMessage` objects,
-  so the loop keeps them but replaces the two nested-dict topology walks
-  per send with two flat-array indexings.
+:func:`_run_sync` keeps messages as plain tuples ``(repr(receiver),
+arrival_port, seq, receiver_idx, payload, sender_label, send_port,
+sender_informed)`` binned by round; sorting a round's list once
+reproduces exactly the order the legacy heap (key ``(deliver_at,
+repr(receiver), arrival_port, seq)``) would deliver in, because ``seq``
+is globally unique.  No ``InFlightMessage`` is allocated for a delivered
+message — only messages left in flight when the run stops are
+materialized, so the trace's ``undelivered`` list is byte-identical to
+the legacy one.
 
-Both loops honor ``trace_level``: at ``"full"`` they maintain the
-delivery log and per-node histories exactly as the legacy loop does (the
-byte-identity contract); at ``"counters"`` they skip the per-delivery
+The loop honors ``trace_level``: at ``"full"`` it maintains the delivery
+log and per-node histories exactly as the legacy loop does (the
+byte-identity contract); at ``"counters"`` it skips the per-delivery
 :class:`~repro.simulator.trace.DeliveryRecord` and history appends and
-maintain the per-round histogram instead.  The obs event stream is
+maintains the per-round histogram instead.  The obs event stream is
 identical at every trace level — observability is a separate axis from
-trace retention.
+trace retention.  The per-message events are emitted inline, to keep
+attribute lookups off the hot loop; the run-boundary events (RunStarted,
+LimitHit, RunEnded) go through the shared
+:class:`~repro.simulator.emission.TraceEmitter`.
 
 This module is a *friend* of :class:`~repro.simulator.engine.Simulation`:
 it reads the simulation's private configuration and writes its trace.
@@ -36,14 +39,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..obs.events import (
-    LimitHit,
-    MessageDelivered,
-    MessageSent,
-    RoundStarted,
-    RunEnded,
-    RunStarted,
-)
+from ..obs.events import MessageDelivered, MessageSent, RoundStarted
+from ..simulator.emission import TraceEmitter
 from ..simulator.messages import InFlightMessage
 from ..simulator.node import WakeupViolation
 from ..simulator.schedulers import SynchronousScheduler
@@ -56,39 +53,25 @@ __all__ = ["run_fastpath"]
 def run_fastpath(sim) -> "ExecutionTrace":  # noqa: F821 - forward ref in doc only
     """Execute a prepared :class:`~repro.simulator.Simulation` to quiescence.
 
-    Chooses the scheduler-free synchronous core when the simulation uses a
-    plain :class:`SynchronousScheduler` (the overwhelmingly common case),
-    and the generic compiled loop otherwise.
+    Runs the scheduler-free synchronous core when the simulation uses a
+    fresh :class:`SynchronousScheduler` (the overwhelmingly common case),
+    and the legacy reference loop otherwise.
     """
+    scheduler = sim._scheduler
+    if not (type(scheduler) is SynchronousScheduler and scheduler.empty()):
+        return sim._run_legacy()
     with sim._obs.wallspan("compile"):
         topo = compiled_topology(sim._graph)
-    scheduler = sim._scheduler
     with sim._obs.wallspan("engine"):
-        if type(scheduler) is SynchronousScheduler and scheduler.empty():
-            return _run_sync(sim, topo)
-        return _run_generic(sim, topo)
-
-
-def _emit_run_started(sim) -> None:
-    sim._obs.emit(
-        RunStarted(
-            task="wakeup" if sim._wakeup else "broadcast",
-            nodes=sim._graph.num_nodes,
-            edges=sim._graph.num_edges,
-            source=sim._graph.source,
-            scheduler=type(sim._scheduler).__name__,
-            anonymous=sim._anonymous,
-            wakeup=sim._wakeup,
-        )
-    )
+        return _run_sync(sim, topo)
 
 
 def _run_sync(sim, topo):
     trace = sim._trace
-    obs = sim._obs
-    enabled = obs.enabled
-    emit = obs.emit
-    full = sim._trace_level == "full"
+    emitter = TraceEmitter(sim)
+    enabled = emitter.enabled
+    emit = emitter.emit
+    full = emitter.full
     wakeup = sim._wakeup
     max_messages = sim._max_messages
     max_steps = sim._max_steps
@@ -108,10 +91,7 @@ def _run_sync(sim, topo):
     deliveries_append = trace.deliveries.append
     round_counts = trace.round_counts
 
-    if enabled:
-        _emit_run_started(sim)
-    if not sim._no_source:
-        informed_at[sim._graph.source] = 0
+    emitter.run_started(sim)
 
     seq = 0
     messages_sent = 0
@@ -125,7 +105,9 @@ def _run_sync(sim, topo):
         Mirrors ``Simulation._enqueue`` exactly: the message limit is
         checked *before* each send, tripping it drops the rest of this
         drain and emits one LimitHit.  ``cause`` is the seq of the
-        delivery that triggered the drain (0 for init sends).
+        delivery that triggered the drain (0 for init sends).  The
+        emitter reads its LimitHit figures off the trace, so the local
+        counters are written there first.
         """
         nonlocal seq, messages_sent, limit_hit
         rt = runtimes[i]
@@ -134,16 +116,9 @@ def _run_sync(sim, topo):
         informed_flag = rt.informed
         for request in sends:
             if max_messages is not None and messages_sent >= max_messages:
-                limit_hit = True
-                trace.message_limit_hit = True
-                if enabled:
-                    emit(
-                        LimitHit(
-                            reason="message limit reached",
-                            messages_sent=messages_sent,
-                            step=delivered,
-                        )
-                    )
+                trace.messages_sent = messages_sent
+                trace.delivered = delivered
+                limit_hit = emitter.limit("message limit reached")
                 return
             port = request.port
             j = neighbor_at[base + port]
@@ -214,16 +189,9 @@ def _run_sync(sim, topo):
         broke = False
         while idx < count:
             if max_steps is not None and step >= max_steps:
-                limit_hit = True
-                trace.message_limit_hit = True
-                if enabled:
-                    emit(
-                        LimitHit(
-                            reason="step limit reached",
-                            messages_sent=messages_sent,
-                            step=delivered,
-                        )
-                    )
+                trace.messages_sent = messages_sent
+                trace.delivered = delivered
+                limit_hit = emitter.limit("step limit reached")
                 broke = True
                 break
             rrepr, aport, mseq, j, payload, sender_label, sport, s_informed = pending[
@@ -324,201 +292,5 @@ def _run_sync(sim, topo):
         ctx = contexts[i]
         if ctx._has_output:
             outputs[labels[i]] = ctx._output
-    if enabled:
-        emit(
-            RunEnded(
-                messages=messages_sent,
-                delivered=delivered,
-                rounds=trace.rounds,
-                informed=len(informed_at),
-                nodes=n,
-                undelivered=len(trace.undelivered),
-                completed=trace.completed,
-                limit_hit=limit_hit,
-            )
-        )
-    return trace
-
-
-def _run_generic(sim, topo):
-    """Compiled loop for arbitrary schedulers.
-
-    Identical control flow to ``Simulation._run_legacy``; the only changes
-    are the flat-array neighbor/arrival lookups in the enqueue step and the
-    trace-level gating shared with the synchronous core.
-    """
-    trace = sim._trace
-    obs = sim._obs
-    enabled = obs.enabled
-    emit = obs.emit
-    full = sim._trace_level == "full"
-    scheduler = sim._scheduler
-    max_messages = sim._max_messages
-    max_steps = sim._max_steps
-    stop_when_informed = sim._stop_when_informed
-    graph = sim._graph
-    runtimes = sim._runtimes
-
-    index = topo.index
-    labels = topo.labels
-    offsets = topo.offsets
-    neighbor_at = topo.neighbor_at
-    arrival_at = topo.arrival_at
-    n = len(labels)
-
-    informed_at = trace.informed_at
-    deliveries = trace.deliveries
-    round_counts = trace.round_counts
-
-    if enabled:
-        _emit_run_started(sim)
-    if not sim._no_source:
-        informed_at[graph.source] = 0
-
-    limit_hit = trace.message_limit_hit
-
-    def enqueue(runtime, sends, deliver_at: int, cause: int) -> bool:
-        nonlocal limit_hit
-        base = offsets[index[runtime.label]]
-        informed_flag = runtime.informed
-        sender_label = runtime.label
-        for request in sends:
-            if max_messages is not None and trace.messages_sent >= max_messages:
-                limit_hit = True
-                trace.message_limit_hit = True
-                if enabled:
-                    emit(
-                        LimitHit(
-                            reason="message limit reached",
-                            messages_sent=trace.messages_sent,
-                            step=trace.delivered,
-                        )
-                    )
-                return True
-            port = request.port
-            receiver = labels[neighbor_at[base + port]]
-            sim._seq += 1
-            msg = InFlightMessage(
-                payload=request.payload,
-                sender=sender_label,
-                receiver=receiver,
-                send_port=port,
-                arrival_port=arrival_at[base + port],
-                sender_informed=informed_flag,
-                seq=sim._seq,
-                deliver_at=deliver_at,
-            )
-            runtime.sent_count += 1
-            trace.messages_sent += 1
-            scheduler.push(msg)
-            if enabled:
-                emit(
-                    MessageSent(
-                        seq=msg.seq,
-                        sender=msg.sender,
-                        receiver=msg.receiver,
-                        send_port=msg.send_port,
-                        arrival_port=msg.arrival_port,
-                        payload=msg.payload,
-                        sender_informed=msg.sender_informed,
-                        round=deliver_at,
-                        cause=cause,
-                    )
-                )
-        return False
-
-    for v, runtime in runtimes.items():
-        runtime.process.on_init(runtime.context)
-        sends = runtime.context.drain()
-        if sends and sim._wakeup and not runtime.context.is_source:
-            raise WakeupViolation(
-                f"node {v!r} transmitted on an empty history during a wakeup"
-            )
-        enqueue(runtime, sends, 1, 0)
-
-    step = 0
-    limit_hit = limit_hit or trace.message_limit_hit
-    while not scheduler.empty():
-        if limit_hit:
-            break
-        if max_steps is not None and step >= max_steps:
-            limit_hit = True
-            trace.message_limit_hit = True
-            if enabled:
-                emit(
-                    LimitHit(
-                        reason="step limit reached",
-                        messages_sent=trace.messages_sent,
-                        step=trace.delivered,
-                    )
-                )
-            break
-        msg = scheduler.pop()
-        step += 1
-        receiver = runtimes[msg.receiver]
-        if full:
-            deliveries.append(
-                DeliveryRecord(
-                    step=step,
-                    payload=msg.payload,
-                    sender=msg.sender,
-                    receiver=msg.receiver,
-                    send_port=msg.send_port,
-                    arrival_port=msg.arrival_port,
-                    sender_informed=msg.sender_informed,
-                    round=msg.deliver_at,
-                )
-            )
-        else:
-            round_counts[msg.deliver_at] = round_counts.get(msg.deliver_at, 0) + 1
-        if enabled and msg.deliver_at > trace.rounds:
-            emit(RoundStarted(round=msg.deliver_at))
-        if msg.deliver_at > trace.rounds:
-            trace.rounds = msg.deliver_at
-        trace.delivered += 1
-        receiver.received_count += 1
-        if full:
-            receiver.history.append((msg.payload, msg.arrival_port))
-        newly_informed = msg.sender_informed and not receiver.informed
-        if newly_informed:
-            receiver.informed = True
-            receiver.informed_at = step
-            informed_at[msg.receiver] = step
-        if enabled:
-            emit(
-                MessageDelivered(
-                    step=step,
-                    seq=msg.seq,
-                    sender=msg.sender,
-                    receiver=msg.receiver,
-                    arrival_port=msg.arrival_port,
-                    payload=msg.payload,
-                    round=msg.deliver_at,
-                    newly_informed=newly_informed,
-                )
-            )
-        receiver.process.on_receive(receiver.context, msg.payload, msg.arrival_port)
-        enqueue(receiver, receiver.context.drain(), msg.deliver_at + 1, msg.seq)
-        if stop_when_informed and len(informed_at) == n:
-            break
-    trace.message_limit_hit = limit_hit
-    trace.completed = scheduler.empty() and not limit_hit
-    while not scheduler.empty():
-        trace.undelivered.append(scheduler.pop())
-    for v, runtime in runtimes.items():
-        if runtime.context.has_output:
-            trace.outputs[v] = runtime.context.output_value
-    if enabled:
-        emit(
-            RunEnded(
-                messages=trace.messages_sent,
-                delivered=trace.delivered,
-                rounds=trace.rounds,
-                informed=len(informed_at),
-                nodes=n,
-                undelivered=len(trace.undelivered),
-                completed=trace.completed,
-                limit_hit=trace.message_limit_hit,
-            )
-        )
+    emitter.run_ended(n)
     return trace

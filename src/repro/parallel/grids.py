@@ -95,7 +95,7 @@ def gadget_seed_batch(n: int, seeds, counts: Optional[int] = None) -> Dict[str, 
     batch as a single attempt.  Module-level and picklable, like every
     grid measurement.
     """
-    from ..vectorized.batch import mega_gadget_batch
+    from ..vectorized.gadgets import mega_gadget_batch
 
     rows = mega_gadget_batch(n, list(seeds), counts=counts)
     return {

@@ -1,13 +1,11 @@
 """The trace/telemetry emission half of the engine, factored out.
 
-Every execution loop in this repository — the legacy reference loop in
-:meth:`repro.simulator.Simulation._run_legacy`, and the vectorized
-program interpreter in :mod:`repro.vectorized.engine` — must produce the
-*same* :class:`~repro.simulator.trace.ExecutionTrace` writes and the same
-obs event stream, in the same order, for the same semantic run.  Before
-this module, that contract was upheld by hand-mirroring ~40 lines of
-bookkeeping per loop; now the bookkeeping lives once, here, and a loop is
-only responsible for the *semantic step* (who receives what, who becomes
+Every execution loop in this repository must produce the *same*
+:class:`~repro.simulator.trace.ExecutionTrace` writes and the same obs
+event stream, in the same order, for the same semantic run.  The legacy
+reference loop in :meth:`repro.simulator.Simulation._run_legacy` does all
+of its bookkeeping through this class, so the loop itself is only
+responsible for the *semantic step* (who receives what, who becomes
 informed, which sends follow).
 
 The split is exact — method boundaries fall precisely on the legacy
@@ -30,10 +28,12 @@ byte-identical to the historical inline code by construction:
     the boundary events, reading their numbers off the trace so no loop
     can emit counters that disagree with what it recorded.
 
-The compiled fast path (:mod:`repro.fastpath.engine`) intentionally keeps
-its inlined copies — it exists to shave attribute lookups off the hot
-loop — and is held to the same bytes by ``tests/test_fastpath.py`` and
-``tests/test_differential.py``.
+The synchronous core of the fast path (:mod:`repro.fastpath.engine`)
+emits its run boundaries (``run_started``, ``limit``, ``run_ended``)
+through this class too, but intentionally keeps inlined copies of the
+per-message bookkeeping — it exists to shave attribute lookups off the
+hot loop — and is held to the same bytes by ``tests/test_fastpath.py``
+and ``tests/test_differential.py``.
 """
 
 from __future__ import annotations

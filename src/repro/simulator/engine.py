@@ -21,26 +21,26 @@ Execution paths
 ---------------
 :meth:`Simulation.run` dispatches between three engines:
 
-* ``fastpath`` (default) — the compiled loop of
-  :mod:`repro.fastpath.engine`, executing over the graph's flat-array
-  :class:`~repro.fastpath.topology.CompiledTopology`;
+* ``fastpath`` (default) — :func:`repro.fastpath.engine.run_fastpath`:
+  a fresh :class:`~repro.simulator.schedulers.SynchronousScheduler` runs
+  the scheduler-free synchronous core over the graph's flat-array
+  :class:`~repro.fastpath.topology.CompiledTopology`; every other
+  scheduler runs the legacy loop;
 * ``legacy`` — the dict-walking reference loop
   (:meth:`Simulation._run_legacy`), kept runnable forever as the
   executable specification;
-* ``vectorized`` — the struct-of-arrays round engine of
-  :mod:`repro.vectorized`, which drains whole synchronous rounds as
-  numpy frontier operations (and falls back to the fast path for
-  configurations it cannot compile).
+* ``vectorized`` — the numpy round core of :mod:`repro.vectorized`, which
+  drains whole synchronous rounds as frontier operations for quiet
+  counters runs and hands every other run to the fast path.
 
 Selection: the ``engine=`` constructor argument wins when explicit;
-``engine="auto"`` honors the environment escape hatches —
-``REPRO_VECTORIZED=1`` selects the vectorized engine,
-``REPRO_FASTPATH=0`` the legacy loop, and otherwise the fast path runs.
-All engines are byte-identical at ``trace_level="full"`` — same trace,
-same obs events — and counter-exact at ``trace_level="counters"``, a
-contract enforced by ``tests/test_fastpath.py`` and
-``tests/test_differential.py``.  The trace/event bookkeeping shared by
-the legacy loop and the vectorized interpreter lives in
+``engine="auto"`` runs the fast path unless ``REPRO_FASTPATH=0`` selects
+the legacy loop.  All engines are byte-identical at
+``trace_level="full"`` — same trace, same obs events — and counter-exact
+at ``trace_level="counters"``, a contract enforced by
+``tests/test_fastpath.py`` and ``tests/test_differential.py``.  The
+trace/event bookkeeping of the legacy loop, and the run-boundary events
+of the synchronous core, live in
 :class:`repro.simulator.emission.TraceEmitter`.
 """
 
@@ -109,10 +109,9 @@ class Simulation:
         cells actually read — and skips the per-delivery allocations.  The
         obs event stream is identical at both levels.
     engine:
-        ``"auto"`` (default) honors the ``REPRO_VECTORIZED`` /
-        ``REPRO_FASTPATH`` environment switches; ``"legacy"``,
-        ``"fastpath"`` and ``"vectorized"`` pin the execution path
-        regardless of the environment.
+        ``"auto"`` (default) honors the ``REPRO_FASTPATH`` environment
+        switch; ``"legacy"``, ``"fastpath"`` and ``"vectorized"`` pin the
+        execution path regardless of the environment.
     """
 
     def __init__(
@@ -181,10 +180,9 @@ class Simulation:
         """Execute to quiescence (or a limit) and return the trace.
 
         ``engine="auto"`` resolves via the environment —
-        ``REPRO_VECTORIZED=1`` selects the vectorized round engine,
-        ``REPRO_FASTPATH=0`` the legacy loop, anything else the compiled
-        fast path.  An explicit ``engine=`` pins the path.  Every engine
-        produces byte-identical traces and events at
+        ``REPRO_FASTPATH=0`` selects the legacy loop, anything else the
+        compiled fast path.  An explicit ``engine=`` pins the path.  Every
+        engine produces byte-identical traces and events at
         ``trace_level="full"``.
         """
         if self._ran:
@@ -192,12 +190,8 @@ class Simulation:
         self._ran = True
         engine = self._engine
         if engine == "auto":
-            if os.environ.get("REPRO_VECTORIZED", "0") == "1":
-                engine = "vectorized"
-            elif os.environ.get("REPRO_FASTPATH", "1") != "0":
-                engine = "fastpath"
-            else:
-                engine = "legacy"
+            fast = os.environ.get("REPRO_FASTPATH", "1") != "0"
+            engine = "fastpath" if fast else "legacy"
         if engine == "vectorized":
             from ..vectorized.engine import run_vectorized
 
@@ -212,7 +206,8 @@ class Simulation:
         """The reference implementation: scheduler-driven, dict lookups.
 
         Kept runnable forever (``REPRO_FASTPATH=0``) as the executable
-        specification the fast path is tested against.
+        specification the other engines are tested against, and the loop
+        every non-synchronous or pre-seeded scheduler runs.
         """
         trace = self._trace
         emitter = self._emitter = TraceEmitter(self)

@@ -67,10 +67,8 @@ class SynchronousScheduler:
     Delivery order is exactly what a heap on the key
     ``(deliver_at, repr(receiver), arrival_port, seq)`` would produce, but
     messages are binned by round and each round is sorted *once* when it
-    becomes current — the batch round-drain fast path.  ``push`` is an
-    append, ``pop`` serves from the pre-sorted batch, and
-    :meth:`drain_round` hands the whole current round to a caller in one
-    call (the compiled engine consumes rounds wholesale).
+    becomes current.  ``push`` is an append and ``pop`` serves from the
+    pre-sorted batch.
     """
 
     def __init__(self) -> None:
@@ -112,16 +110,6 @@ class SynchronousScheduler:
             raise IndexError("pop from an empty SynchronousScheduler")
         self._size -= 1
         return self._batch.pop()[1]
-
-    def drain_round(self) -> List[InFlightMessage]:
-        """Remove and return every message of the earliest round, in
-        delivery order.  Returns ``[]`` when the scheduler is empty."""
-        self._advance()
-        batch = self._batch
-        out = [pair[1] for pair in reversed(batch)]
-        self._size -= len(batch)
-        batch.clear()
-        return out
 
     def empty(self) -> bool:
         return self._size == 0

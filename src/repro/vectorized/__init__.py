@@ -16,26 +16,26 @@ the synchronous schedules those curves actually use:
   informed-set union), for one run or for a *batch* of (cell, seed)
   replicas pushed through a single pass;
 * :mod:`~repro.vectorized.engine` is the dispatch target of
-  ``Simulation.run`` (``engine="vectorized"`` or ``REPRO_VECTORIZED=1``):
-  counters-mode quiet runs take the numpy core, full-trace or observed
-  runs take a program interpreter built on the shared
-  :class:`~repro.simulator.emission.TraceEmitter`, and anything the
-  compiler cannot express falls back to the fast path — so the engine is
-  *always* byte-identical to the legacy loop (``tests/test_differential.py``);
+  ``Simulation.run(engine="vectorized")``: counters-mode quiet runs take
+  the numpy core, and everything else — full traces, observed runs,
+  ``stop_when_informed``, runs a safety limit would truncate, schemes the
+  compiler cannot express — runs on the fast path, so the engine is
+  *always* byte-identical to the legacy loop
+  (``tests/test_differential.py``);
 * :mod:`~repro.vectorized.gadgets` builds the ``G_{n,S}`` spanning-tree
   program *implicitly* — the gadget has ``Θ(n²)`` edges, so at
   ``n = 10^5`` the CSR tables could never be materialized; the BFS tree
-  the oracle would output is derived analytically instead;
-* :mod:`~repro.vectorized.batch` is the multi-seed batch front-end used
-  by the sweep/runner layers.
+  the oracle would output is derived analytically instead — and runs a
+  seed or a multi-seed batch of them through the core
+  (:func:`mega_gadget_wakeup`, :func:`mega_gadget_batch`).
 """
 
-from .batch import mega_gadget_batch, run_wakeup_batch
 from .core import ReplicaCounters, ReplicaProgram, VectorLimitAbort, run_batch
 from .engine import run_vectorized
 from .gadgets import (
     MegaGadgetRow,
     gadget_spanning_program,
+    mega_gadget_batch,
     mega_gadget_wakeup,
     sample_edge_tuple_sparse,
 )
@@ -61,5 +61,4 @@ __all__ = [
     "mega_gadget_wakeup",
     "sample_edge_tuple_sparse",
     "mega_gadget_batch",
-    "run_wakeup_batch",
 ]

@@ -32,13 +32,12 @@ and raises :class:`VectorLimitAbort` the moment a replica's cumulative
 totals prove one would (the per-delivery engines check limits before each
 send/delivery, so a limit trips iff the final totals exceed it — totals
 are monotone, so the first prefix violation is proof).  The caller falls
-back to a per-delivery engine, which reproduces the truncation
-byte-exactly.
+back to the fast path, which reproduces the truncation byte-exactly.
 
 Everything here is counters-level: no per-delivery records, no obs
 events, no payloads (the shipped semantics are constant-token).  The
 vectorized engine only routes runs here when nothing observable per
-delivery is requested; richer runs take its interpreter path instead.
+delivery is requested; richer runs take the fast path instead.
 """
 
 from __future__ import annotations

@@ -1,29 +1,23 @@
 """Dispatch target for ``Simulation.run(engine="vectorized")``.
 
-Three lanes, fastest first, each falling back to the next the moment it
-cannot reproduce the reference semantics exactly:
-
-1. **numpy core** (:func:`repro.vectorized.core.run_batch`) — counters
-   trace level, obs disabled, no ``stop_when_informed``: nothing is
-   observable per delivery, so whole rounds drain as array ops and
-   :func:`apply_counters` writes the aggregate results back into the
-   trace and runtimes.  A :class:`VectorLimitAbort` (a safety limit
-   would truncate the run) drops to lane 2, which reproduces the
-   truncation byte-exactly.
-2. **program interpreter** (:func:`_run_program`) — a per-delivery loop
-   with the exact structure of the fast path's ``_run_sync``, but driven
-   by the compiled :class:`~repro.vectorized.program.VectorProgram`
-   tables instead of ``Process`` callbacks, and emitting through the
-   shared :class:`~repro.simulator.emission.TraceEmitter`.  Handles full
-   traces, obs event streams, limits and ``stop_when_informed``.
-3. **fast path** (:func:`repro.fastpath.engine.run_fastpath`) — anything
-   the compiler declines (non-synchronous scheduler, pre-seeded
-   scheduler, unregistered or stateful schemes).
-
-Lanes 1–2 never call ``on_init``/``on_receive``; the compiler's job
+The numpy core (:func:`repro.vectorized.core.run_batch`) runs when
+nothing is observable per delivery: a fresh synchronous scheduler,
+counters trace level, obs disabled and no ``stop_when_informed``.  Whole
+rounds then drain as array ops and :func:`apply_counters` writes the
+aggregate results back into the trace and runtimes.  The core never
+calls ``on_init``/``on_receive``; the compiler's job
 (:mod:`repro.vectorized.program`) is to certify that those callbacks are
-fully captured by the program tables.  ``tests/test_differential.py``
-holds all three lanes to the legacy loop's bytes.
+fully captured by the program tables.
+
+Every other run goes to the fast path
+(:func:`repro.fastpath.engine.run_fastpath`): a full trace, an obs event
+stream, ``stop_when_informed``, a non-synchronous or pre-seeded
+scheduler, a scheme the compiler declines, and a
+:class:`VectorLimitAbort` (a safety limit would truncate the run — the
+fast path reproduces the truncation byte-exactly).  The applicability
+check runs before any program is compiled, so those runs pay nothing
+for this lane.  ``tests/test_differential.py`` holds both routes to the
+legacy loop's bytes.
 """
 
 from __future__ import annotations
@@ -32,19 +26,23 @@ import numpy as np
 
 from ..fastpath.engine import run_fastpath
 from ..fastpath.topology import compiled_topology
-from ..simulator.emission import TraceEmitter
-from ..simulator.messages import InFlightMessage
 from ..simulator.schedulers import SynchronousScheduler
 from .core import ReplicaProgram, VectorLimitAbort, run_batch
 from .program import VectorProgram, VectorTopology, compile_program
 
-__all__ = ["run_vectorized", "build_replica", "apply_counters"]
+__all__ = ["run_vectorized"]
 
 
 def run_vectorized(sim) -> "ExecutionTrace":  # noqa: F821 - forward ref in doc only
     """Execute a prepared Simulation; byte-identical to the legacy loop."""
     scheduler = sim._scheduler
-    if not (type(scheduler) is SynchronousScheduler and scheduler.empty()):
+    if not (
+        type(scheduler) is SynchronousScheduler
+        and scheduler.empty()
+        and sim._trace_level == "counters"
+        and not sim._obs.enabled
+        and not sim._stop_when_informed
+    ):
         return run_fastpath(sim)
     with sim._obs.wallspan("compile"):
         topo = compiled_topology(sim._graph)
@@ -53,19 +51,14 @@ def run_vectorized(sim) -> "ExecutionTrace":  # noqa: F821 - forward ref in doc 
     if program is None:
         return run_fastpath(sim)
     with sim._obs.wallspan("engine"):
-        if (
-            sim._trace_level == "counters"
-            and not sim._obs.enabled
-            and not sim._stop_when_informed
-        ):
-            try:
-                counters = run_batch([build_replica(sim, vt, program)])[0]
-            except VectorLimitAbort:
-                pass
-            else:
-                apply_counters(sim, vt, counters)
-                return sim._trace
-        return _run_program(sim, vt, program)
+        try:
+            counters = run_batch([build_replica(sim, vt, program)])[0]
+        except VectorLimitAbort:
+            pass
+        else:
+            apply_counters(sim, vt, counters)
+            return sim._trace
+    return run_fastpath(sim)
 
 
 def build_replica(sim, vt: VectorTopology, program: VectorProgram) -> ReplicaProgram:
@@ -134,157 +127,3 @@ def apply_counters(sim, vt: VectorTopology, rc) -> None:
         rt.sent_count = int(rc.sent[i])
     sim._seq = rc.messages_sent
 
-
-def _run_program(sim, vt: VectorTopology, program: VectorProgram):
-    """Per-delivery interpreter over the program tables.
-
-    Structurally ``_run_sync`` (same tuple layout, same round sort, same
-    leftover materialization), with two substitutions: the repr string in
-    the sort key becomes the precomputed integer rank (same order), and
-    ``on_receive`` becomes a table lookup guarded by the act-once flag.
-    """
-    trace = sim._trace
-    emitter = sim._emitter = TraceEmitter(sim)
-    full = emitter.full
-    max_messages = sim._max_messages
-    max_steps = sim._max_steps
-    stop_when_informed = sim._stop_when_informed
-
-    labels = vt.labels
-    n = len(labels)
-    rank = vt.rank.tolist()
-    runtimes = [sim._runtimes[label] for label in labels]
-    payload = program.payload
-    flood = program.kind == "flood"
-    if flood:
-        degrees = vt.degrees.tolist()
-        offsets = vt.offsets.tolist()
-        neighbor_at = vt.neighbor_at.tolist()
-        arrival_at = vt.arrival_at.tolist()
-    else:
-        send_offsets = program.send_offsets.tolist()
-        send_port = program.send_port.tolist()
-        send_dest = program.send_dest.tolist()
-        send_aport = program.send_aport.tolist()
-    acted = [bool(flag) for flag in program.init_active]
-
-    emitter.run_started(sim)
-
-    seq = 0
-    step = 0
-    limit_hit = trace.message_limit_hit
-
-    def act_sends(i: int, aport: int):
-        """(receiver_idx, send_port, arrival_port) for node ``i``'s one act."""
-        if flood:
-            base = offsets[i]
-            return [
-                (neighbor_at[base + p], p, arrival_at[base + p])
-                for p in range(degrees[i])
-                if p != aport
-            ]
-        lo, hi = send_offsets[i], send_offsets[i + 1]
-        return [(send_dest[t], send_port[t], send_aport[t]) for t in range(lo, hi)]
-
-    def enqueue(i: int, triples, deliver_at: int, out, cause: int) -> None:
-        nonlocal seq, limit_hit
-        rt = runtimes[i]
-        sender_label = labels[i]
-        informed_flag = rt.informed
-        for j, sport, aport in triples:
-            if max_messages is not None and trace.messages_sent >= max_messages:
-                limit_hit = emitter.limit("message limit reached")
-                return
-            seq += 1
-            rt.sent_count += 1
-            out.append(
-                (rank[j], aport, seq, j, payload, sender_label, sport, informed_flag)
-            )
-            emitter.sent(
-                seq, sender_label, labels[j], sport, aport,
-                payload, informed_flag, deliver_at, cause,
-            )
-
-    pending = []
-    for i in range(n):
-        if acted[i]:
-            enqueue(i, act_sends(i, -1), 1, pending, 0)
-
-    round_no = 1
-    leftover = []
-    leftover_next = []
-    stopped = False
-    informed_at = trace.informed_at
-    while pending:
-        pending.sort()
-        if limit_hit or stopped:
-            leftover = pending
-            break
-        nxt = []
-        count = len(pending)
-        idx = 0
-        broke = False
-        while idx < count:
-            if max_steps is not None and step >= max_steps:
-                limit_hit = emitter.limit("step limit reached")
-                broke = True
-                break
-            _, aport, mseq, j, pl, sender_label, sport, s_informed = pending[idx]
-            idx += 1
-            step += 1
-            emitter.delivery_started(
-                step, pl, sender_label, labels[j], sport, aport, s_informed, round_no
-            )
-            rt = runtimes[j]
-            rt.received_count += 1
-            if full:
-                rt.history.append((pl, aport))
-            newly_informed = s_informed and not rt.informed
-            if newly_informed:
-                rt.informed = True
-                rt.informed_at = step
-                emitter.informed(labels[j], step)
-            emitter.delivered(
-                step, mseq, sender_label, labels[j], aport, pl, round_no, newly_informed
-            )
-            if not acted[j]:
-                acted[j] = True
-                enqueue(j, act_sends(j, aport), round_no + 1, nxt, mseq)
-            if stop_when_informed and len(informed_at) == n:
-                stopped = True
-                broke = True
-                break
-            if limit_hit:
-                broke = True
-                break
-        if broke:
-            leftover = pending[idx:]
-            leftover_next = nxt
-            break
-        pending = nxt
-        round_no += 1
-
-    trace.message_limit_hit = limit_hit
-    trace.completed = not leftover and not leftover_next and not limit_hit
-    sim._seq = seq
-    if leftover or leftover_next:
-        leftover_next.sort()
-        undelivered = trace.undelivered
-        for deliver_at, batch in ((round_no, leftover), (round_no + 1, leftover_next)):
-            for t in batch:
-                undelivered.append(
-                    InFlightMessage(
-                        payload=t[4],
-                        sender=t[5],
-                        receiver=labels[t[3]],
-                        send_port=t[6],
-                        arrival_port=t[1],
-                        sender_informed=t[7],
-                        seq=t[2],
-                        deliver_at=deliver_at,
-                    )
-                )
-    # Compiled schemes never produce outputs (the compiler certifies the
-    # callbacks are pure send tables), so trace.outputs stays empty.
-    emitter.run_ended(n)
-    return trace

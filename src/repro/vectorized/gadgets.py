@@ -51,20 +51,21 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..encoding import children_ports_code_length
 from ..network.builders import resolve_rng
 from ..network.graph import Edge, GraphError
-from .core import ReplicaProgram
+from .core import ReplicaProgram, run_batch
 
 __all__ = [
     "sample_edge_tuple_sparse",
     "gadget_spanning_program",
     "MegaGadgetRow",
     "mega_gadget_wakeup",
+    "mega_gadget_batch",
 ]
 
 _I64 = np.int64
@@ -348,14 +349,34 @@ def _row_from_counters(n: int, seed: int, oracle_bits: int, rc) -> MegaGadgetRow
     )
 
 
+def mega_gadget_batch(
+    n: int, seeds: Sequence[int], counts: Optional[int] = None
+) -> List[MegaGadgetRow]:
+    """Tree wakeup on one implicit ``G_{n,S}`` per seed, in one pass.
+
+    Each seed samples its own ``S`` (its own graph); all replicas then
+    share every round's array operations.  ``counts`` overrides ``|S|``
+    (default ``n``, the Theorem 2.2 shape).
+    """
+    count = n if counts is None else counts
+    programs = []
+    bits = []
+    for seed in seeds:
+        edge_tuple = sample_edge_tuple_sparse(n, count, seed=seed)
+        program, oracle_bits = gadget_spanning_program(n, edge_tuple)
+        programs.append(program)
+        bits.append(oracle_bits)
+    return [
+        _row_from_counters(n, seed, oracle_bits, rc)
+        for seed, oracle_bits, rc in zip(seeds, bits, run_batch(programs))
+    ]
+
+
 def mega_gadget_wakeup(n: int, seed: int = 0) -> MegaGadgetRow:
     """Tree wakeup on a random ``G_{n,S}`` without materializing it.
 
     Feasible to ``n = 10^6`` on one core: the graph is implicit, the tree
     is derived in closed form, and the run is ``N - 1`` messages through
-    the vectorized core.  One seed of
-    :func:`~repro.vectorized.batch.mega_gadget_batch`.
+    the vectorized core.  One seed of :func:`mega_gadget_batch`.
     """
-    from .batch import mega_gadget_batch  # batch imports this module
-
     return mega_gadget_batch(n, [seed])[0]

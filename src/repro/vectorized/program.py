@@ -88,39 +88,35 @@ class VectorProgram:
 
     ``kind``:
 
-    * ``"flood"`` — on activation, send ``payload`` on every port except
-      the arrival port (init activations have no arrival and use every
-      port).  Destinations come straight from the topology CSR.
+    * ``"flood"`` — on activation, send on every port except the arrival
+      port (init activations have no arrival and use every port).
+      Destinations come straight from the topology CSR.
     * ``"ports"`` — on activation, send on a fixed per-node port list
       (CSR over ``send_offsets``), independent of the arrival port.
       ``send_dest``/``send_aport`` are precomputed so the engine never
       consults the topology — which is what lets
       :mod:`repro.vectorized.gadgets` run graphs whose full topology was
       never materialized.
+
+    A program holds no payload and no sending ports: the numpy core keeps
+    counters only, and both shipped semantics send one constant token.
     """
 
-    __slots__ = (
-        "kind", "payload", "init_active",
-        "send_offsets", "send_port", "send_dest", "send_aport",
-    )
+    __slots__ = ("kind", "init_active", "send_offsets", "send_dest", "send_aport")
 
     def __init__(
         self,
         kind: str,
-        payload,
         init_active: np.ndarray,
         send_offsets: Optional[np.ndarray] = None,
-        send_port: Optional[np.ndarray] = None,
         send_dest: Optional[np.ndarray] = None,
         send_aport: Optional[np.ndarray] = None,
     ) -> None:
         if kind not in ("flood", "ports"):
             raise ValueError(f"unknown program kind {kind!r}")
         self.kind = kind
-        self.payload = payload
         self.init_active = init_active
         self.send_offsets = send_offsets
-        self.send_port = send_port
         self.send_dest = send_dest
         self.send_aport = send_aport
 
@@ -163,18 +159,14 @@ def _init_active(runtimes) -> np.ndarray:
 
 
 def _compile_flooding(sim, vt, runtimes) -> Optional[VectorProgram]:
-    from ..algorithms.tree_wakeup import SOURCE_MESSAGE
-
     # A scheme that already forwarded would stay silent where the program
     # would send; only fresh populations compile.
     if any(rt.process._forwarded for rt in runtimes):
         return None
-    return VectorProgram("flood", SOURCE_MESSAGE, _init_active(runtimes))
+    return VectorProgram("flood", _init_active(runtimes))
 
 
 def _compile_tree_wakeup(sim, vt, runtimes) -> Optional[VectorProgram]:
-    from ..algorithms.tree_wakeup import SOURCE_MESSAGE
-
     if any(rt.process._woken for rt in runtimes):
         return None
     port_lists = [
@@ -185,17 +177,14 @@ def _compile_tree_wakeup(sim, vt, runtimes) -> Optional[VectorProgram]:
     counts = np.fromiter(map(len, port_lists), dtype=np.int64, count=n)
     send_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=send_offsets[1:])
-    total = int(send_offsets[-1])
     flat = [p for ports in port_lists for p in ports]
     send_port = np.array(flat, dtype=np.int64) if flat else np.zeros(0, np.int64)
     owner = np.repeat(np.arange(n, dtype=np.int64), counts)
     slots = vt.offsets[owner] + send_port
     return VectorProgram(
         "ports",
-        SOURCE_MESSAGE,
         _init_active(runtimes),
         send_offsets=send_offsets,
-        send_port=send_port,
         send_dest=vt.neighbor_at[slots],
         send_aport=vt.arrival_at[slots],
     )

@@ -15,6 +15,11 @@ reference —
 across schedulers, seeds, task pairs, and the awkward modes (anonymity,
 message/step limits, early stop, missing source).  A future engine joins
 the whole matrix by adding one string to :data:`ENGINES`.
+
+The JSONL capture turns observation on, which keeps the vectorized engine
+off its numpy core; :func:`test_counters_quiet_limits` runs unobserved
+counters cells so the core — and its fallback when a safety limit would
+truncate the run — face the same reference.
 """
 
 import io
@@ -37,6 +42,8 @@ from repro.oracles.spanning_tree import SpanningTreeWakeupOracle
 from repro.simulator.engine import ENGINES as ALL_ENGINES
 from repro.simulator.engine import Simulation
 from repro.simulator.schedulers import make_scheduler
+from repro.vectorized import VectorLimitAbort
+from repro.vectorized import engine as vectorized_engine
 
 #: The engines under test, each diffed against the ``"legacy"`` reference.
 #: Extending the matrix to a new engine is this one line.
@@ -206,3 +213,89 @@ def test_counters_match_full_across_engines():
         assert counters.trace.per_round_deliveries() == full.trace.per_round_deliveries()
         assert counters.trace.completed == full.trace.completed
         assert counters.trace.deliveries == []
+
+
+#: Safety-limit settings for the unobserved counters cells: none, message
+#: and step limits that truncate every graph's run, and a missing source.
+QUIET_LIMITS = (
+    {},
+    {"max_messages": 1},
+    {"max_messages": 7},
+    {"max_steps": 1},
+    {"max_steps": 5},
+    {"no_source": True},
+)
+
+
+def _runtime_counters(runtimes):
+    return {
+        v: (rt.sent_count, rt.received_count, rt.informed, rt.informed_at)
+        for v, rt in runtimes.items()
+    }
+
+
+@pytest.mark.parametrize("limits", QUIET_LIMITS, ids=lambda k: str(k) or "none")
+@pytest.mark.parametrize(
+    "oracle,algorithm",
+    ((NullOracle, Flooding), (SpanningTreeWakeupOracle, TreeWakeup)),
+    ids=("flooding", "tree-wakeup"),
+)
+def test_counters_quiet_limits(oracle, algorithm, limits, monkeypatch):
+    """Unobserved counters runs: the numpy core and its limit fallback.
+
+    With ``obs=None`` every vectorized cell reaches ``run_batch``.  The
+    core must raise :class:`VectorLimitAbort` exactly for the runs a limit
+    truncates, and the fallback must then reproduce the truncation.  Each
+    engine's trace and per-node runtime counters match legacy.
+    """
+    outcome = {"ran": 0, "aborted": 0}
+    run_batch = vectorized_engine.run_batch
+
+    def counting_run_batch(replicas):
+        try:
+            counters = run_batch(replicas)
+        except VectorLimitAbort:
+            outcome["aborted"] += 1
+            raise
+        outcome["ran"] += 1
+        return counters
+
+    monkeypatch.setattr(vectorized_engine, "run_batch", counting_run_batch)
+    wakeup = algorithm is TreeWakeup
+    cells = 0
+    truncated = 0
+    for graph in _graphs():
+        frozen = graph if graph.frozen else graph.copy().freeze()
+        advice = oracle().advise(frozen)
+        for seed in SEEDS:
+            runs = {}
+            for engine in ("legacy",) + ENGINES:
+                alg = algorithm()
+                schemes = {
+                    v: alg.scheme_for(advice[v], v == frozen.source, v, frozen.degree(v))
+                    for v in frozen.nodes()
+                }
+                sim = Simulation(
+                    frozen,
+                    schemes,
+                    advice=advice,
+                    scheduler=make_scheduler("sync", seed=seed),
+                    wakeup=wakeup,
+                    obs=None,
+                    trace_level="counters",
+                    engine=engine,
+                    **limits,
+                )
+                runs[engine] = (sim.run(), sim.runtimes)
+            cells += 1
+            legacy_trace, legacy_runtimes = runs["legacy"]
+            truncated += legacy_trace.message_limit_hit
+            for engine in ENGINES:
+                trace, runtimes = runs[engine]
+                label = f"{engine}/{algorithm.__name__}/seed={seed}/{limits}"
+                assert trace == legacy_trace, f"trace diverged: {label}"
+                assert _runtime_counters(runtimes) == _runtime_counters(
+                    legacy_runtimes
+                ), f"runtimes diverged: {label}"
+    assert outcome["ran"] + outcome["aborted"] == cells
+    assert outcome["aborted"] == truncated

@@ -18,6 +18,7 @@ The committed ``BENCH_engine.json`` claims the speedup; this file is why
 the speedup is safe to take.
 """
 
+import heapq
 import io
 import pickle
 import random
@@ -262,35 +263,44 @@ def test_construction_cache_serves_topologies():
     assert before >= 1 and len(cache) == 0
 
 
-def test_sync_drain_round_matches_pop_order():
-    """drain_round() is pop() repeated — same messages, same order."""
+def test_sync_pop_order_matches_heap():
+    """Interleaved push/pop delivers in heap order on the legacy key.
 
-    def fill(scheduler):
-        rng = random.Random(3)
-        from repro.simulator.messages import InFlightMessage
+    The reference is ``heapq`` on ``(deliver_at, repr(receiver),
+    arrival_port, seq)``.  Pushes land in the round being popped as well
+    as in earlier and later ones, which exercises ``_advance``'s
+    fold-back branch; mixed int/str receivers make ``repr`` order differ
+    from label order.
+    """
+    from repro.simulator.messages import InFlightMessage
 
-        for seq in range(20):
-            scheduler.push(
-                InFlightMessage(
-                    payload=f"p{seq}",
-                    sender=rng.randrange(5),
-                    receiver=rng.randrange(5),
-                    send_port=0,
-                    arrival_port=rng.randrange(3),
-                    deliver_at=rng.randrange(2),
-                    seq=seq,
-                    sender_informed=True,
-                )
+    rng = random.Random(3)
+    receivers = (0, 1, 2, 10, "a", "b")
+    for _ in range(3000):
+        scheduler, heap = SynchronousScheduler(), []
+        seq = 0
+        for _ in range(rng.randrange(1, 30)):
+            if heap and rng.random() < 0.4:
+                assert scheduler.pop() is heapq.heappop(heap)[1]
+                continue
+            seq += 1
+            msg = InFlightMessage(
+                payload=f"p{seq}",
+                sender=rng.randrange(5),
+                receiver=rng.choice(receivers),
+                send_port=0,
+                arrival_port=rng.randrange(3),
+                sender_informed=True,
+                seq=seq,
+                deliver_at=rng.randrange(1, 4),
             )
-
-    popper, drainer = SynchronousScheduler(), SynchronousScheduler()
-    fill(popper)
-    fill(drainer)
-    drained = drainer.drain_round()
-    popped = [popper.pop() for _ in range(len(drained))]
-    assert drained == popped
-    assert drainer.drain_round() == [popper.pop() for _ in range(20 - len(drained))]
-    assert drainer.empty() and popper.empty()
+            scheduler.push(msg)
+            key = (msg.deliver_at, repr(msg.receiver), msg.arrival_port, msg.seq)
+            heapq.heappush(heap, (key, msg))
+        while heap:
+            assert not scheduler.empty()
+            assert scheduler.pop() is heapq.heappop(heap)[1]
+        assert scheduler.empty()
 
 
 def test_fastpath_escape_hatch(monkeypatch):
