@@ -1,13 +1,15 @@
-"""The parallel executor and construction cache, measured.
+"""The process-pool fan-out and construction cache, measured.
 
 Two claims, each timed and asserted:
 
-* **Fan-out** — ``workers=4`` beats the serial path on the E1+E4 grid
-  while producing identical rows.  The speedup assertion only fires on
-  hosts with at least two usable cores (a single-CPU container cannot
-  speed anything up by forking); the measured ratio and the core count
-  are recorded in ``extra_info`` either way, so the committed
-  ``BENCH_parallel.json`` always says what hardware it was measured on.
+* **Fan-out** — ``workers=4`` through
+  :func:`repro.runner.resilient_sweep_families` beats the serial path on
+  the E1+E4 grid while producing identical rows.  The speedup assertion
+  only fires on hosts with at least two usable cores (a single-CPU
+  container cannot speed anything up by forking); the measured ratio and
+  the core count are recorded in ``extra_info`` either way, so the
+  committed ``BENCH_parallel.json`` always says what hardware it was
+  measured on.
 * **Cache** — repeating the grid against a warm
   :class:`~repro.parallel.ConstructionCache` cuts wall time by at least
   30%.  Cell cost on this grid is dominated by advice computation
@@ -26,7 +28,8 @@ import time
 from conftest import run_once
 
 from repro.analysis import sweep_families
-from repro.parallel import ConstructionCache, e1_e4_cell, parallel_sweep_families
+from repro.parallel import ConstructionCache, e1_e4_cell
+from repro.runner import resilient_sweep_families
 
 FAMILIES = ("complete", "kstar", "gnp_dense")
 SIZES = (256, 384, 512)
@@ -45,9 +48,9 @@ def _compare_serial_parallel():
     serial_rows = sweep_families(SIZES, MEASUREMENT, families=FAMILIES)
     serial_s = time.perf_counter() - start
     start = time.perf_counter()
-    parallel_rows = parallel_sweep_families(
+    parallel_rows = resilient_sweep_families(
         SIZES, MEASUREMENT, families=FAMILIES, workers=4
-    )
+    ).rows
     parallel_s = time.perf_counter() - start
     return {
         "serial_s": serial_s,

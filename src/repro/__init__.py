@@ -86,11 +86,7 @@ from .oracles import (
     SpanningTreeWakeupOracle,
     light_spanning_tree,
 )
-from .parallel import (
-    ConstructionCache,
-    parallel_sweep_families,
-    run_experiments,
-)
+from .parallel import ConstructionCache
 from .runner import (
     RetryPolicy,
     resilient_run_experiments,
@@ -171,8 +167,6 @@ __all__ = [
     "make_scheduler",
     # parallel
     "ConstructionCache",
-    "parallel_sweep_families",
-    "run_experiments",
     # runner (fault tolerance)
     "RetryPolicy",
     "resilient_sweep_families",

@@ -8,7 +8,7 @@ with ``skipped=True`` and the exception type — never a silently missing
 cell).
 
 The loop body lives in :func:`run_sweep_cell` so that the serial sweep here
-and the process-pool executor in :mod:`repro.parallel` execute *the same
+and the process-pool fan-out in :mod:`repro.runner` execute *the same
 code* per cell — that shared body is what makes the parallel path's rows
 and event stream byte-identical to a serial run.
 
@@ -109,7 +109,7 @@ def run_sweep_cell(
     """Execute one (family, n) cell: build, measure, emit, return the row.
 
     This is the single cell body shared by :func:`sweep_families` and the
-    parallel executor.  Builder failures become structured skipped rows
+    runner's pool workers.  Builder failures become structured skipped rows
     (with a :class:`repro.obs.SweepCellSkipped` event); measurement
     failures propagate — a broken measurement is a bug, not a grid gap.
     When ``cache`` is given, graph construction goes through
@@ -173,8 +173,9 @@ def sweep_families(
     construction across cells and runs; measurements that declare a
     ``cache=`` keyword receive it too (see :func:`measurement_keywords`).
     For multi-process execution of the same grid, see
-    :func:`repro.parallel.parallel_sweep_families`, which falls back to
-    this exact function at ``workers=1``.
+    :func:`repro.runner.resilient_sweep_families`, whose rows, event
+    stream and metrics match this function's byte for byte at any worker
+    count.
     """
     obs = resolve_obs(obs)
     chosen = list(families) if families is not None else sorted(FAMILY_BUILDERS)

@@ -5,20 +5,21 @@ Commands
 ``experiment E1 [E2 ...]`` (alias: ``exp``)
     Run experiments from the registry and print their tables and findings.
     ``--workers N`` fans the experiments over a process pool with a
-    deterministic, serial-identical merge (default ``$REPRO_WORKERS``);
-    ``--cache`` persists built graphs and oracle advice under
-    ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``).
+    deterministic, serial-identical merge (default ``$REPRO_WORKERS``,
+    else 1 = in-process); ``--cache`` persists built graphs and oracle
+    advice under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``).
 ``all``
     Run every experiment (E1-E15) at default sizes; accepts the same
     ``--workers`` / ``--cache`` flags.
 
     Both commands also take the fault-tolerance flags ``--timeout S``,
     ``--retries N``, ``--run-dir DIR`` and ``--resume DIR`` (see
-    :mod:`repro.runner` and ``docs/ROBUSTNESS.md``): any of them routes
-    the run through the journaled runner, where a crashed or hung
-    experiment degrades to a structured FAILED row (nonzero exit) instead
-    of taking the run down, and an interrupted ``--run-dir`` run resumes
-    byte-identically.
+    :mod:`repro.runner` and ``docs/ROBUSTNESS.md``).  Any of them, or
+    ``--workers N`` with N > 1, runs the experiments through the runner's
+    pool, where a crashed or hung experiment degrades to a structured
+    FAILED row (nonzero exit) instead of taking the run down, a
+    ``runner:`` summary line follows the tables, and an interrupted
+    ``--run-dir`` run resumes byte-identically.
 ``separation [--family F] [--sizes 16,32,...]``
     Just the headline separation sweep.
 ``quickstart [n]``
@@ -112,7 +113,14 @@ def _cmd_experiment(
     resume: Optional[str] = None,
     progress: bool = False,
 ) -> int:
-    from .parallel import ConstructionCache, resolve_workers, run_experiments
+    from .parallel import ConstructionCache
+    from .runner import (
+        DEFAULT_RETRIES,
+        ProgressReporter,
+        RetryPolicy,
+        resilient_run_experiments,
+        resolve_workers,
+    )
 
     cache = ConstructionCache.persistent() if use_cache else None
     try:
@@ -129,24 +137,19 @@ def _cmd_experiment(
             )
             return 2
         run_dir = resume
-    resilient = progress or any(v is not None for v in (timeout, retries, run_dir))
+    use_runner = workers > 1 or progress or any(
+        v is not None for v in (timeout, retries, run_dir)
+    )
     stats = None
     try:
-        if resilient:
-            # The fault-tolerant runner: per-experiment timeout/retry,
-            # crash isolation, and (with a run dir) a journal that makes
-            # the run resumable.  Results still come back in request
-            # order and print exactly what a serial run prints.
-            # ``--progress`` rides the same path: the runner settles one
-            # experiment at a time, which is what gives the heartbeats
-            # their done/failed counts and ETA.
-            from .runner import (
-                DEFAULT_RETRIES,
-                ProgressReporter,
-                RetryPolicy,
-                resilient_run_experiments,
-            )
-
+        if use_runner:
+            # The process pool: per-experiment timeout/retry, crash
+            # isolation, and (with a run dir) a journal that makes the run
+            # resumable.  Results come back in request order and print
+            # exactly what a serial run prints.  ``--progress`` rides the
+            # same path: the runner settles one experiment at a time,
+            # which is what gives the heartbeats their done/failed counts
+            # and ETA.
             policy = RetryPolicy(
                 retries=retries if retries is not None else DEFAULT_RETRIES,
                 timeout=timeout,
@@ -162,11 +165,6 @@ def _cmd_experiment(
             )
             ordered = [report.results[eid] for eid in ids]
             stats = report.stats
-        elif workers > 1:
-            # Fan whole experiments across a process pool; results come
-            # back in request order, so the output matches a serial run.
-            results = run_experiments(ids, workers=workers, cache=cache)
-            ordered = [results[eid] for eid in ids]
         else:
             ordered = [run_experiment(eid, cache=cache) for eid in ids]
     except ValueError as exc:
@@ -180,9 +178,9 @@ def _cmd_experiment(
         if bad:
             status = 1
     if cache is not None:
-        if workers > 1:
-            # The parent cache never served a lookup: workers rebuilt their
-            # own from its spec, sharing only the disk layer.
+        if stats is not None:
+            # The parent cache never served a lookup: pool workers rebuilt
+            # their own from its spec, sharing only the disk layer.
             print(f"construction cache: disk layer at {cache.persist_dir} "
                   f"(per-worker stats not aggregated)")
         else:

@@ -1,19 +1,20 @@
-"""Parallel execution and construction caching for sweeps and experiments.
+"""Construction caching and picklable grid measurements for the fan-out.
 
 The library's evaluation is a grid — every (family, n, oracle, algorithm)
-cell independent of every other — and this package is the scale layer over
-it:
+cell independent of every other.  The one process-pool fan-out over it
+is the fault-tolerant runner in :mod:`repro.runner`
+(``$REPRO_WORKERS`` sets the default width), which merges results
+**deterministically**: rows in grid order, worker event streams
+re-emitted in canonical order, so rows, JSONL traces, and metrics
+registries are byte-identical to a serial run at the same seed.  This
+package holds what that fan-out and the serving daemon share:
 
-* :mod:`repro.parallel.executor` — fan sweep cells or whole experiments
-  out over a :class:`concurrent.futures.ProcessPoolExecutor`
-  (``$REPRO_WORKERS`` sets the default width) and merge results
-  **deterministically**: rows in grid order, worker event streams
-  re-emitted in canonical order, so rows, JSONL traces, and metrics
-  registries are byte-identical to a serial run at the same seed.
 * :mod:`repro.parallel.cache` — a content-addressed
   :class:`ConstructionCache` memoizing built graphs and oracle advice,
   in memory and optionally on disk (``$REPRO_CACHE_DIR`` or
-  ``~/.cache/repro``), shared with worker processes.
+  ``~/.cache/repro``), and the pool initializer
+  (:func:`~repro.parallel.cache.init_worker_cache`) that hands it to
+  worker processes.
 * :mod:`repro.parallel.grids` — picklable reference measurements
   (:func:`e1_e4_cell`) used by the equivalence tests and the committed
   parallel benchmark.
@@ -29,12 +30,6 @@ from .cache import (
     ConstructionCache,
     default_cache_dir,
     resolve_cache,
-)
-from .executor import (
-    WORKERS_ENV,
-    parallel_sweep_families,
-    resolve_workers,
-    run_experiments,
     worker_cache,
 )
 from .grids import e1_e4_cell
@@ -46,10 +41,6 @@ __all__ = [
     "ConstructionCache",
     "default_cache_dir",
     "resolve_cache",
-    "WORKERS_ENV",
-    "resolve_workers",
-    "parallel_sweep_families",
-    "run_experiments",
     "worker_cache",
     "e1_e4_cell",
 ]

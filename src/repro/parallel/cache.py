@@ -21,9 +21,8 @@ plain dict and always on; the optional disk layer (``persist_dir``, or
 ``~/.cache/repro``) stores graphs through
 :mod:`repro.network.serialization` and advice through
 :func:`repro.core.oracle.advice_to_json`, so warm entries survive across
-processes — including the worker processes of
-:mod:`repro.parallel.executor`, which each hydrate their own cache from
-the same directory.
+processes — including pool workers, which each hydrate their own cache
+from the same directory through :func:`init_worker_cache`.
 
 Invalidation is by key: anything that changes what a builder or oracle
 produces **must** change the key, which is why the builder ``seed`` and
@@ -55,7 +54,9 @@ __all__ = [
     "ConstructionCache",
     "content_address",
     "default_cache_dir",
+    "init_worker_cache",
     "resolve_cache",
+    "worker_cache",
 ]
 
 #: Version tag mixed into every key; bump when the on-disk formats change.
@@ -142,6 +143,32 @@ class CacheSpec:
         return ConstructionCache(
             persist_dir=self.persist_dir, max_entries=self.max_entries
         )
+
+
+#: The worker-process cache, installed by :func:`init_worker_cache`.  One per
+#: worker for the pool's lifetime, so repeated (family, n) cells within a
+#: worker hit memory and all workers share the parent's disk layer.
+_WORKER_CACHE: Optional["ConstructionCache"] = None
+
+
+def init_worker_cache(cache_spec: Optional[CacheSpec]) -> None:
+    """Pool initializer: hydrate this worker's cache from a picklable spec.
+
+    The fault-tolerant runner in :mod:`repro.runner` and the serving
+    daemon in :mod:`repro.service` both start their pool workers this way.
+    """
+    global _WORKER_CACHE
+    _WORKER_CACHE = cache_spec.build() if cache_spec is not None else None
+
+
+def worker_cache() -> Optional["ConstructionCache"]:
+    """This worker's cache (``None`` until :func:`init_worker_cache` ran).
+
+    The accessor for worker entry points — e.g.
+    :func:`repro.service.jobs.service_job_task` — so they share the
+    per-worker memory layer and the cross-worker disk layer.
+    """
+    return _WORKER_CACHE
 
 
 class ConstructionCache:

@@ -1,4 +1,4 @@
-"""Reference grid measurements for the parallel executor.
+"""Reference grid measurements for the process-pool fan-out.
 
 The equivalence tests and the committed parallel benchmark both need a
 realistic, *picklable* measurement — a module-level function a worker
@@ -24,7 +24,7 @@ from ..oracles.light_tree import LightTreeBroadcastOracle
 from ..oracles.spanning_tree import SpanningTreeWakeupOracle
 from ..simulator.schedulers import make_scheduler
 
-__all__ = ["e1_e4_cell", "gadget_seed_batch"]
+__all__ = ["e1_e4_cell"]
 
 
 def e1_e4_cell(
@@ -83,36 +83,3 @@ def e1_e4_cell(
         "bcast_ok": bcast.success and bcast.messages <= 2 * (nn - 1),
     }
 
-
-def gadget_seed_batch(n: int, seeds, counts: Optional[int] = None) -> Dict[str, Any]:
-    """One *batch* work unit: every seed's ``G_{n,S}`` in one vectorized pass.
-
-    Where :func:`e1_e4_cell` is the unit "one (cell, seed)", this is the
-    batch-mode unit "one cell, all its seeds": the replicas share each
-    synchronous round's array operations
-    (:func:`repro.vectorized.mega_gadget_batch`), so per-seed dispatch
-    overhead disappears and the journal/retry machinery charges the whole
-    batch as a single attempt.  Module-level and picklable, like every
-    grid measurement.
-    """
-    from ..vectorized.gadgets import mega_gadget_batch
-
-    rows = mega_gadget_batch(n, list(seeds), counts=counts)
-    return {
-        "n": n,
-        "seeds": list(seeds),
-        "rows": [
-            {
-                "seed": row.seed,
-                "gadget_nodes": row.gadget_nodes,
-                "gadget_edges": row.gadget_edges,
-                "oracle_bits": row.oracle_bits,
-                "messages": row.messages,
-                "rounds": row.rounds,
-                "success": row.success,
-                "flooding_messages": row.flooding_messages,
-                "bits_per_node_log": row.bits_per_node_log,
-            }
-            for row in rows
-        ],
-    }

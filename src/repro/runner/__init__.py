@@ -1,24 +1,27 @@
-"""Fault-tolerant, journaled, resumable execution of experiment grids.
+"""The process-pool fan-out: fault-tolerant, journaled, resumable.
 
-The layer between :mod:`repro.parallel` (which fans cells out across a
-process pool, assuming nothing goes wrong) and a run you actually want to
-finish: per-cell timeouts, bounded retries with backoff, crash isolation
-(a dead worker fails only its own cell), an fsync'd on-disk journal of
-settled cells, and ``--resume`` that replays the journal and recomputes
-only what is missing — with rows, JSONL traces, and metrics registries
-byte-identical to an uninterrupted run at the same seed.
+The one layer that runs experiment grids across worker processes
+(``workers`` explicit, else ``$REPRO_WORKERS``, else 1 — see
+:func:`resolve_workers`), merged deterministically so rows, JSONL traces
+and metrics registries are byte-identical to a serial run at the same
+seed.  On top of the plain pool it adds what a run you actually want to
+finish needs: per-cell timeouts, bounded retries with backoff, crash
+isolation (a dead worker fails only its own cell), an fsync'd on-disk
+journal of settled cells, and ``--resume`` that replays the journal and
+recomputes only what is missing — with the same byte-identity.
 
-Entry points: :func:`resilient_sweep_families` and
-:func:`resilient_run_experiments` mirror their :mod:`repro.parallel`
-namesakes; :func:`execute_units` is the generic core underneath both.
-See ``docs/ROBUSTNESS.md`` for the journal format and the exact
-guarantees.
+Entry points: :func:`resilient_sweep_families` fans out
+:func:`repro.analysis.sweep_families`, :func:`resilient_run_experiments`
+fans out :func:`repro.analysis.experiments.run_experiment`;
+:func:`execute_units` is the generic core underneath both.  See
+``docs/ROBUSTNESS.md`` for the journal format and the exact guarantees.
 """
 
 from .core import (
     RESULTS_NAME,
     ROWS_NAME,
     RUNNER_TRACE_NAME,
+    WORKERS_ENV,
     CellOutcome,
     RunReport,
     RunStats,
@@ -27,9 +30,9 @@ from .core import (
     execute_units,
     load_results,
     measurement_fingerprint,
-    resilient_gadget_batches,
     resilient_run_experiments,
     resilient_sweep_families,
+    resolve_workers,
 )
 from .journal import (
     JOURNAL_NAME,
@@ -57,13 +60,14 @@ __all__ = [
     "RunReport",
     "RunStats",
     "WorkUnit",
+    "WORKERS_ENV",
     "canonical_json",
     "cell_key",
     "execute_units",
     "load_journal",
     "load_results",
     "measurement_fingerprint",
-    "resilient_gadget_batches",
     "resilient_run_experiments",
     "resilient_sweep_families",
+    "resolve_workers",
 ]

@@ -1,11 +1,13 @@
-"""The fault-tolerant, journaled layer over the process-pool fan-out.
+"""The process-pool fan-out: fault-tolerant, journaled, resumable.
 
-:mod:`repro.parallel` scales the E1-E14 grid out across workers; this
-module makes that fan-out survive the faults a long run actually meets —
-a worker segfaulting or OOM-killed, a cell hanging, a flaky exception —
-and makes the *parent* itself interruptible: completed cells are
-journaled to disk (:mod:`repro.runner.journal`), so a killed run resumes
-where it stopped.
+This module is the one place the E1-E15 grid fans out across worker
+processes (``workers`` explicit, else ``$REPRO_WORKERS``, else 1).  The
+fan-out survives the faults a long run actually meets — a worker
+segfaulting or OOM-killed, a cell hanging, a flaky exception — and the
+*parent* itself is interruptible: with a run directory, completed cells
+are journaled to disk (:mod:`repro.runner.journal`), so a killed run
+resumes where it stopped.  Without one, and with no faults, it is a
+plain process pool.
 
 **The determinism contract carries over.**  A run interrupted at an
 arbitrary cell and resumed produces rows, telemetry JSONL, and metrics
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
@@ -50,30 +53,26 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import functools
 
-from ..analysis.measure import Measurement, failed_row
+from ..analysis.measure import Measurement, failed_row, run_sweep_cell
 from ..network.builders import FAMILY_BUILDERS
 from ..obs.events import (
     CellAttemptFailed,
     CellFailed,
     CellResumed,
     CellRetried,
+    Event,
     ReplayedEvent,
     jsonable,
 )
 from ..obs.observe import Observation, resolve_obs
-from ..obs.sinks import JSONLSink
-from ..parallel.cache import CacheSpec, ConstructionCache
-from ..parallel.executor import (
-    _check_picklable,
-    init_worker_cache,
-    resolve_workers,
-    sweep_cell_task,
-)
+from ..obs.sinks import JSONLSink, MemorySink
+from ..parallel.cache import CacheSpec, ConstructionCache, init_worker_cache, worker_cache
 from .journal import JOURNAL_NAME, JournalEntry, RunJournal, cell_key, load_journal
 from .progress import ProgressReporter
 from .retry import RetryPolicy
 
 __all__ = [
+    "WORKERS_ENV",
     "WorkUnit",
     "CellOutcome",
     "RunStats",
@@ -81,14 +80,18 @@ __all__ = [
     "ROWS_NAME",
     "RESULTS_NAME",
     "RUNNER_TRACE_NAME",
+    "resolve_workers",
     "measurement_fingerprint",
     "canonical_json",
     "load_results",
     "execute_units",
+    "sweep_cell_task",
     "resilient_sweep_families",
-    "resilient_gadget_batches",
     "resilient_run_experiments",
 ]
+
+#: Environment variable supplying the default worker count.
+WORKERS_ENV = "REPRO_WORKERS"
 
 #: File names written into a run directory next to the journal.
 ROWS_NAME = "rows.json"
@@ -97,6 +100,16 @@ RUNNER_TRACE_NAME = "runner.jsonl"
 
 #: Safety margin added to the per-cell deadline for pool startup latency.
 _DEADLINE_GRACE = 0.05
+
+
+def resolve_workers(workers: Optional[int] = None) -> int:
+    """An explicit ``workers`` wins; else ``$REPRO_WORKERS``; else 1."""
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV)
+        workers = int(env) if env else 1
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def canonical_json(value: Any) -> Any:
@@ -322,7 +335,8 @@ def execute_units(
     # attempt budget.  Tripping this means the pool itself cannot start.
     max_recycles = len(pending) * policy.max_attempts + 8
 
-    pool = _PoolHost(workers, cache_spec)
+    # Never wider than the work: a worker with no unit to run is a wasted fork.
+    pool = _PoolHost(min(workers, len(pending)), cache_spec)
     in_flight: Dict[Future, _Flight] = {}
 
     def settle_failed(flight: _Flight, error: str, detail: str) -> None:
@@ -511,29 +525,92 @@ def execute_units(
 
 
 # ----------------------------------------------------------------------
+# Shared by the front-ends
+# ----------------------------------------------------------------------
+def _execute_in_run_dir(
+    units: Sequence[WorkUnit],
+    run_dir: Optional[str],
+    runner_obs: Optional[Observation],
+    **execute_kwargs: Any,
+) -> Tuple[Dict[str, CellOutcome], RunStats]:
+    """:func:`execute_units`, journaled under ``run_dir`` when one is given.
+
+    Loads the journal (counting corrupt lines into the stats), appends
+    every newly settled unit to it, and — unless the caller brings its own
+    ``runner_obs`` — records fault telemetry in the run directory's
+    ``runner.jsonl``, opened for append so a resumed run extends (never
+    truncates) the interrupted run's record.
+    """
+    journal: Optional[RunJournal] = None
+    journaled: Dict[str, JournalEntry] = {}
+    corrupt = 0
+    stream = None
+    if run_dir is not None:
+        os.makedirs(run_dir, exist_ok=True)
+        path = os.path.join(run_dir, JOURNAL_NAME)
+        journaled, corrupt = load_journal(path)
+        journal = RunJournal(path)
+        if runner_obs is None:
+            stream = open(os.path.join(run_dir, RUNNER_TRACE_NAME), "a", encoding="utf-8")
+            runner_obs = Observation(JSONLSink(stream))
+    try:
+        outcomes, stats = execute_units(
+            units,
+            journal=journal,
+            journaled=journaled,
+            runner_obs=runner_obs,
+            **execute_kwargs,
+        )
+    finally:
+        if journal is not None:
+            journal.close()
+        if stream is not None:
+            runner_obs.close()
+            stream.close()
+    stats.corrupt_journal_lines = corrupt
+    return outcomes, stats
+
+
+def _write_run_file(run_dir: Optional[str], name: str, payload: Any) -> None:
+    """Write the merged payload into the run directory, if there is one."""
+    if run_dir is None:
+        return
+    with open(os.path.join(run_dir, name), "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+
+
+# ----------------------------------------------------------------------
 # Front-end: sweeps
 # ----------------------------------------------------------------------
+def sweep_cell_task(
+    family: str, n: int, measurement: Measurement, want_events: bool
+) -> Tuple[Dict[str, Any], List[Event]]:
+    """Run one cell in a worker: returns (row, captured events)."""
+    if want_events:
+        sink = MemorySink()
+        obs = Observation(sink)
+    else:
+        sink = None
+        obs = resolve_obs(None)
+    row = run_sweep_cell(family, n, measurement, obs, cache=worker_cache())
+    return row, (sink.events if sink is not None else [])
+
+
+def _check_picklable(value: Any, what: str) -> None:
+    try:
+        pickle.dumps(value)
+    except Exception as exc:
+        raise TypeError(
+            f"{what} must be picklable to cross a process boundary "
+            f"(use a module-level function or functools.partial of one, "
+            f"not a lambda or closure); pickling failed with: {exc}"
+        ) from exc
+
+
 def _sweep_normalize(payload: Any) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     row, events = payload
     return canonical_json(row), [canonical_json(e.to_dict()) for e in events]
-
-
-def _open_runner_obs(run_dir: str) -> Tuple[Observation, Any]:
-    """The run directory's fault-telemetry stream, opened for append so a
-    resumed run extends (never truncates) the interrupted run's record."""
-    stream = open(os.path.join(run_dir, RUNNER_TRACE_NAME), "a", encoding="utf-8")
-    return Observation(JSONLSink(stream)), stream
-
-
-def _prepare_run_dir(
-    run_dir: Optional[str],
-) -> Tuple[Optional[RunJournal], Dict[str, JournalEntry], int]:
-    if run_dir is None:
-        return None, {}, 0
-    os.makedirs(run_dir, exist_ok=True)
-    path = os.path.join(run_dir, JOURNAL_NAME)
-    entries, corrupt = load_journal(path)
-    return RunJournal(path), entries, corrupt
 
 
 def resilient_sweep_families(
@@ -549,12 +626,15 @@ def resilient_sweep_families(
     label: Optional[str] = None,
     progress: Optional[ProgressReporter] = None,
 ) -> RunReport:
-    """:func:`repro.parallel.parallel_sweep_families`, fault-tolerantly.
+    """:func:`repro.analysis.sweep_families`, fanned over a process pool.
 
     Same grid, same rows, same deterministic event stream into ``obs`` —
-    plus per-cell timeout/retry (``policy``), crash isolation, and a
-    journaled ``run_dir`` that makes the run resumable.  Failed cells
-    degrade to structured rows ``{"family", "n", "requested_n",
+    byte-identical to the serial sweep at any worker count — plus
+    per-cell timeout/retry (``policy``), crash isolation, and a journaled
+    ``run_dir`` that makes the run resumable.  The measurement must be
+    picklable; builder lambdas never travel — workers look families up in
+    their own :data:`~repro.network.builders.FAMILY_BUILDERS`.  Failed
+    cells degrade to structured rows ``{"family", "n", "requested_n",
     "failed": True, "error", "detail", "attempts"}``; check
     ``report.stats.failed`` (the CLI turns it into a nonzero exit).
     """
@@ -567,6 +647,9 @@ def resilient_sweep_families(
             raise KeyError(family)
     _check_picklable(measurement, "measurement")
 
+    # Workers capture events only when someone reads them: this run's obs,
+    # or the journal, which a later resume may replay into an observed run.
+    want_events = obs.enabled or run_dir is not None
     experiment = label or f"sweep:{measurement_fingerprint(measurement)}"
     units = [
         WorkUnit(
@@ -574,36 +657,22 @@ def resilient_sweep_families(
             cell=f"{family}:{n}",
             seed="",
             fn=sweep_cell_task,
-            args=(family, n, measurement, True),
+            args=(family, n, measurement, want_events),
             meta=(("family", family), ("n", n)),
         )
         for family in chosen
         for n in sizes
     ]
-
-    journal, journaled, corrupt = _prepare_run_dir(run_dir)
-    own_stream = None
-    if runner_obs is None and run_dir is not None:
-        runner_obs, own_stream = _open_runner_obs(run_dir)
-    try:
-        outcomes, stats = execute_units(
-            units,
-            workers=workers,
-            policy=policy,
-            journal=journal,
-            journaled=journaled,
-            runner_obs=runner_obs,
-            cache_spec=cache.spec() if cache is not None else None,
-            normalize=_sweep_normalize,
-            progress=progress,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-        if own_stream is not None:
-            runner_obs.close()
-            own_stream.close()
-    stats.corrupt_journal_lines = corrupt
+    outcomes, stats = _execute_in_run_dir(
+        units,
+        run_dir,
+        runner_obs,
+        workers=workers,
+        policy=policy,
+        cache_spec=cache.spec() if cache is not None else None,
+        normalize=_sweep_normalize,
+        progress=progress,
+    )
 
     rows: List[Dict[str, Any]] = []
     with obs.wallspan("merge"):
@@ -625,98 +694,7 @@ def resilient_sweep_families(
                         outcome.attempts,
                     )
                 )
-    if run_dir is not None:
-        with open(os.path.join(run_dir, ROWS_NAME), "w", encoding="utf-8") as handle:
-            json.dump(rows, handle, indent=2)
-            handle.write("\n")
-    return RunReport(stats=stats, rows=rows, run_dir=run_dir)
-
-
-# ----------------------------------------------------------------------
-# Front-end: batched gadget measurements
-# ----------------------------------------------------------------------
-def resilient_gadget_batches(
-    n_values: Sequence[int],
-    seeds: Sequence[int],
-    counts: Optional[int] = None,
-    workers: Optional[int] = None,
-    policy: Optional[RetryPolicy] = None,
-    run_dir: Optional[str] = None,
-    runner_obs: Optional[Observation] = None,
-    label: str = "mega-gadget",
-    progress: Optional[ProgressReporter] = None,
-) -> RunReport:
-    """Mega-scale ``G_{n,S}`` separation points, one *batch* unit per ``n``.
-
-    Where :func:`resilient_sweep_families` dispatches one unit per
-    (cell, seed), this front-end dispatches one unit per ``n`` covering
-    *all* seeds — :func:`repro.parallel.grids.gadget_seed_batch` pushes
-    the seeds' replicas through one vectorized pass, so a unit is the
-    natural retry/journal granule.  Rows come back flattened (one per
-    (n, seed)); a failed batch degrades to one structured failed row per
-    seed it covered, so downstream merging stays positional.
-    """
-    from ..parallel.grids import gadget_seed_batch
-
-    workers = resolve_workers(workers)
-    policy = policy or RetryPolicy()
-    units = [
-        WorkUnit(
-            experiment=label,
-            cell=f"gnS-{n}",
-            seed="batch",
-            fn=gadget_seed_batch,
-            args=(n, tuple(seeds), counts),
-            meta=(("n", n), ("seeds", tuple(seeds))),
-        )
-        for n in n_values
-    ]
-
-    journal, journaled, corrupt = _prepare_run_dir(run_dir)
-    own_stream = None
-    if runner_obs is None and run_dir is not None:
-        runner_obs, own_stream = _open_runner_obs(run_dir)
-    try:
-        outcomes, stats = execute_units(
-            units,
-            workers=workers,
-            policy=policy,
-            journal=journal,
-            journaled=journaled,
-            runner_obs=runner_obs,
-            progress=progress,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-        if own_stream is not None:
-            runner_obs.close()
-            own_stream.close()
-    stats.corrupt_journal_lines = corrupt
-
-    rows: List[Dict[str, Any]] = []
-    for unit in units:
-        outcome = outcomes[unit.key]
-        n = unit.meta_dict["n"]
-        if outcome.status == "done":
-            for row in outcome.row["rows"]:
-                rows.append(dict(row, n=n, failed=False))
-        else:
-            for seed in unit.meta_dict["seeds"]:
-                rows.append(
-                    {
-                        "n": n,
-                        "seed": seed,
-                        "failed": True,
-                        "error": outcome.error or "Error",
-                        "detail": outcome.detail or "",
-                        "attempts": outcome.attempts,
-                    }
-                )
-    if run_dir is not None:
-        with open(os.path.join(run_dir, ROWS_NAME), "w", encoding="utf-8") as handle:
-            json.dump(rows, handle, indent=2)
-            handle.write("\n")
+    _write_run_file(run_dir, ROWS_NAME, rows)
     return RunReport(stats=stats, rows=rows, run_dir=run_dir)
 
 
@@ -749,6 +727,22 @@ def experiment_result_from_dict(data: Dict[str, Any]) -> Any:
     )
 
 
+def _failed_experiment_result(eid: str, failure: Dict[str, Any]) -> Any:
+    """The FAILED result standing in for an experiment that exhausted its
+    retries: its single row is the structured ``failed`` record."""
+    from ..analysis.result import ExperimentResult
+
+    return ExperimentResult(
+        experiment=failure.get("experiment", eid.upper()),
+        title="FAILED",
+        rows=[failure],
+        findings=[
+            f"failed after {failure.get('attempts', '?')} attempt(s): "
+            f"{failure.get('error')}: {failure.get('detail')}"
+        ],
+    )
+
+
 def load_results(run_dir: str) -> Dict[str, Any]:
     """Rehydrate a run directory's ``results.json`` as experiment results.
 
@@ -759,8 +753,6 @@ def load_results(run_dir: str) -> Dict[str, Any]:
     This is what lets ``repro verdict --results DIR`` replay a saved run
     instead of re-executing the grid.
     """
-    from ..analysis.result import ExperimentResult
-
     path = os.path.join(run_dir, RESULTS_NAME)
     if not os.path.exists(path):
         raise FileNotFoundError(
@@ -772,15 +764,7 @@ def load_results(run_dir: str) -> Dict[str, Any]:
     results: Dict[str, Any] = {}
     for eid, payload in serialized.items():
         if payload.get("failed"):
-            results[eid] = ExperimentResult(
-                experiment=payload.get("experiment", eid.upper()),
-                title="FAILED",
-                rows=[payload],
-                findings=[
-                    f"failed after {payload.get('attempts', '?')} attempt(s): "
-                    f"{payload.get('error')}: {payload.get('detail')}"
-                ],
-            )
+            results[eid] = _failed_experiment_result(eid, payload)
         else:
             results[eid] = experiment_result_from_dict(payload)
     return results
@@ -789,9 +773,11 @@ def load_results(run_dir: str) -> Dict[str, Any]:
 def serialized_experiment_task(experiment_id: str, kwargs: Dict[str, Any]) -> Dict[str, Any]:
     """Worker entry point: run one registry experiment, return it as the
     JSON-canonical dict the journal stores."""
-    from ..parallel.executor import experiment_task
+    from ..analysis.experiments import run_experiment
 
-    return experiment_result_to_dict(experiment_task(experiment_id, kwargs))
+    return experiment_result_to_dict(
+        run_experiment(experiment_id, cache=worker_cache(), **kwargs)
+    )
 
 
 def resilient_run_experiments(
@@ -804,17 +790,19 @@ def resilient_run_experiments(
     runner_obs: Optional[Observation] = None,
     progress: Optional[ProgressReporter] = None,
 ) -> RunReport:
-    """:func:`repro.parallel.run_experiments`, fault-tolerantly.
+    """Run several registry experiments across a process pool.
 
     Each experiment id is one journaled unit of work.  ``report.results``
-    maps the requested ids (in request order) to
-    :class:`~repro.analysis.result.ExperimentResult`; an experiment that
-    exhausts its retries maps to a synthesized failure result whose single
-    row is the structured ``failed`` record.  With a ``run_dir`` the
-    merged payload also lands in ``results.json`` for byte-level diffing.
+    maps the requested ids (in request order, whatever the completion
+    order) to :class:`~repro.analysis.result.ExperimentResult`, so
+    ``repro exp E1 E2 --workers 4`` prints exactly what the serial CLI
+    prints.  ``kwargs_by_id`` passes per-experiment keyword arguments
+    (e.g. ``{"E1": {"sizes": (8, 16)}}``).  An experiment that exhausts
+    its retries maps to a synthesized failure result whose single row is
+    the structured ``failed`` record.  With a ``run_dir`` the merged
+    payload also lands in ``results.json`` for byte-level diffing.
     """
     from ..analysis.experiments import EXPERIMENTS
-    from ..analysis.result import ExperimentResult
 
     workers = resolve_workers(workers)
     policy = policy or RetryPolicy()
@@ -835,29 +823,15 @@ def resilient_run_experiments(
         )
         for eid in ids
     ]
-
-    journal, journaled, corrupt = _prepare_run_dir(run_dir)
-    own_stream = None
-    if runner_obs is None and run_dir is not None:
-        runner_obs, own_stream = _open_runner_obs(run_dir)
-    try:
-        outcomes, stats = execute_units(
-            units,
-            workers=workers,
-            policy=policy,
-            journal=journal,
-            journaled=journaled,
-            runner_obs=runner_obs,
-            cache_spec=cache.spec() if cache is not None else None,
-            progress=progress,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-        if own_stream is not None:
-            runner_obs.close()
-            own_stream.close()
-    stats.corrupt_journal_lines = corrupt
+    outcomes, stats = _execute_in_run_dir(
+        units,
+        run_dir,
+        runner_obs,
+        workers=workers,
+        policy=policy,
+        cache_spec=cache.spec() if cache is not None else None,
+        progress=progress,
+    )
 
     results: Dict[str, Any] = {}
     serialized: Dict[str, Any] = {}
@@ -867,25 +841,13 @@ def resilient_run_experiments(
             results[eid] = experiment_result_from_dict(outcome.row)
             serialized[eid] = outcome.row
         else:
-            failure = {
+            serialized[eid] = {
                 "experiment": eid.upper(),
                 "failed": True,
                 "error": outcome.error,
                 "detail": outcome.detail,
                 "attempts": outcome.attempts,
             }
-            results[eid] = ExperimentResult(
-                experiment=eid.upper(),
-                title="FAILED",
-                rows=[failure],
-                findings=[
-                    f"failed after {outcome.attempts} attempt(s): "
-                    f"{outcome.error}: {outcome.detail}"
-                ],
-            )
-            serialized[eid] = failure
-    if run_dir is not None:
-        with open(os.path.join(run_dir, RESULTS_NAME), "w", encoding="utf-8") as handle:
-            json.dump(serialized, handle, indent=2)
-            handle.write("\n")
+            results[eid] = _failed_experiment_result(eid, serialized[eid])
+    _write_run_file(run_dir, RESULTS_NAME, serialized)
     return RunReport(stats=stats, results=results, run_dir=run_dir)

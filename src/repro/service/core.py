@@ -24,8 +24,8 @@ single service thread sharing the parent's
 so no locking), ``workers>=1`` fans out over a
 :class:`~concurrent.futures.ProcessPoolExecutor` whose workers hydrate
 their own caches from the shared disk layer — the same
-:func:`~repro.parallel.executor.init_worker_cache` arrangement the sweep
-executor uses.
+:func:`~repro.parallel.cache.init_worker_cache` arrangement the runner's
+pools use.
 
 Telemetry goes through the standard :class:`~repro.obs.Observation`
 machinery as the daemon's *access log*: ``service_*`` events fold into
@@ -162,7 +162,7 @@ class AdviceService:
         if self.config.workers >= 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            from ..parallel.executor import init_worker_cache
+            from ..parallel.cache import init_worker_cache
 
             self._executor = ProcessPoolExecutor(
                 max_workers=self.config.workers,

@@ -16,7 +16,7 @@ event stream is identical with and without it:
 
 Worker processes call :func:`service_job_task`, which picks up the
 per-worker cache installed by
-:func:`repro.parallel.executor.init_worker_cache`.
+:func:`repro.parallel.cache.init_worker_cache`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from ..network.graph import PortLabeledGraph
 from ..obs.observe import Observation
 from ..obs.sinks import MemorySink, encode_event
 from ..oracles import LightTreeBroadcastOracle, SpanningTreeWakeupOracle
-from ..parallel.cache import ConstructionCache
+from ..parallel.cache import ConstructionCache, worker_cache
 from ..simulator.schedulers import make_scheduler
 from .protocol import PROTOCOL_SCHEMA
 
@@ -172,6 +172,4 @@ def execute_job(
 
 def service_job_task(params: Dict[str, Any]) -> Dict[str, Any]:
     """Process-pool entry point: run a job against this worker's cache."""
-    from ..parallel.executor import worker_cache
-
     return execute_job(params, worker_cache())

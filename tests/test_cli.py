@@ -135,6 +135,38 @@ class TestResilientRuns:
         assert "replayed" not in out  # nothing valid to replay: recomputed
         assert "1 corrupt journal line(s)" in out
 
+    def test_workers_output_matches_serial(self, capsys):
+        assert main(["exp", "E3", "E8"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["exp", "E3", "E8", "--workers", "2"]) == 0
+        pooled = capsys.readouterr().out
+        assert "runner: 2 cell(s) done, 0 failed" in pooled
+        strip = lambda s: [l for l in s.splitlines() if not l.startswith("runner:")]
+        assert strip(pooled) == strip(serial)
+
+    def test_cache_line_names_disk_layer_when_runner_ran(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """In-process, the parent cache serves every lookup and reports its
+        counters.  Through the runner — even at one worker — pool workers
+        serve them, so the line names the shared disk layer instead of the
+        parent's untouched counters."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        assert main(["exp", "E3", "--cache"]) == 0
+        serial = capsys.readouterr().out
+        assert "construction cache: 0 hit(s), " in serial
+        assert " 0 miss(es)" not in serial
+
+        assert main(["exp", "E3", "--cache", "--timeout", "120"]) == 0
+        pooled = capsys.readouterr().out
+        assert (
+            f"construction cache: disk layer at {tmp_path} "
+            f"(per-worker stats not aggregated)"
+        ) in pooled
+        assert "hit(s)" not in pooled
+        assert "runner: 1 cell(s) done, 0 failed" in pooled
+
 
 class TestReport:
     def test_writes_markdown(self, tmp_path, capsys):

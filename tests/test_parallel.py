@@ -1,10 +1,13 @@
-"""The parallel executor's determinism contract, and the construction cache.
+"""The process-pool fan-out's determinism contract, and the construction cache.
 
-The headline guarantee of :mod:`repro.parallel`: at the same seed, a
+The headline guarantee of :mod:`repro.runner`'s pool: at the same seed, a
 parallel sweep produces **byte-identical** output to the serial one —
 the row list, the JSONL event trace, and the metrics registry all match
 exactly, for any worker count.  These tests state that contract as
-executable assertions over seeds {0, 1, 2} and workers {1, 2, 4}.
+executable assertions over seeds {0, 1, 2} and workers {1, 2, 4}, with
+:func:`repro.analysis.sweep_families` and
+:func:`repro.analysis.experiments.run_experiment` as the serial
+references.
 
 The cache tests cover both layers (memory and disk), the stats
 accounting, and the picklable :class:`~repro.parallel.cache.CacheSpec`
@@ -18,22 +21,26 @@ import os
 import pytest
 
 from repro.analysis import sweep_families
+from repro.analysis.experiments import run_experiment
 from repro.network import FAMILY_BUILDERS, path_graph
 from repro.obs import JSONLSink, MetricsRegistry, Observation
 from repro.oracles import LightTreeBroadcastOracle, SpanningTreeWakeupOracle
-from repro.parallel import (
-    ConstructionCache,
-    e1_e4_cell,
-    parallel_sweep_families,
-    resolve_cache,
-    resolve_workers,
-    run_experiments,
-)
+from repro.parallel import ConstructionCache, e1_e4_cell, resolve_cache
 from repro.parallel.cache import CACHE_DIR_ENV, CacheSpec, default_cache_dir
-from repro.parallel.executor import WORKERS_ENV
+from repro.runner import (
+    WORKERS_ENV,
+    resilient_run_experiments,
+    resilient_sweep_families,
+    resolve_workers,
+)
 
 FAMILIES = ("path", "cycle", "complete")
 SIZES = (3, 6, 8)
+
+
+def fanned_sweep(*args, **kwargs):
+    """The runner's sweep, reduced to the rows the serial sweep returns."""
+    return resilient_sweep_families(*args, **kwargs).rows
 
 
 def _sweep(runner, seed, **kwargs):
@@ -53,9 +60,7 @@ def _sweep(runner, seed, **kwargs):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_parallel_sweep_byte_identical_to_serial(seed, workers):
     serial_rows, serial_jsonl, serial_metrics = _sweep(sweep_families, seed)
-    par_rows, par_jsonl, par_metrics = _sweep(
-        parallel_sweep_families, seed, workers=workers
-    )
+    par_rows, par_jsonl, par_metrics = _sweep(fanned_sweep, seed, workers=workers)
     assert par_rows == serial_rows
     assert par_jsonl == serial_jsonl  # byte-for-byte, not just same events
     assert par_metrics == serial_metrics
@@ -81,7 +86,7 @@ def test_parallel_sweep_preserves_skipped_cells():
         return rows, stream.getvalue()
 
     serial_rows, serial_jsonl = observed(sweep_families)
-    par_rows, par_jsonl = observed(parallel_sweep_families, workers=2)
+    par_rows, par_jsonl = observed(fanned_sweep, workers=2)
     assert par_rows == serial_rows
     assert par_jsonl == serial_jsonl
     skipped = [r for r in par_rows if r.get("skipped")]
@@ -95,13 +100,13 @@ def test_parallel_sweep_preserves_skipped_cells():
 def test_parallel_sweep_without_obs_matches_rows():
     measurement = functools.partial(e1_e4_cell, seed=2)
     serial = sweep_families(SIZES, measurement, families=FAMILIES)
-    par = parallel_sweep_families(SIZES, measurement, families=FAMILIES, workers=2)
+    par = fanned_sweep(SIZES, measurement, families=FAMILIES, workers=2)
     assert par == serial
 
 
 def test_parallel_sweep_rejects_unpicklable_measurement():
     with pytest.raises(TypeError, match="picklable"):
-        parallel_sweep_families(
+        resilient_sweep_families(
             (4,),
             lambda family, n, graph: {"n": n},
             families=("path",),
@@ -111,7 +116,7 @@ def test_parallel_sweep_rejects_unpicklable_measurement():
 
 def test_parallel_sweep_rejects_unknown_family():
     with pytest.raises(KeyError):
-        parallel_sweep_families(
+        resilient_sweep_families(
             (4,), e1_e4_cell, families=("not_a_family",), workers=2
         )
 
@@ -121,8 +126,8 @@ def test_run_experiments_matches_serial_order_and_rows():
         "E1": {"sizes": (8,), "families": ("path", "cycle")},
         "E3": {"sizes": (8, 12), "families": ("complete",)},
     }
-    serial = run_experiments(["E1", "E3"], workers=1, kwargs_by_id=kwargs)
-    par = run_experiments(["E1", "E3"], workers=2, kwargs_by_id=kwargs)
+    serial = {eid: run_experiment(eid, **kwargs[eid]) for eid in ("E1", "E3")}
+    par = resilient_run_experiments(["E1", "E3"], workers=2, kwargs_by_id=kwargs).results
     assert list(par) == ["E1", "E3"]
     assert [r.experiment for r in par.values()] == ["E1", "E3"]
     for eid in kwargs:
@@ -148,7 +153,7 @@ def test_resolve_workers_rejects_nonpositive():
 def test_env_workers_used_by_sweep(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV, "2")
     measurement = functools.partial(e1_e4_cell, seed=0)
-    par = parallel_sweep_families((4, 6), measurement, families=("path",))
+    par = fanned_sweep((4, 6), measurement, families=("path",))
     serial = sweep_families((4, 6), measurement, families=("path",))
     assert par == serial
 
@@ -302,9 +307,7 @@ def test_parallel_sweep_with_persistent_cache_matches(tmp_path):
         sweep_families, 0, cache=ConstructionCache()
     )
     cache = ConstructionCache(persist_dir=str(tmp_path))
-    par_rows, par_jsonl, par_metrics = _sweep(
-        parallel_sweep_families, 0, workers=2, cache=cache
-    )
+    par_rows, par_jsonl, par_metrics = _sweep(fanned_sweep, 0, workers=2, cache=cache)
     assert par_rows == serial_rows
     assert par_jsonl == serial_jsonl
     assert par_metrics == serial_metrics

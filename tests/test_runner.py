@@ -26,9 +26,10 @@ import os
 import pytest
 
 from repro.analysis import sweep_families
+from repro.analysis.experiments import run_experiment
 from repro.obs import JSONLSink, MetricsRegistry, Observation
 from repro.obs.sinks import MemorySink
-from repro.parallel import e1_e4_cell, run_experiments
+from repro.parallel import e1_e4_cell
 from repro.runner import (
     JOURNAL_NAME,
     JOURNAL_SCHEMA,
@@ -259,6 +260,29 @@ def test_resume_misses_on_different_measurement_fingerprint(tmp_path):
     assert jsonl == serial_jsonl
 
 
+def test_journal_written_without_obs_resumes_as_observed_run(tmp_path):
+    """Workers capture events whenever a journal is written, not only when
+    the writing run observes: a later resume may replay the journal into
+    an observed run, which must see the serial stream."""
+    serial_rows, serial_jsonl, serial_metrics = observed_serial(0)
+    run_dir = str(tmp_path / "run")
+    first = resilient_sweep_families(
+        SIZES,
+        functools.partial(e1_e4_cell, seed=0),
+        families=FAMILIES,
+        workers=2,
+        policy=FAST,
+        run_dir=run_dir,
+    )
+    assert first.rows == serial_rows
+
+    report, jsonl, metrics = observed_resilient(0, workers=2, policy=FAST, run_dir=run_dir)
+    assert report.stats.resumed == len(FAMILIES) * len(SIZES)
+    assert report.rows == serial_rows
+    assert jsonl == serial_jsonl
+    assert metrics == serial_metrics
+
+
 # ----------------------------------------------------------------------
 # 3. Fault isolation: crash, hang, exception, flake
 # ----------------------------------------------------------------------
@@ -478,7 +502,7 @@ EXP_KWARGS = {
 
 
 def test_resilient_experiments_match_serial(tmp_path):
-    serial = run_experiments(["E1", "E3"], workers=1, kwargs_by_id=EXP_KWARGS)
+    serial = {eid: run_experiment(eid, **kwargs) for eid, kwargs in EXP_KWARGS.items()}
     run_dir = str(tmp_path / "run")
     report = resilient_run_experiments(
         ["E1", "E3"], workers=2, kwargs_by_id=EXP_KWARGS, policy=FAST, run_dir=run_dir
