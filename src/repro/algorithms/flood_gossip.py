@@ -35,11 +35,13 @@ class _FloodGossipScheme:
     def on_receive(self, ctx: NodeContext, payload, port: int) -> None:
         if not (isinstance(payload, tuple) and len(payload) == 2 and payload[0] == GOSSIP_KIND):
             return
-        news = payload[1] - self._known
-        if not news:
+        rumors = payload[1]
+        known = self._known
+        # Most receives on dense graphs bring nothing new: test before merging.
+        if rumors <= known:
             return
-        self._known |= news
-        updated = (GOSSIP_KIND, frozenset(self._known))
+        known |= rumors
+        updated = (GOSSIP_KIND, frozenset(known))
         for p in range(ctx.degree):
             if p != port:
                 ctx.send(updated, p)

@@ -16,16 +16,20 @@ Conventions (shared by all gossip algorithms here):
   reports the largest payload so the regime difference from
   broadcast/wakeup (two constant tokens) stays visible.
 
-Verification replays the trace: each node's knowledge starts at its own
-rumor and grows with every delivered payload; the task succeeded iff every
-node ends knowing all ``n`` rumors.  The replay only trusts the engine's
-delivery log, never the schemes' internal state.
+Verification replays the trace in one pass over the delivery log: each
+node's knowledge starts at its own rumor and grows with every delivered
+gossip payload, and the same pass finds the largest payload; the task
+succeeded iff every node ends knowing all ``n`` rumors.  The replay only
+trusts the engine's delivery log, never the schemes' internal state.  A
+malformed gossip payload — anything but ``("gossip", frozenset)`` — is
+ignored: it neither adds knowledge nor counts as the largest payload, so
+a scheme sending one fails verification instead of crashing it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Set, Tuple
 
 from ..network.graph import PortLabeledGraph
 from ..simulator.schedulers import Scheduler, make_scheduler
@@ -77,11 +81,13 @@ class GossipResult:
         )
 
 
-def _replay_knowledge(
+def _replay(
     graph: PortLabeledGraph, trace: ExecutionTrace
-) -> Dict[Hashable, FrozenSet]:
-    """Recompute every node's final rumor knowledge from the delivery log."""
-    knowledge: Dict[Hashable, set] = {v: {rumor_of(v)} for v in graph.nodes()}
+) -> Tuple[Dict[Hashable, Set], int]:
+    """Every node's final rumor knowledge and the largest payload's size,
+    from one pass over the delivery log."""
+    knowledge: Dict[Hashable, Set] = {v: {rumor_of(v)} for v in graph.nodes()}
+    max_payload = 0
     for d in trace.deliveries:
         payload = d.payload
         if (
@@ -90,8 +96,11 @@ def _replay_knowledge(
             and payload[0] == GOSSIP_KIND
             and isinstance(payload[1], frozenset)
         ):
-            knowledge[d.receiver] |= payload[1]
-    return {v: frozenset(k) for v, k in knowledge.items()}
+            rumors = payload[1]
+            knowledge[d.receiver] |= rumors
+            if len(rumors) > max_payload:
+                max_payload = len(rumors)
+    return knowledge, max_payload
 
 
 def run_gossip(
@@ -131,14 +140,9 @@ def run_gossip(
         max_messages=max_messages,
     )
     trace = sim.run()
-    knowledge = _replay_knowledge(graph, trace)
+    knowledge, max_payload = _replay(graph, trace)
     everything = frozenset(rumor_of(v) for v in graph.nodes())
     complete = all(k == everything for k in knowledge.values())
-    max_payload = 0
-    for d in trace.deliveries:
-        payload = d.payload
-        if isinstance(payload, tuple) and len(payload) == 2 and payload[0] == GOSSIP_KIND:
-            max_payload = max(max_payload, len(payload[1]))
     return GossipResult(
         graph_nodes=graph.num_nodes,
         graph_edges=graph.num_edges,

@@ -18,15 +18,15 @@ materialized, so the trace's ``undelivered`` list is byte-identical to
 the legacy one.
 
 The loop honors ``trace_level``: at ``"full"`` it maintains the delivery
-log and per-node histories exactly as the legacy loop does (the
-byte-identity contract); at ``"counters"`` it skips the per-delivery
-:class:`~repro.simulator.trace.DeliveryRecord` and history appends and
-maintains the per-round histogram instead.  The obs event stream is
-identical at every trace level — observability is a separate axis from
-trace retention.  The per-message events are emitted inline, to keep
-attribute lookups off the hot loop; the run-boundary events (RunStarted,
-LimitHit, RunEnded) go through the shared
-:class:`~repro.simulator.emission.TraceEmitter`.
+log exactly as the legacy loop does (the byte-identity contract; a node's
+history is :meth:`~repro.simulator.trace.ExecutionTrace.history_of`); at
+``"counters"`` it skips the per-delivery
+:class:`~repro.simulator.trace.DeliveryRecord` and maintains the
+per-round histogram instead.  The obs event stream is identical at every
+trace level — observability is a separate axis from trace retention.
+The per-message events are emitted inline, to keep attribute lookups off
+the hot loop; the run-boundary events (RunStarted, LimitHit, RunEnded)
+go through the shared :class:`~repro.simulator.emission.TraceEmitter`.
 
 This module is a *friend* of :class:`~repro.simulator.engine.Simulation`:
 it reads the simulation's private configuration and writes its trace.
@@ -221,8 +221,6 @@ def _run_sync(sim, topo):
             rt = runtimes[j]
             delivered += 1
             rt.received_count += 1
-            if full:
-                rt.history.append((payload, aport))
             newly_informed = s_informed and not rt.informed
             if newly_informed:
                 rt.informed = True

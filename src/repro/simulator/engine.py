@@ -103,11 +103,12 @@ class Simulation:
         loop is a single attribute check.
     trace_level:
         ``"full"`` (default) records a :class:`DeliveryRecord` per delivered
-        message plus per-node histories; ``"counters"`` keeps only the
-        aggregate counters (messages, delivered, rounds, informed-at,
-        per-round histogram) — all that the lower-bound drivers and sweep
-        cells actually read — and skips the per-delivery allocations.  The
-        obs event stream is identical at both levels.
+        message, from which :meth:`ExecutionTrace.history_of` rebuilds any
+        node's history; ``"counters"`` keeps only the aggregate counters
+        (messages, delivered, rounds, informed-at, per-round histogram) —
+        all that the lower-bound drivers and sweep cells actually read —
+        and skips the per-delivery allocations.  The obs event stream is
+        identical at both levels.
     engine:
         ``"auto"`` (default) honors the ``REPRO_FASTPATH`` environment
         switch; ``"legacy"``, ``"fastpath"`` and ``"vectorized"`` pin the
@@ -211,7 +212,6 @@ class Simulation:
         """
         trace = self._trace
         emitter = self._emitter = TraceEmitter(self)
-        full = emitter.full
         emitter.run_started(self)
 
         # Init order is the graph's deterministic node order (insertion
@@ -243,8 +243,6 @@ class Simulation:
                 msg.send_port, msg.arrival_port, msg.sender_informed, msg.deliver_at,
             )
             receiver.received_count += 1
-            if full:
-                receiver.history.append((msg.payload, msg.arrival_port))
             newly_informed = msg.sender_informed and not receiver.informed
             if newly_informed:
                 receiver.informed = True

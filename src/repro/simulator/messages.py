@@ -6,28 +6,29 @@ tags every message with bookkeeping the *algorithms never see* — sender
 identity, sequence number, and whether the sender was informed at send time
 (the paper's rule that the source message can be appended to any message from
 an informed node).
+
+Both records are named tuples (:class:`typing.NamedTuple`): immutable,
+hashable and picklable, and cheaper to build than a slotted dataclass,
+which matters because the engine builds one per send.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Any, Hashable, NamedTuple
 
 __all__ = ["SendRequest", "InFlightMessage"]
 
 Payload = Any
 
 
-@dataclass(frozen=True, slots=True)
-class SendRequest:
+class SendRequest(NamedTuple):
     """A scheme's instruction: send ``payload`` through local ``port``."""
 
     payload: Payload
     port: int
 
 
-@dataclass(frozen=True, slots=True)
-class InFlightMessage:
+class InFlightMessage(NamedTuple):
     """A message travelling along an edge, as tracked by the engine.
 
     ``deliver_at`` is the synchronous round in which the message arrives
@@ -45,4 +46,4 @@ class InFlightMessage:
     arrival_port: int
     sender_informed: bool
     seq: int
-    deliver_at: int = field(default=0)
+    deliver_at: int = 0

@@ -11,7 +11,7 @@ model offers: sending a message through a local port.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Hashable, List, Optional, Protocol, runtime_checkable
 
 from ..encoding import BitString
 from .messages import Payload, SendRequest
@@ -110,7 +110,6 @@ class NodeRuntime:
     context: NodeContext
     process: Process
     informed: bool
-    history: List[Tuple[Any, int]] = field(default_factory=list)
     informed_at: Optional[int] = None
     received_count: int = 0
     sent_count: int = 0

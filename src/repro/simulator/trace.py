@@ -1,24 +1,23 @@
 """Execution traces and statistics.
 
-Every run produces an :class:`ExecutionTrace`: the global send/delivery log,
-per-node histories, informed times, and the counters the paper's theorems
-are stated in (total messages above all).  Traces are plain data — the
-lower-bound drivers and the tests read them, and
-:func:`ExecutionTrace.history_of` reconstructs the exact history object of
-Section 1.4 for any node.
+Every run produces an :class:`ExecutionTrace`: the global delivery log,
+informed times, and the counters the paper's theorems are stated in (total
+messages above all).  Traces are plain data — the lower-bound drivers and
+the tests read them, and :func:`ExecutionTrace.history_of` reconstructs
+the exact history object of Section 1.4 for any node from the log.
 
 Trace levels
 ------------
 A simulation records at one of two levels (``Simulation(trace_level=...)``):
 
 * ``"full"`` (default) — exactly the historical behaviour: one
-  :class:`DeliveryRecord` per delivered message, per-node histories, and
-  every derived helper below.
+  :class:`DeliveryRecord` per delivered message, and every derived
+  helper below (a node's history is :meth:`ExecutionTrace.history_of`).
 * ``"counters"`` — only the aggregate counters: ``messages_sent``,
   ``delivered``, ``rounds``, ``informed_at``, the per-round delivery
   counts, completion flags, outputs, and undelivered messages.  The
-  delivery log and per-node histories are skipped (that is the point —
-  no per-delivery allocation), so the helpers that need the log raise
+  delivery log is skipped (that is the point — no per-delivery
+  allocation), so the helpers that need the log raise
   :class:`TraceLevelError` instead of silently answering from an empty
   list.  Both levels agree on every counter they share.
 """
@@ -26,7 +25,7 @@ A simulation records at one of two levels (``Simulation(trace_level=...)``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, List, NamedTuple, Optional, Set, Tuple
 
 from ..network.graph import edge_key
 from .messages import InFlightMessage
@@ -41,8 +40,7 @@ class TraceLevelError(RuntimeError):
     """A per-delivery helper was called on a counters-only trace."""
 
 
-@dataclass(frozen=True, slots=True)
-class DeliveryRecord:
+class DeliveryRecord(NamedTuple):
     """One delivered message, in delivery order."""
 
     step: int

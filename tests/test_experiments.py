@@ -5,6 +5,9 @@ findings.  Sizes are trimmed for test speed; the benchmarks run the
 defaults.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.analysis import (
@@ -12,6 +15,7 @@ from repro.analysis import (
     format_experiment,
     run_experiment,
 )
+from repro.obs.events import jsonable
 
 SMALL = (8, 16, 32)
 FAMS = ("path", "complete", "gnp_sparse")
@@ -125,11 +129,19 @@ class TestE9:
 
 
 class TestE10:
+    #: sha256 of the canonical-JSON rows below.
+    ROWS_DIGEST = "b0ba4ed7ed0ee1b3c273aaa48cf335ffe05ef1b2616c4cd8b25e921ef83b2027"
+
     def test_gossip_shapes(self):
         r = run_experiment("E10", sizes=(8, 16), families=("complete", "random_tree"))
         assert all(row["tree_ok"] and row["flood_ok"] for row in r.rows)
         assert all(row["tree_msgs"] == row["2(n-1)"] for row in r.rows)
         assert all(row["flood_msgs"] >= row["tree_msgs"] for row in r.rows)
+
+    def test_rows_digest_is_pinned(self):
+        r = run_experiment("E10", sizes=(8, 16), families=("complete", "random_tree"))
+        blob = json.dumps(jsonable(r.rows), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.ROWS_DIGEST
 
 
 class TestE11:

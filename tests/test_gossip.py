@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.algorithms import FloodGossip, TreeGossip
 from repro.core import NullOracle, run_gossip
 from repro.core.gossip import GOSSIP_KIND, rumor_of
+from repro.core.scheme import FunctionalAlgorithm, sends
 from repro.encoding import BitString
 from repro.network import complete_graph_star, path_graph, random_connected_gnp, star_graph
 from repro.oracles import GossipTreeOracle, decode_gossip_advice
@@ -129,6 +130,30 @@ class TestFloodGossip:
             k5, NullOracle(), FloodGossip(), scheduler=make_scheduler(sched, 7)
         )
         assert result.success
+
+
+def malformed_gossip(rumors) -> FunctionalAlgorithm:
+    """Every node announces ``(GOSSIP_KIND, rumors)`` once, on every port,
+    where ``rumors`` is not a frozenset."""
+    payload = (GOSSIP_KIND, rumors)
+    return FunctionalAlgorithm(
+        lambda advice, is_source, node_id, degree: lambda history: (
+            sends(*((payload, p) for p in range(degree))) if history.empty else []
+        )
+    )
+
+
+class TestMalformedPayloads:
+    """The verifier ignores gossip payloads that are not rumor frozensets:
+    they neither teach anything nor count as the largest payload."""
+
+    @pytest.mark.parametrize("rumors", (5, ["junk"] * 50), ids=("int", "list"))
+    def test_fails_verification_without_raising(self, k5, rumors):
+        result = run_gossip(k5, NullOracle(), malformed_gossip(rumors))
+        assert result.messages == 2 * k5.num_edges
+        assert result.complete is False
+        assert result.max_payload_rumors == 0
+        assert result.min_final_knowledge == 1
 
 
 class TestGossipResult:

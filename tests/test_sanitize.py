@@ -55,6 +55,24 @@ class TestGrid:
         assert "unknown sanitize cell" in capsys.readouterr().err
 
 
+#: sha256 of ``run_cell(name)`` for every smoke cell.  The matrix only
+#: compares blobs within one version; these pins carry the bytes across
+#: changes to the engines, the record types and the gossip pair.
+CELL_DIGESTS = {
+    "broadcast-kstar-sync": "791fdc0a4bf36d0a6889dcb9b114c4f9eed0f28c17065e11ccb17ccb4567ff76",
+    "broadcast-cycle-random": "a3842167733d7581f93728ea0be2e6b19ff60e929459aa4e6865a653b6ddfb56",
+    "wakeup-kstar-fifo": "5dde54707d43186f7f8db7dfe85fc2dcf974bfa0f8e1735f71601879487b12c4",
+    "gossip-complete-sync": "8894880099c707d73c8c3fb26de56193023f1148fac4728c26b351a510c7735e",
+    "gossip-randomtree-random": "56385a54d0461866123ff8e33f99d540f060978006912effd7c3a6fadc370651",
+}
+
+
+class TestPinnedBlobs:
+    @pytest.mark.parametrize("name", cell_names())
+    def test_cell_digest(self, name):
+        assert hashlib.sha256(run_cell(name)).hexdigest() == CELL_DIGESTS.get(name)
+
+
 class TestBlobDeterminism:
     def test_run_cell_is_repeatable_in_process(self):
         for name in ("broadcast-kstar-sync", "gossip-complete-sync"):

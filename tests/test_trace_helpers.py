@@ -1,10 +1,14 @@
 """Focused tests for trace statistics helpers and message records."""
 
+import pickle
+
+import pytest
+
 from repro.algorithms import Flooding, SchemeB, TreeWakeup
 from repro.core import NullOracle, run_broadcast, run_wakeup
 from repro.network import complete_graph_star, path_graph
 from repro.oracles import LightTreeBroadcastOracle, SpanningTreeWakeupOracle
-from repro.simulator import InFlightMessage
+from repro.simulator import DeliveryRecord, InFlightMessage, SendRequest
 
 
 class TestTraceStatistics:
@@ -74,3 +78,55 @@ class TestInFlightMessage:
         except AttributeError:
             raised = True
         assert raised, "InFlightMessage must be immutable"
+
+
+#: One record of each kind, built positionally, with its exact repr.
+RECORDS = {
+    "send": (
+        lambda: SendRequest("M", 0),
+        "SendRequest(payload='M', port=0)",
+    ),
+    "in_flight": (
+        lambda: InFlightMessage(("B", 1), 3, (0, 1), 2, 0, True, 9, 4),
+        "InFlightMessage(payload=('B', 1), sender=3, receiver=(0, 1), "
+        "send_port=2, arrival_port=0, sender_informed=True, seq=9, deliver_at=4)",
+    ),
+    "delivery": (
+        lambda: DeliveryRecord(12, "M", None, "v", 1, 0, False, 3),
+        "DeliveryRecord(step=12, payload='M', sender=None, receiver='v', "
+        "send_port=1, arrival_port=0, sender_informed=False, round=3)",
+    ),
+}
+
+
+class TestRecordContract:
+    """Field order, repr, equality, hashing, pickling and immutability of
+    the per-message records, whatever class backs them.  The
+    ``deliver_at`` default is checked by :class:`TestInFlightMessage`."""
+
+    @pytest.mark.parametrize("kind", sorted(RECORDS))
+    def test_repr(self, kind):
+        build, text = RECORDS[kind]
+        assert repr(build()) == text
+
+    @pytest.mark.parametrize("kind", sorted(RECORDS))
+    def test_equal_records_hash_equal(self, kind):
+        build, _ = RECORDS[kind]
+        assert build() == build()
+        assert hash(build()) == hash(build())
+
+    @pytest.mark.parametrize("kind", sorted(RECORDS))
+    def test_pickle_round_trip(self, kind):
+        build, _ = RECORDS[kind]
+        record = build()
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record
+        assert hash(copy) == hash(record)
+        assert type(copy) is type(record)
+
+    @pytest.mark.parametrize("kind", sorted(RECORDS))
+    def test_assignment_raises(self, kind):
+        build, _ = RECORDS[kind]
+        record = build()
+        with pytest.raises(AttributeError):
+            record.payload = "other"
