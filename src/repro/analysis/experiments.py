@@ -56,6 +56,7 @@ from ..lowerbounds.wakeup_bound import (
     zero_advice_cost,
 )
 from ..network.builders import FAMILY_BUILDERS
+from ..network.graph import GraphError
 from ..obs.observe import resolve_obs
 from ..oracles.light_tree import (
     LightTreeBroadcastOracle,
@@ -119,7 +120,7 @@ def experiment_e1_wakeup_upper(
         for n in sizes:
             try:
                 graph = _family_graph(family, n, cache)
-            except Exception:
+            except GraphError:
                 continue
             oracle = SpanningTreeWakeupOracle()
             advice = _cached_advice(cache, family, n, oracle, graph)
@@ -260,7 +261,7 @@ def experiment_e3_light_tree(
         for n in sizes:
             try:
                 graph = _family_graph(family, n, cache)
-            except Exception:
+            except GraphError:
                 continue
             nn = graph.num_nodes
             with obs.wallspan(f"cell/{family}/{n}"):
@@ -311,7 +312,7 @@ def experiment_e4_broadcast_upper(
         for n in sizes:
             try:
                 graph = _family_graph(family, n, cache)
-            except Exception:
+            except GraphError:
                 continue
             nn = graph.num_nodes
             oracle = LightTreeBroadcastOracle()

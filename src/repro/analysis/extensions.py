@@ -41,6 +41,7 @@ from ..core.gossip import run_gossip
 from ..core.oracle import NullOracle
 from ..core.tasks import run_wakeup
 from ..network.builders import FAMILY_BUILDERS
+from ..network.graph import GraphError
 from ..oracles.gossip_tree import GossipTreeOracle
 from ..oracles.tradeoff import DepthLimitedTreeOracle, bfs_depths
 from .result import ExperimentResult
@@ -117,7 +118,7 @@ def experiment_e10_gossip(
         for n in sizes:
             try:
                 graph = FAMILY_BUILDERS[family](n)
-            except Exception:
+            except GraphError:
                 continue
             nn = graph.num_nodes
             tree = run_gossip(graph, GossipTreeOracle(), TreeGossip())
@@ -183,7 +184,7 @@ def experiment_e11_construction(
         for n in sizes:
             try:
                 graph = FAMILY_BUILDERS[family](n)
-            except Exception:
+            except GraphError:
                 continue
             advised = run_tree_construction(
                 graph, ParentPointerOracle(), AdvisedTreeConstruction()
@@ -243,7 +244,7 @@ def experiment_e12_election(
         for n in sizes:
             try:
                 graph = FAMILY_BUILDERS[family](n)
-            except Exception:
+            except GraphError:
                 continue
             advised = run_election(graph, LeaderBitOracle(), AdvisedElection())
             minid = run_election(graph, NullOracle(), MinIdElection())
@@ -316,7 +317,7 @@ def experiment_e13_exploration(
         for n in sizes:
             try:
                 graph = FAMILY_BUILDERS[family](n)
-            except Exception:
+            except GraphError:
                 continue
             nn, m = graph.num_nodes, graph.num_edges
             advised = run_exploration(graph, GossipTreeOracle(), AdvisedTreeExplorer())

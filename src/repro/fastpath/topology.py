@@ -24,11 +24,20 @@ the result is cached on the graph itself (``graph._compiled``); a frozen
 graph cannot change, so the cache never goes stale.  For sweep drivers,
 :meth:`repro.parallel.cache.ConstructionCache.topology` additionally
 memoizes topologies by ``(family, n, seed)`` content address.
+
+The engines are not the only readers.  Claim 3.1's light tree
+(:func:`repro.oracles.light_spanning_tree`) reads each edge weight as
+``min(p, arrival_at[offsets[i] + p])``, and the BFS/DFS/random trees of
+:func:`repro.oracles.build_spanning_tree` read each node's neighbours in
+port order from ``neighbor_at``.  :func:`compile_topology` reads the
+graph's two port maps row by row; outside ``network/graph.py`` it is the
+only code that does.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
 from typing import Dict, Hashable, Tuple
 
 __all__ = ["CompiledTopology", "compile_topology", "compiled_topology"]
@@ -123,22 +132,19 @@ def compile_topology(graph) -> CompiledTopology:
     cached instance of an already-frozen graph.
     """
     labels: Tuple[Hashable, ...] = tuple(graph.nodes())
-    n = len(labels)
     index = {label: i for i, label in enumerate(labels)}
-    degrees = array("l", (graph.degree(v) for v in labels))
-    offsets = array("l", [0] * (n + 1))
-    total = 0
-    for i in range(n):
-        total += degrees[i]
-        offsets[i + 1] = total
-    neighbor_at = array("l", [0] * total)
-    arrival_at = array("l", [0] * total)
-    for i, v in enumerate(labels):
-        base = offsets[i]
-        for p in range(degrees[i]):
-            u = graph.neighbor_via(v, p)
-            neighbor_at[base + p] = index[u]
-            arrival_at[base + p] = graph.port(u, v)
+    behind = graph._port_to_neighbor
+    port_of = graph._neighbor_to_port
+    degrees = array("l", [len(behind[v]) for v in labels])
+    offsets = array("l", [0])
+    offsets.extend(accumulate(degrees))
+    neighbor_at = array("l")
+    arrival_at = array("l")
+    for v in labels:
+        row = behind[v]
+        nbrs = [row[p] for p in range(len(row))]
+        neighbor_at.extend([index[u] for u in nbrs])
+        arrival_at.extend([port_of[u][v] for u in nbrs])
     reprs = tuple(repr(v) for v in labels)
     source_index = index[graph.source] if graph.has_source else -1
     return CompiledTopology(

@@ -81,17 +81,14 @@ def complete_graph_star(n: int) -> PortLabeledGraph:
     Nodes are labeled ``1..n``; the port at node ``i`` of the edge towards
     node ``j`` is ``(j - i - 1) mod n``, a bijection onto ``{0, ..., n - 2}``
     at every node.  Node ``1`` is the source, as in both lower-bound proofs.
+    Each node's row lists its neighbours in ascending order, the order an
+    ``add_edge`` loop over ``i < j`` would insert them in.
     """
     if n < 2:
         raise GraphError("K*_n needs n >= 2")
-    g = PortLabeledGraph()
-    for i in range(1, n + 1):
-        g.add_node(i)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            g.add_edge(i, j, port_u=(j - i - 1) % n, port_v=(i - j - 1) % n)
-    g.set_source(1)
-    return g.freeze()
+    nodes = range(1, n + 1)
+    rows = ((i, {j: (j - i - 1) % n for j in nodes if j != i}) for i in nodes)
+    return PortLabeledGraph.from_port_rows(rows, source=1).freeze()
 
 
 def _finish(g: nx.Graph, source=None, port_order: str = "sorted", rng=None) -> PortLabeledGraph:

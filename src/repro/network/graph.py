@@ -19,7 +19,7 @@ defensively.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 import networkx as nx
 
@@ -289,8 +289,9 @@ class PortLabeledGraph:
         """Verify the full network model; raise :class:`GraphError` if violated.
 
         Checks: at least one node, port bijectivity (``{0..deg-1}`` at every
-        node), symmetry of the two port maps, connectivity, and that a source
-        is designated.
+        node), that each node's two port maps are inverses (so no port
+        carries two neighbours), no self-loops, symmetry of the edges,
+        connectivity, and that a source is designated.
         """
         if not self._port_to_neighbor:
             raise GraphError("graph has no nodes")
@@ -300,8 +301,13 @@ class PortLabeledGraph:
                 raise GraphError(
                     f"ports at node {v!r} are {sorted(ports)}, expected 0..{deg - 1}"
                 )
+            nbrs = self._neighbor_to_port[v]
+            if len(nbrs) != deg:
+                raise GraphError(f"inconsistent port maps at node {v!r}")
+            if v in nbrs:
+                raise GraphError(f"self-loop at node {v!r}")
             for p, u in ports.items():
-                if self._neighbor_to_port[v].get(u) != p:
+                if nbrs.get(u) != p:
                     raise GraphError(f"inconsistent port maps at node {v!r}")
                 if v not in self._neighbor_to_port.get(u, {}):
                     raise GraphError(f"asymmetric edge {{{v!r}, {u!r}}}")
@@ -364,8 +370,9 @@ class PortLabeledGraph:
 
         The source defaults to ``g.graph['source']`` or the smallest label.
         """
+        by_label = {v: label_key(v) for v in g.nodes()}.__getitem__
         out = cls()
-        for v in sorted(g.nodes(), key=label_key):
+        for v in sorted(g.nodes(), key=by_label):
             out.add_node(v)
         explicit = all("ports" in data for __, __, data in g.edges(data=True)) and g.number_of_edges() > 0
         if explicit:
@@ -374,7 +381,7 @@ class PortLabeledGraph:
         else:
             order: Dict[Node, List[Node]] = {}
             for v in g.nodes():
-                nbrs = sorted(g.neighbors(v), key=label_key)
+                nbrs = sorted(g.neighbors(v), key=by_label)
                 if port_order == "random":
                     if rng is None:
                         raise GraphError("port_order='random' requires an rng")
@@ -390,7 +397,28 @@ class PortLabeledGraph:
         if source is None:
             source = g.graph.get("source")
         if source is None:
-            source = min(g.nodes(), key=label_key)
+            source = min(g.nodes(), key=by_label)
+        out.set_source(source)
+        return out
+
+    @classmethod
+    def from_port_rows(
+        cls, rows: Iterable[Tuple[Node, Dict[Node, int]]], source: Node
+    ) -> "PortLabeledGraph":
+        """Build a graph from each node's ``{neighbor: port}`` row in one pass.
+
+        ``rows`` yields ``(node, row)`` for every node in insertion order;
+        ``row`` maps the node's neighbours, in insertion order, to its
+        port towards each.  Each row is copied.  The input is not
+        validated here: the result is unfrozen, and :meth:`freeze`
+        validates it like any other graph, so a row that names a
+        self-loop, two neighbours on one port or a one-sided edge raises
+        :class:`GraphError` there.
+        """
+        out = cls()
+        for v, row in rows:
+            out._neighbor_to_port[v] = dict(row)
+            out._port_to_neighbor[v] = dict(zip(row.values(), row))
         out.set_source(source)
         return out
 

@@ -28,6 +28,7 @@ from typing import Dict, Hashable, List, Set, Tuple
 
 from ..core.oracle import AdviceMap, Oracle
 from ..encoding import code_length, encode_weight_list
+from ..fastpath.topology import compiled_topology
 from ..network.graph import GraphError, PortLabeledGraph, edge_key, label_key
 
 __all__ = [
@@ -52,43 +53,6 @@ def tree_contribution(graph: PortLabeledGraph, edges) -> int:
     return sum(edge_contribution(graph, u, v) for u, v in edges)
 
 
-class _DisjointSets:
-    """Union-find over node labels with size tracking and member lists."""
-
-    def __init__(self, nodes) -> None:
-        self._parent: Dict[Node, Node] = {v: v for v in nodes}
-        self._size: Dict[Node, int] = {v: 1 for v in self._parent}
-        self._members: Dict[Node, List[Node]] = {v: [v] for v in self._parent}
-
-    def find(self, v: Node) -> Node:
-        root = v
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[v] != root:
-            self._parent[v], v = root, self._parent[v]
-        return root
-
-    def union(self, u: Node, v: Node) -> bool:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        if self._size[ru] < self._size[rv]:
-            ru, rv = rv, ru
-        self._parent[rv] = ru
-        self._size[ru] += self._size[rv]
-        self._members[ru].extend(self._members.pop(rv))
-        return True
-
-    def roots(self) -> List[Node]:
-        return list(self._members)
-
-    def size(self, root: Node) -> int:
-        return self._size[root]
-
-    def members(self, root: Node) -> List[Node]:
-        return self._members[root]
-
-
 def light_spanning_tree(graph: PortLabeledGraph) -> Set[Edge]:
     """Build ``T0`` per Claim 3.1; returns its canonical edge set.
 
@@ -96,35 +60,59 @@ def light_spanning_tree(graph: PortLabeledGraph) -> Set[Edge]:
     ``(weight, repr(edge))``.  The result is a spanning tree whose total
     contribution is at most ``4n`` (asserted cheaply here; certified broadly
     by the tests and benchmark E3).
+
+    The scan reads the graph's :class:`~repro.fastpath.CompiledTopology`
+    (an unfrozen graph is frozen on a copy first): a slot's weight is
+    ``min(port, arrival port)``, and an edge's ``repr`` is formed only
+    when its weight ties or beats the component's best so far.
     """
     n = graph.num_nodes
     if n == 1:
         return set()
-    dsu = _DisjointSets(graph.nodes())
+    if not graph.frozen:
+        graph = graph.copy().freeze()
+    topo = compiled_topology(graph)
+    labels, index = topo.labels, topo.index
+    offsets, neighbor_at, arrival_at = topo.offsets, topo.neighbor_at, topo.arrival_at
+    # Union-find over dense indices: comp[i] is the root of i's component
+    # and members[root] its nodes in merge order.  The smaller component
+    # is relabelled on a union (ties keep the first endpoint's root), and
+    # members keeps the surviving roots in node order.
+    comp = list(range(n))
+    members: Dict[int, List[int]] = {i: [i] for i in range(n)}
     tree: Set[Edge] = set()
     phase = 1
-    while len(dsu.roots()) > 1:
+    while len(members) > 1:
         threshold = 1 << phase  # components smaller than 2^k are "small"
         selected: List[Tuple[int, str, Edge]] = []
-        for root in dsu.roots():
-            if dsu.size(root) >= threshold:
+        for root, group in members.items():
+            if len(group) >= threshold:
                 continue
-            best: Tuple[int, str, Edge] = None  # type: ignore[assignment]
-            for x in dsu.members(root):
-                for y in graph.neighbors(x):
-                    if dsu.find(y) == root:
+            best_w, best_r, best = n, "", None
+            for i in group:
+                lo, hi = offsets[i], offsets[i + 1]
+                for p, j, q in zip(range(hi - lo), neighbor_at[lo:hi], arrival_at[lo:hi]):
+                    w = p if p < q else q
+                    if w > best_w or comp[j] == root:
                         continue
-                    w = graph.edge_weight(x, y)
-                    key = (w, repr(edge_key(x, y)), edge_key(x, y))
-                    if best is None or key[:2] < best[:2]:
-                        best = key
+                    edge = edge_key(labels[i], labels[j])
+                    r = repr(edge)
+                    if w < best_w or r < best_r:
+                        best_w, best_r, best = w, r, edge
             if best is None:
                 raise GraphError("graph is not connected")
-            selected.append(best)
+            selected.append((best_w, best_r, best))
         # Merge: add selected edges, erasing those that would close a cycle.
         for __, __, (u, v) in sorted(selected, key=lambda t: (t[0], t[1])):
-            if dsu.union(u, v):
-                tree.add(edge_key(u, v))
+            a, b = comp[index[u]], comp[index[v]]
+            if a == b:
+                continue
+            if len(members[a]) < len(members[b]):
+                a, b = b, a
+            for i in members[b]:
+                comp[i] = a
+            members[a].extend(members.pop(b))
+            tree.add((u, v))
         phase += 1
         if phase > 2 * n:  # defensive: cannot happen on a connected graph
             raise GraphError("light tree construction failed to converge")

@@ -25,6 +25,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..core.oracle import AdviceMap, Oracle
 from ..encoding import children_ports_code_length, encode_children_ports
+from ..fastpath.topology import compiled_topology
 from ..network.graph import GraphError, PortLabeledGraph
 
 __all__ = ["build_spanning_tree", "children_port_map", "SpanningTreeWakeupOracle"]
@@ -48,49 +49,56 @@ def build_spanning_tree(
       (requires ``rng``), giving a random — not uniformly random — spanning
       tree; plenty for exercising the size bound across tree shapes.
 
-    The root maps to ``None``.
+    The root maps to ``None``.  Neighbours are read in port order from
+    the graph's :class:`~repro.fastpath.CompiledTopology`; an unfrozen
+    graph is frozen on a copy first.
     """
-    root = graph.source
-    parent: Dict[Node, Optional[Node]] = {root: None}
+    if kind not in ("bfs", "dfs", "random"):
+        raise GraphError(f"unknown spanning tree kind {kind!r}")
+    if kind == "random" and rng is None:
+        raise GraphError("kind='random' requires an rng")
+    if not graph.frozen:
+        graph = graph.copy().freeze()
+    topo = compiled_topology(graph)
+    offsets, neighbor_at = topo.offsets, topo.neighbor_at
+    root = topo.source_index
+    # Dense child -> parent indices, in the order parents are fixed.
+    up: Dict[int, int] = {root: -1}
 
-    def neighbor_order(v: Node) -> List[Node]:
-        nbrs = [graph.neighbor_via(v, p) for p in graph.ports(v)]
+    def neighbor_order(i: int) -> List[int]:
+        nbrs = list(neighbor_at[offsets[i] : offsets[i + 1]])
         if kind == "random":
-            if rng is None:
-                raise GraphError("kind='random' requires an rng")
             rng.shuffle(nbrs)
         return nbrs
 
     if kind in ("bfs", "random"):
         frontier = [root]
         while frontier:
-            nxt: List[Node] = []
+            nxt: List[int] = []
             for u in frontier:
                 for w in neighbor_order(u):
-                    if w not in parent:
-                        parent[w] = u
+                    if w not in up:
+                        up[w] = u
                         nxt.append(w)
             frontier = nxt
-    elif kind == "dfs":
+    else:
         # parent is fixed when a node is *visited* (popped), not when first
         # seen — otherwise K_n would yield a star instead of a path
-        stack: List[tuple] = [(root, None)]
-        visited = set()
+        stack = [(root, -1)]
+        visited = bytearray(topo.num_nodes)
         while stack:
             u, via = stack.pop()
-            if u in visited:
+            if visited[u]:
                 continue
-            visited.add(u)
-            if via is not None:
-                parent[u] = via
+            visited[u] = 1
+            up[u] = via
             for w in reversed(neighbor_order(u)):
-                if w not in visited:
+                if not visited[w]:
                     stack.append((w, u))
-    else:
-        raise GraphError(f"unknown spanning tree kind {kind!r}")
-    if len(parent) != graph.num_nodes:
+    if len(up) != topo.num_nodes:
         raise GraphError("graph is not connected")
-    return parent
+    labels = topo.labels
+    return {labels[c]: None if p < 0 else labels[p] for c, p in up.items()}
 
 
 def children_port_map(

@@ -5,14 +5,18 @@ import random
 import pytest
 
 from repro.network import (
+    FAMILY_BUILDERS,
     PortLabeledGraph,
+    clique_family_graph,
     complete_graph_star,
     cycle_graph,
     grid_graph,
     path_graph,
     random_connected_gnp,
     random_tree,
+    sample_edge_tuple,
     star_graph,
+    subdivision_family_graph,
 )
 
 
@@ -67,3 +71,18 @@ def small_graph_zoo():
 def zoo_graph(request) -> PortLabeledGraph:
     """Parametrized fixture iterating the whole zoo."""
     return small_graph_zoo()[request.param]
+
+
+def pinned_tree_graph(family, n):
+    """A graph whose spanning trees and advice the suite pins by digest.
+
+    ``family`` is a ``FAMILY_BUILDERS`` name built at size ``n``, or one
+    of the two lower-bound gadget families at ``n = 32``, where ``n``
+    names the sampling seed instead: ``"subdivision"`` is ``G_{32,S}``
+    and ``"clique"`` is ``G_{32,4}``.
+    """
+    if family == "subdivision":
+        return subdivision_family_graph(32, sample_edge_tuple(32, 32, seed=n))
+    if family == "clique":
+        return clique_family_graph(32, 4, seed=n)[0]
+    return FAMILY_BUILDERS[family](n)

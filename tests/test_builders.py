@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fastpath import compiled_topology
 from repro.network import (
     FAMILY_BUILDERS,
     GraphError,
+    PortLabeledGraph,
     balanced_tree,
     complete_bipartite,
     complete_graph_star,
@@ -52,6 +54,33 @@ class TestCompleteGraphStar:
     def test_too_small(self):
         with pytest.raises(GraphError):
             complete_graph_star(1)
+
+
+def _reference_complete_graph_star(n):
+    """K*_n from the original ``add_edge`` loop over ``i < j``."""
+    g = PortLabeledGraph()
+    for i in range(1, n + 1):
+        g.add_node(i)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            g.add_edge(i, j, port_u=(j - i - 1) % n, port_v=(i - j - 1) % n)
+    g.set_source(1)
+    return g.freeze()
+
+
+class TestCompleteGraphStarReference:
+    """``from_port_rows`` rebuilds the ``add_edge`` loop's graph exactly."""
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 8, 17, 64))
+    def test_same_maps_in_same_order(self, n):
+        got, want = complete_graph_star(n), _reference_complete_graph_star(n)
+        assert to_json(got) == to_json(want)
+        assert list(got.nodes()) == list(want.nodes())
+        for v in want.nodes():
+            assert list(got._port_to_neighbor[v].items()) == list(want._port_to_neighbor[v].items())
+            assert list(got._neighbor_to_port[v].items()) == list(want._neighbor_to_port[v].items())
+        topo, ref = compiled_topology(got), compiled_topology(want)
+        assert (topo.neighbor_at, topo.arrival_at) == (ref.neighbor_at, ref.arrival_at)
 
 
 class TestBasicFamilies:
@@ -241,6 +270,61 @@ class TestGnpReplaysNetworkx:
     def test_family_digests_are_pinned(self, family, n):
         assert _digest(FAMILY_BUILDERS[family](n)) == GNP_DIGESTS[family, n]
 
+
+def _order_digest(g):
+    return hashlib.sha256(repr(_insertion_order(g)).encode()).hexdigest()
+
+
+#: ``(sha256 of to_json, sha256 of _insertion_order)`` per deterministic
+#: family, measured with ``complete_graph_star``'s ``add_edge`` loop and
+#: ``from_networkx``'s per-call ``label_key`` sorts.
+BUILDER_DIGESTS = {
+    ("complete", 2): ("10dc3a8b6bcb567278c82fa08cfa7a0d9af005731ab2232d675f2270f3386a11", "4738d91f7ddaef7d29a4eef09fcec544457516ecf3c44442488de7c4a59e7caa"),
+    ("complete", 3): ("c68f8eda2f9bc05aeaee0cad33751d0d6cace59f934f0ee81ba29a3e991e13a4", "b7c5e42e9d47cfee50481b53b4af9714871814cf368998de7b5be58c70679cb1"),
+    ("complete", 8): ("1c792896a1262e4b334bc2994d9f96541bbf3c3936e416086ab5db8b7698d897", "1825dee846e818e7bda98fea2557f1d6b561c921928dc0bab1302475d0e0ac0c"),
+    ("complete", 16): ("399d09043c224812980affdb22af0a0a108912f5b1d5184d5d19b8a24fb96f92", "1aa6d2d4fd247ebbc38114b3e1f45c71093a50eb6294fd2c5da0363c60c7bed9"),
+    ("complete", 32): ("fb0406c748eb08c1d5b1a5b9791661f5601a94f3e34faa39201a96b183c95a38", "54132d4836a726f36104935471f24f87cac4d99c2fc3aa4c466f9b0aa70fa092"),
+    ("complete", 64): ("4176b7491c2bba781934a00ded89890b8eba9a6d5b723ff747732e9a17dddb82", "29b1902da44a3c5ccd38c10b885225fadd15b3da1299e88903dcb06d15b6f7a0"),
+    ("complete", 128): ("2aefa24daa492c4f2a9782557d13a728a75c08beb9905cdba1ac50daa05192ad", "c4f49166bb708b3ed66b6c2b54ad5ab92943e901868a4ff7e8ccbb88c9138025"),
+    ("complete", 256): ("021d4d9d405b8fae0ad195534e61536b33cc1c3133dbee0efbb8d058eb595232", "60987c2e4436f9522a970717d924aad2e81fac1a140b29f84176ae98677a9c7d"),
+    ("kstar", 2): ("10dc3a8b6bcb567278c82fa08cfa7a0d9af005731ab2232d675f2270f3386a11", "4738d91f7ddaef7d29a4eef09fcec544457516ecf3c44442488de7c4a59e7caa"),
+    ("kstar", 3): ("c68f8eda2f9bc05aeaee0cad33751d0d6cace59f934f0ee81ba29a3e991e13a4", "b7c5e42e9d47cfee50481b53b4af9714871814cf368998de7b5be58c70679cb1"),
+    ("kstar", 8): ("1c792896a1262e4b334bc2994d9f96541bbf3c3936e416086ab5db8b7698d897", "1825dee846e818e7bda98fea2557f1d6b561c921928dc0bab1302475d0e0ac0c"),
+    ("kstar", 16): ("399d09043c224812980affdb22af0a0a108912f5b1d5184d5d19b8a24fb96f92", "1aa6d2d4fd247ebbc38114b3e1f45c71093a50eb6294fd2c5da0363c60c7bed9"),
+    ("kstar", 32): ("fb0406c748eb08c1d5b1a5b9791661f5601a94f3e34faa39201a96b183c95a38", "54132d4836a726f36104935471f24f87cac4d99c2fc3aa4c466f9b0aa70fa092"),
+    ("kstar", 64): ("4176b7491c2bba781934a00ded89890b8eba9a6d5b723ff747732e9a17dddb82", "29b1902da44a3c5ccd38c10b885225fadd15b3da1299e88903dcb06d15b6f7a0"),
+    ("kstar", 128): ("2aefa24daa492c4f2a9782557d13a728a75c08beb9905cdba1ac50daa05192ad", "c4f49166bb708b3ed66b6c2b54ad5ab92943e901868a4ff7e8ccbb88c9138025"),
+    ("kstar", 256): ("021d4d9d405b8fae0ad195534e61536b33cc1c3133dbee0efbb8d058eb595232", "60987c2e4436f9522a970717d924aad2e81fac1a140b29f84176ae98677a9c7d"),
+    ("path", 16): ("123d06568e10e1046288f5ae61adeab4224e02c53a6744b526d8a6829837cd5b", "8f6cbd000d981cee9d8513eb4899c03d603915efbcc07608e9ac07c2719b029b"),
+    ("path", 32): ("138a6136d7fb0413cee024d6534c08df623333ebb0e4c34df6b71be068927c6e", "36e8331c5d7b02b5ca8273c1783e3f6b8e769e238bef7cc07f85308820790195"),
+    ("path", 64): ("314d770975f6e86167fe70a233c847c5fbd8d9dd62fa37ab276ebb3d03016b4b", "ad951df52d1d8af8f99cf4e1797e434d7522d23fd421ca7b1c44e1f6d2348137"),
+    ("path", 128): ("c97818c2e10d071828e7a1ae1b9498c7290e0e6a6356f340159387e36eb35be7", "31cfe249429a3c1104090ae928c6e7326d4392dbb438397acdb3b75c1ffb19cb"),
+    ("path", 256): ("5b67435e091df9cac35ed4723133cf6b391bc49c2145194fce651080bd448d87", "d2f74ae6781d192cca7f6a20b4386e1dfeb956eb1d7f4853119265a8be2676fb"),
+    ("cycle", 16): ("2b900a3c9432d38aad65efae556558a5c4159ea468103affd3aca9bf6ccf2bd8", "197d785c9559d3c43635ada74421984f8a2a8c3887bb8e3ee643a96d877e2f7d"),
+    ("cycle", 32): ("42eda751132c8fb8a304a43b97c03f330db73d2ce73fe0c102199ab80905236c", "0a893bd213c0fe9ce92f587b832c792eae5f7650aaf1ce451bc74beb67087328"),
+    ("cycle", 64): ("cc96bdc953b79a58cf2d414e477bfcf0131697e78e71790134ffee80deea3014", "cc36399f3f5885eb072e5cbd9245cfddf047c9edf10d6e963a2ad93a6db02594"),
+    ("cycle", 128): ("4d25ffb5b973122e06f0ca6fa95fb5dd5146a3319082f3847cfe04a836c7c615", "6bf73135f038a46a5332577fd1847cf5e81b6f927212d67ed22bc6843c74995c"),
+    ("cycle", 256): ("1334f6cdb1fda3cd7de437babdfe0ab582b25fdff4e696c48a254db9ac8c7fc5", "da9ff4bac53dfa9852ac2c9325c0bfe0488ece1d15e3198fba27a6bf3f7f2f5f"),
+    ("random_tree", 16): ("6a0a03387de7d90c1dcdea6d1677049424cd05568e4dfde61dc6eccb962f6ab1", "a40acabfa9d2ffd385230e90edd0a59da6edbcdd5fbdefc061402ab8f6e0fcea"),
+    ("random_tree", 32): ("063ada4b9afab1a869d6ecde34c14755657b27c3a2b797ffba5b44a2699e80de", "7ee863f24b5d0c9af06692f078896ed9a92719149632e1f30d49065334f68596"),
+    ("random_tree", 64): ("0241d309f8965088f229fbbdd0cab8f0cb6c3632536fef6a255a10895dafae29", "d0b9cce4099f3cc0de80995f27bd23ade675f40f02acb90bf39343650d923576"),
+    ("random_tree", 128): ("b930c5f1679bdf2d09b1fd81eaf9d0b394a6da8c69fd0eebc58d1ad575b4e2d6", "f9217775ee4a2ac41fa5696ae478c088f0758940c1b37eba8963ee7cec3ac831"),
+    ("random_tree", 256): ("7204c1e763a87e259ce056a032531ae7aa3d3c8d401c7b3faeb41696fc953d94", "bb057473c503b81aea441c2e35ebb412e0f8b0a67aca39f29821f6abfd8eea53"),
+    ("grid", 16): ("fe70b8f6d3ac630e483987168b337ea63847faab5d85bfbbe8e511d082837f85", "45d9c994eba4d5526f4e75b5f75a36ee4fc18c1fc8e9e46066b2b038dff3db77"),
+    ("grid", 32): ("cddd4ea1456bac905cb48c03358e559ff383384bf1ae9ab1201cebc88d78e355", "536a870913675fe84b3dc99ab111f0b0e5d4ac11686e9e2ecf35fb7ddafaf636"),
+    ("grid", 64): ("0e8840fe5e185c92dcad52adeb183fe22ccde7ec0622da2f0f7b89553454f6b3", "8acbb05fdd3c5fc84fb8c51c8c3b0ed28bc30fcc3b649d33862f6174b33dda09"),
+    ("grid", 128): ("896e9bfdd2489562d21502c49948ac76d5be1a9a751b24fa186d8d8ff06c72a0", "700f2d7c122c5236e6e8a75b080d47c4f6c531f5083a42a83fd552dff8c54628"),
+    ("grid", 256): ("ce3e6975bdf187d702970d8cfcc9ca3a82b5663f183ff994ef9aef7b747b4a73", "a6918bcce81954798beb4f9560a5b6a6038586b3bd44151ff648df8daee9a4bf"),
+}
+
+
+class TestPinnedBuilders:
+    """Every byte and every insertion order of these builds is pinned."""
+
+    @pytest.mark.parametrize("family,n", sorted(BUILDER_DIGESTS))
+    def test_digests_are_pinned(self, family, n):
+        g = FAMILY_BUILDERS[family](n)
+        assert (_digest(g), _order_digest(g)) == BUILDER_DIGESTS[family, n]
 
 class TestFamilyRegistry:
     @pytest.mark.parametrize("family", sorted(FAMILY_BUILDERS))

@@ -15,6 +15,7 @@ from repro.analysis import (
     format_experiment,
     run_experiment,
 )
+from repro.network import FAMILY_BUILDERS, GraphError
 from repro.obs.events import jsonable
 
 SMALL = (8, 16, 32)
@@ -32,6 +33,37 @@ class TestRegistry:
     def test_case_insensitive(self):
         r = run_experiment("e3", sizes=SMALL, families=FAMS)
         assert r.experiment == "E3"
+
+
+class TestBuilderFailures:
+    """The builder loops skip a family only when its builder refuses the size.
+
+    ``GraphError`` is the builders' refusal of an infeasible size; any
+    other exception is a bug and must reach the caller, not silently
+    drop the family's rows.
+    """
+
+    LOOPS = ("E1", "E3", "E4", "E10", "E11", "E12", "E13")
+
+    @staticmethod
+    def _plant(monkeypatch, error):
+        def builder(n):
+            raise error
+
+        monkeypatch.setitem(FAMILY_BUILDERS, "complete", builder)
+
+    @pytest.mark.parametrize("eid", LOOPS)
+    def test_unexpected_error_propagates(self, eid, monkeypatch):
+        self._plant(monkeypatch, RuntimeError("planted builder bug"))
+        with pytest.raises(RuntimeError, match="planted builder bug"):
+            run_experiment(eid, sizes=(8,), families=("path", "complete"))
+
+    @pytest.mark.parametrize("eid", LOOPS)
+    def test_refused_size_is_skipped(self, eid, monkeypatch):
+        self._plant(monkeypatch, GraphError("planted refusal"))
+        r = run_experiment(eid, sizes=(8,), families=("path", "complete"))
+        families = {row.get("family") for row in r.rows}
+        assert "path" in families and "complete" not in families
 
 
 class TestE1:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fastpath.topology import CompiledTopology, compile_topology
 from repro.network import GraphError, PortLabeledGraph, edge_key
+from repro.network.graph import label_key
 
 
 class TestConstruction:
@@ -162,6 +164,73 @@ class TestSourceAndFreeze:
             PortLabeledGraph().validate()
 
 
+def _edge_01():
+    g = PortLabeledGraph()
+    g.add_node(0)
+    g.add_node(1)
+    g.add_edge(0, 1)
+    g.set_source(0)
+    return g
+
+
+class TestValidateWholeModel:
+    """Corruptions ``add_edge`` cannot make but raw port maps or rows can."""
+
+    def test_self_loop(self):
+        g = _edge_01()
+        g._port_to_neighbor[0][1] = 0
+        g._neighbor_to_port[0][0] = 1
+        assert (g.degree(0), g.num_edges) == (2, 1)
+        with pytest.raises(GraphError, match="self-loop at node 0"):
+            g.validate()
+
+    def test_two_neighbours_on_one_port(self):
+        g = _edge_01()
+        g.add_node(2)
+        g.add_edge(0, 2)
+        del g._port_to_neighbor[0][1]
+        g._neighbor_to_port[0][2] = 0
+        assert len(g._neighbor_to_port[0]) > len(g._port_to_neighbor[0])
+        with pytest.raises(GraphError, match="inconsistent port maps at node 0"):
+            g.validate()
+
+    def test_self_loop_row(self):
+        g = PortLabeledGraph.from_port_rows([(0, {1: 0, 0: 1}), (1, {0: 0})], source=0)
+        with pytest.raises(GraphError, match="self-loop at node 0"):
+            g.freeze()
+
+    def test_two_neighbours_on_one_port_row(self):
+        rows = [(0, {1: 0, 2: 0}), (1, {0: 0}), (2, {0: 0})]
+        g = PortLabeledGraph.from_port_rows(rows, source=0)
+        with pytest.raises(GraphError, match="inconsistent port maps at node 0"):
+            g.freeze()
+
+    def test_one_sided_row(self):
+        g = PortLabeledGraph.from_port_rows([(0, {1: 0}), (1, {})], source=0)
+        with pytest.raises(GraphError):
+            g.freeze()
+
+
+class TestFromPortRows:
+    def test_rebuilds_the_graph_unfrozen(self, zoo_graph):
+        rows = [(v, {u: zoo_graph.port(v, u) for u in zoo_graph.neighbors(v)}) for v in zoo_graph.nodes()]
+        g = PortLabeledGraph.from_port_rows(rows, source=zoo_graph.source)
+        assert not g.frozen
+        assert g.__getstate__() == zoo_graph.copy().__getstate__()
+        g.freeze()
+        assert list(g.edges()) == list(zoo_graph.edges())
+
+    def test_rows_are_copied(self):
+        rows = [(0, {1: 0}), (1, {0: 0})]
+        g = PortLabeledGraph.from_port_rows(rows, source=0)
+        rows[0][1][2] = 1
+        assert g.freeze().num_edges == 1
+
+    def test_unknown_source(self):
+        with pytest.raises(GraphError):
+            PortLabeledGraph.from_port_rows([(0, {})], source=9)
+
+
 class TestQueries:
     def test_ports_and_neighbors(self, triangle):
         for v in triangle.nodes():
@@ -274,3 +343,115 @@ class TestModelInvariants:
         for u, v in g.edges():
             assert g.neighbor_via(u, g.port(u, v)) == v
             assert g.neighbor_via(v, g.port(v, u)) == u
+
+
+def _reference_from_networkx(g, source=None, port_order="sorted", rng=None):
+    """``from_networkx`` before it cached ``label_key`` per node."""
+    out = PortLabeledGraph()
+    for v in sorted(g.nodes(), key=label_key):
+        out.add_node(v)
+    explicit = all("ports" in data for __, __, data in g.edges(data=True)) and g.number_of_edges() > 0
+    if explicit:
+        for u, v, data in g.edges(data=True):
+            out.add_edge(u, v, port_u=data["ports"][u], port_v=data["ports"][v])
+    else:
+        order = {}
+        for v in g.nodes():
+            nbrs = sorted(g.neighbors(v), key=label_key)
+            if port_order == "random":
+                if rng is None:
+                    raise GraphError("port_order='random' requires an rng")
+                rng.shuffle(nbrs)
+            elif port_order != "sorted":
+                raise GraphError(f"unknown port_order {port_order!r}")
+            order[v] = nbrs
+        ports = {v: {u: i for i, u in enumerate(nbrs)} for v, nbrs in order.items()}
+        for u, v in g.edges():
+            out.add_edge(u, v, port_u=ports[u][v], port_v=ports[v][u])
+    if source is None:
+        source = g.graph.get("source")
+    if source is None:
+        source = min(g.nodes(), key=label_key)
+    out.set_source(source)
+    return out
+
+
+def _reference_compile_topology(graph):
+    """``compile_topology`` as one ``neighbor_via`` and ``port`` call per slot."""
+    from array import array
+
+    labels = tuple(graph.nodes())
+    n = len(labels)
+    index = {label: i for i, label in enumerate(labels)}
+    degrees = array("l", (graph.degree(v) for v in labels))
+    offsets = array("l", [0] * (n + 1))
+    total = 0
+    for i in range(n):
+        total += degrees[i]
+        offsets[i + 1] = total
+    neighbor_at = array("l", [0] * total)
+    arrival_at = array("l", [0] * total)
+    for i, v in enumerate(labels):
+        base = offsets[i]
+        for p in range(degrees[i]):
+            u = graph.neighbor_via(v, p)
+            neighbor_at[base + p] = index[u]
+            arrival_at[base + p] = graph.port(u, v)
+    reprs = tuple(repr(v) for v in labels)
+    source_index = index[graph.source] if graph.has_source else -1
+    return CompiledTopology(
+        labels, index, reprs, degrees, offsets, neighbor_at, arrival_at, source_index
+    )
+
+
+#: Label maps exercising int, str, tuple and mixed int/str labels.
+RELABELS = {
+    "int": lambda v: v,
+    "str": lambda v: f"v{v:03d}",
+    "tuple": lambda v: (v % 3, v),
+    "mixed": lambda v: v if v % 2 else f"s{v}",
+}
+
+
+class TestAgainstReferences:
+    """``from_networkx`` and ``compile_topology`` match their original code."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        random_connected_graphs(),
+        st.sampled_from(sorted(RELABELS)),
+        st.sampled_from(["sorted", "random"]),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_from_networkx_matches_reference(self, nxg, relabel, port_order, seed):
+        nxg = nx.relabel_nodes(nxg, RELABELS[relabel])
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        got = PortLabeledGraph.from_networkx(nxg, port_order=port_order, rng=got_rng)
+        want = _reference_from_networkx(nxg, port_order=port_order, rng=want_rng)
+        assert got.__getstate__() == want.__getstate__()
+        for v in want.nodes():
+            assert list(got._port_to_neighbor[v].items()) == list(want._port_to_neighbor[v].items())
+            assert list(got._neighbor_to_port[v].items()) == list(want._neighbor_to_port[v].items())
+        assert got_rng.getstate() == want_rng.getstate()
+
+    @pytest.mark.parametrize("edges", ([(1, frozenset({2}))], [(0, 0), (0, 1)]))
+    def test_from_networkx_errors_match_reference(self, edges):
+        messages = []
+        for build in (PortLabeledGraph.from_networkx, _reference_from_networkx):
+            with pytest.raises(GraphError) as info:
+                build(nx.Graph(edges))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        random_connected_graphs(),
+        st.sampled_from(sorted(RELABELS)),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_compile_matches_reference(self, nxg, relabel, seed):
+        nxg = nx.relabel_nodes(nxg, RELABELS[relabel])
+        g = PortLabeledGraph.from_networkx(nxg, port_order="random", rng=random.Random(seed)).freeze()
+        got, want = compile_topology(g), _reference_compile_topology(g)
+        for name in CompiledTopology.__slots__:
+            assert getattr(got, name) == getattr(want, name), name
