@@ -10,11 +10,11 @@ Three claims, each timed and asserted:
   cheaper still.  All three paths must agree on the delivered-message
   count (the cheap end of the byte-identity contract; the full contract
   lives in ``tests/test_fastpath.py``).
-* **Vectorized lane** — the struct-of-arrays engine
-  (:mod:`repro.vectorized`) beats the fastpath *counters* baseline by at
-  least 5x per delivery on ``kstar_96``, and the multi-seed batch mode
-  (five implicit ``G_{n,S}`` replicas through one array pass) is cheaper
-  still.  The identity contract lives in ``tests/test_differential.py``.
+* **Mega batch** — the struct-of-arrays core (:mod:`repro.vectorized`),
+  running five implicit ``G_{n,S}`` replicas through one array pass, is
+  cheaper per delivery than the fastpath *counters* baseline on
+  ``kstar_96``.  Its counters are held to the reference loop's in
+  ``tests/test_engine_properties.py``.
 * **Advice throughput** — oracle advice construction (light-tree MST
   and spanning-tree BFS encodings) is timed per advised bit, so an
   encoding-layer regression shows up here even though it is not on the
@@ -66,16 +66,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _flood_sim(graph, trace_level, engine="auto"):
+def _flood_sim(graph, trace_level):
     advice = NullOracle().advise(graph)
     algorithm = Flooding()
     schemes = {
         v: algorithm.scheme_for(advice[v], v == graph.source, v, graph.degree(v))
         for v in graph.nodes()
     }
-    return Simulation(
-        graph, schemes, advice=advice, trace_level=trace_level, engine=engine
-    )
+    return Simulation(graph, schemes, advice=advice, trace_level=trace_level)
 
 
 def _per_delivery_ns(graph, trace_level, fastpath: bool) -> dict:
@@ -162,30 +160,9 @@ def _advice_throughput():
     return outcome
 
 
-def _vectorized_per_delivery_ns(graph, trace_level) -> dict:
-    """Best-case ns per delivery with the engine pinned to ``vectorized``.
-
-    Same floor-measurement protocol as :func:`_per_delivery_ns`; the pin
-    goes through the ``engine=`` parameter rather than the environment
-    (both routes exist — this is the one sweep code uses).
-    """
-    _flood_sim(graph, trace_level, engine="vectorized").run()  # warmup
-    best_s = float("inf")
-    for _ in range(REPS):
-        sim = _flood_sim(graph, trace_level, engine="vectorized")
-        start = time.perf_counter()
-        trace = sim.run()
-        best_s = min(best_s, time.perf_counter() - start)
-    return {
-        "ns_per_delivery": best_s / trace.delivered * 1e9,
-        "delivered": trace.delivered,
-        "completed": trace.completed,
-    }
-
-
 def _compare_vectorized_paths():
-    """Vectorized counters lane vs the fastpath counters baseline, plus
-    the multi-seed batch mode on implicit mega gadgets."""
+    """The fastpath counters baseline vs the multi-seed batch mode on
+    implicit mega gadgets."""
     from repro.vectorized import run_batch
     from repro.vectorized.gadgets import (
         gadget_spanning_program,
@@ -196,17 +173,9 @@ def _compare_vectorized_paths():
     for name, build in GRAPHS:
         graph = build().freeze()
         fast = _per_delivery_ns(graph, "counters", fastpath=True)
-        vec = _vectorized_per_delivery_ns(graph, "counters")
-        assert fast["delivered"] == vec["delivered"], (
-            f"{name}: vectorized delivered count diverged"
-        )
-        assert fast["completed"] and vec["completed"]
-        outcome[f"{name}_delivered"] = vec["delivered"]
+        assert fast["completed"]
+        outcome[f"{name}_delivered"] = fast["delivered"]
         outcome[f"{name}_fast_counters_ns"] = fast["ns_per_delivery"]
-        outcome[f"{name}_vectorized_ns"] = vec["ns_per_delivery"]
-        outcome[f"{name}_vectorized_speedup"] = (
-            fast["ns_per_delivery"] / vec["ns_per_delivery"]
-        )
     # Batch multi-seed mode: five implicit G_{n,S} replicas through one
     # array pass.  Program construction (sampling, analytic BFS) is
     # setup; only the batched run is timed.
@@ -250,13 +219,8 @@ def test_vectorized_per_delivery(benchmark):
     outcome = run_once(benchmark, _compare_vectorized_paths)
     for key, value in outcome.items():
         benchmark.extra_info[key] = value
-    assert outcome["kstar_96_vectorized_speedup"] >= 5.0, (
-        "vectorized counters lane only "
-        f"{outcome['kstar_96_vectorized_speedup']:.2f}x cheaper per delivery "
-        "than the fastpath counters baseline on kstar_96"
-    )
     # The batch mode's whole point is that per-delivery cost at mega
-    # scale undercuts even the single-graph vectorized runs above.
+    # scale undercuts the scalar counters loop.
     assert outcome["mega_batch_ns"] < outcome["kstar_96_fast_counters_ns"], (
         "mega batch mode is not cheaper per delivery than the scalar "
         "fastpath counters baseline"

@@ -18,9 +18,8 @@ Which numbers are gated is a per-benchmark table (:data:`GATED_BENCHMARKS`):
   never gated (the legacy loop is the frozen reference implementation, and
   its cost only moves when the host does).
 * ``test_vectorized_per_delivery`` (``BENCH_engine.json``) — the
-  ``*_vectorized_ns`` per-delivery keys and the multi-seed
-  ``mega_batch_ns``; the ``*_fast_counters_ns`` baseline re-measurements
-  and the ``*_speedup`` ratios are informational (the >= 5x floor is
+  multi-seed ``mega_batch_ns``; the ``*_fast_counters_ns`` baseline
+  re-measurements are informational (the batch-beats-counters bound is
   asserted inside the benchmark itself, where both numbers come from the
   same process on the same host).
 * ``test_profile_overhead`` (``BENCH_profile.json``) — the
@@ -55,8 +54,8 @@ GATED_BENCHMARKS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
         ("_legacy_ns",),
     ),
     "test_vectorized_per_delivery": (
-        ("_vectorized_ns", "mega_batch_ns"),
-        ("_fast_counters_ns", "_vectorized_speedup"),
+        ("mega_batch_ns",),
+        ("_fast_counters_ns",),
     ),
     "test_profile_overhead": (
         ("_profiled_ns",),

@@ -46,9 +46,9 @@ Commands
     ``--format chrome|flame`` exports a Chrome/Perfetto trace or
     collapsed-stack flamegraph text instead; ``--format
     causal-json|causal-dot`` dumps the run's happened-before DAG
-    (message lineage, causal depth, critical path).  ``--engine
-    legacy|fastpath|vectorized`` pins the execution engine (the streams
-    are byte-identical across engines; see ``docs/PERFORMANCE.md``).
+    (message lineage, causal depth, critical path).  ``REPRO_FASTPATH=0``
+    in the environment runs the reference loop instead of the fast path
+    (the streams are byte-identical; see ``docs/PERFORMANCE.md``).
 ``mega [--sizes 2000,10000,...] [--batch-seeds 0,1,2]``
     Theorem 2.2 at mega scale: tree wakeup on *implicit* ``G_{n,S}``
     gadgets through the vectorized batch engine — feasible to
@@ -98,7 +98,6 @@ import sys
 from typing import List, Optional
 
 from .analysis.experiments import EXPERIMENTS, format_experiment, run_experiment
-from .simulator.engine import ENGINES
 
 __all__ = ["main"]
 
@@ -397,7 +396,6 @@ def _cmd_trace(
     audit: bool,
     trace_level: str = "full",
     out_format: str = "jsonl",
-    engine: str = "auto",
 ) -> int:
     from .algorithms import ALGORITHM_REGISTRY
     from .analysis.tables import format_table
@@ -462,7 +460,6 @@ def _cmd_trace(
             audit=audit,
             obs=obs,
             trace_level=trace_level,
-            engine=engine,
         )
         events = getattr(obs.sink, "count", None)
     s = result.trace.summary()
@@ -901,14 +898,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "happened-before DAG as canonical JSON / Graphviz DOT",
     )
 
-    p_trace.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="auto",
-        help="pin the execution engine (byte-identical streams either way); "
-        "default 'auto' honors REPRO_FASTPATH",
-    )
-
     p_mega = sub.add_parser(
         "mega",
         help="Theorem 2.2 at mega scale: implicit G_(n,S) gadgets through "
@@ -1114,7 +1103,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_trace(
             args.task, args.family, args.n, args.oracle, args.algorithm,
             args.scheduler, args.seed, args.out, args.audit, args.trace_level,
-            args.out_format, args.engine,
+            args.out_format,
         )
     if args.command == "mega":
         return _cmd_mega(args.sizes, args.batch_seeds, args.count)

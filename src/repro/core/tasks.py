@@ -91,7 +91,6 @@ def _run(
     audit: bool = False,
     obs: Optional[Observation] = None,
     trace_level: str = "full",
-    engine: str = "auto",
 ) -> TaskResult:
     obs = resolve_obs(obs)
     if audit and trace_level != "full":
@@ -136,7 +135,6 @@ def _run(
         max_messages=max_messages,
         obs=obs,
         trace_level=trace_level,
-        engine=engine,
     )
     with obs.span("simulate"):
         trace = sim.run()
@@ -192,7 +190,6 @@ def run_broadcast(
     audit: bool = False,
     obs: Optional[Observation] = None,
     trace_level: str = "full",
-    engine: str = "auto",
 ) -> TaskResult:
     """Run a broadcast: nodes may transmit spontaneously.
 
@@ -205,13 +202,12 @@ def run_broadcast(
     (oracle/simulate/audit), the advice-size event, and the engine's
     send/delivery stream.  ``trace_level="counters"`` skips the per-delivery
     log (see :mod:`repro.simulator.trace`); it is incompatible with
-    ``audit=True``, which replays that log.  ``engine`` pins the execution
-    engine (``"legacy"``/``"fastpath"``/``"vectorized"``); the default
-    ``"auto"`` honors the environment escape hatches.
+    ``audit=True``, which replays that log.  ``REPRO_FASTPATH=0`` in the
+    environment runs the reference loop instead of the fast path.
     """
     return _run(
         "broadcast", graph, oracle, algorithm, scheduler, anonymous, False, max_messages,
-        advice, audit, obs, trace_level, engine,
+        advice, audit, obs, trace_level,
     )
 
 
@@ -226,7 +222,6 @@ def run_wakeup(
     audit: bool = False,
     obs: Optional[Observation] = None,
     trace_level: str = "full",
-    engine: str = "auto",
 ) -> TaskResult:
     """Run a wakeup: the engine *enforces* that only awake nodes transmit.
 
@@ -239,5 +234,5 @@ def run_wakeup(
     """
     return _run(
         "wakeup", graph, oracle, algorithm, scheduler, anonymous, True, max_messages,
-        advice, audit, obs, trace_level, engine,
+        advice, audit, obs, trace_level,
     )

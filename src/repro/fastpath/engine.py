@@ -1,11 +1,11 @@
 """The compiled synchronous execution loop.
 
-:func:`run_fastpath` is what :meth:`repro.simulator.Simulation.run`
-dispatches to unless ``REPRO_FASTPATH=0``.  A fresh
-:class:`~repro.simulator.schedulers.SynchronousScheduler` runs
-:func:`_run_sync`, the scheduler-free synchronous core; every other
-scheduler — and a pre-seeded one — runs the reference loop,
-:meth:`Simulation._run_legacy`.
+:meth:`repro.simulator.Simulation.run` calls :func:`run_fastpath` for a
+run with a fresh :class:`~repro.simulator.schedulers.SynchronousScheduler`
+unless ``REPRO_FASTPATH=0``; every other scheduler — and a pre-seeded
+one — runs the reference loop, :meth:`Simulation._run_legacy`.
+:func:`run_fastpath` compiles the topology and runs :func:`_run_sync`,
+the scheduler-free synchronous core.
 
 :func:`_run_sync` keeps messages as plain tuples ``(repr(receiver),
 arrival_port, seq, receiver_idx, payload, sender_label, send_port,
@@ -43,7 +43,6 @@ from ..obs.events import MessageDelivered, MessageSent, RoundStarted
 from ..simulator.emission import TraceEmitter
 from ..simulator.messages import InFlightMessage
 from ..simulator.node import WakeupViolation
-from ..simulator.schedulers import SynchronousScheduler
 from ..simulator.trace import DeliveryRecord
 from .topology import compiled_topology
 
@@ -53,13 +52,9 @@ __all__ = ["run_fastpath"]
 def run_fastpath(sim) -> "ExecutionTrace":  # noqa: F821 - forward ref in doc only
     """Execute a prepared :class:`~repro.simulator.Simulation` to quiescence.
 
-    Runs the scheduler-free synchronous core when the simulation uses a
-    fresh :class:`SynchronousScheduler` (the overwhelmingly common case),
-    and the legacy reference loop otherwise.
+    Only valid for a simulation with a fresh :class:`SynchronousScheduler`
+    — the check :meth:`Simulation.run` makes before calling it.
     """
-    scheduler = sim._scheduler
-    if not (type(scheduler) is SynchronousScheduler and scheduler.empty()):
-        return sim._run_legacy()
     with sim._obs.wallspan("compile"):
         topo = compiled_topology(sim._graph)
     with sim._obs.wallspan("engine"):

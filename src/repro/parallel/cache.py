@@ -35,8 +35,11 @@ from __future__ import annotations
 
 import glob
 import hashlib
+import multiprocessing
+import multiprocessing.connection
 import os
 import tempfile
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -156,9 +159,23 @@ def init_worker_cache(cache_spec: Optional[CacheSpec]) -> None:
 
     The fault-tolerant runner in :mod:`repro.runner` and the serving
     daemon in :mod:`repro.service` both start their pool workers this way.
+    The worker also exits as soon as its parent process dies: a SIGKILLed
+    parent cannot shut its pool down, and the worker would otherwise wait
+    on the call queue forever.
     """
     global _WORKER_CACHE
     _WORKER_CACHE = cache_spec.build() if cache_spec is not None else None
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with_parent, args=(parent.sentinel,), daemon=True
+        ).start()
+
+
+def _exit_with_parent(sentinel: int) -> None:
+    """Block until the parent's sentinel fires, then end this process."""
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
 
 
 def worker_cache() -> Optional["ConstructionCache"]:

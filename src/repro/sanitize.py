@@ -40,7 +40,11 @@ _FASTPATH_ENV = "REPRO_FASTPATH"
 
 @dataclass(frozen=True)
 class SmokeCell:
-    """One deterministic run: a task on a family under a scheduler."""
+    """One deterministic run: a task on a family under a scheduler.
+
+    ``seed`` seeds the scheduler only; every family builder takes just
+    ``n``, and seeds itself.
+    """
 
     name: str
     task: str  # "broadcast" | "wakeup" | "gossip"
@@ -76,11 +80,7 @@ def _cell_by_name(name: str) -> SmokeCell:
 def _build_graph(cell: SmokeCell):
     from .network.builders import FAMILY_BUILDERS
 
-    builder = FAMILY_BUILDERS[cell.family]
-    try:
-        return builder(cell.n, seed=cell.seed)
-    except TypeError:  # family that takes no seed
-        return builder(cell.n)
+    return FAMILY_BUILDERS[cell.family](cell.n)
 
 
 def run_cell(name: str) -> bytes:

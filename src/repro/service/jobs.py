@@ -138,7 +138,6 @@ def simulate_payload(
         advice=advice,
         obs=obs,
         trace_level=params["trace_level"],
-        engine=params["engine"],
     )
     return {
         "schema": PROTOCOL_SCHEMA,

@@ -34,7 +34,6 @@ from typing import Any, Dict, Mapping, Optional
 from ..algorithms import ALGORITHM_REGISTRY
 from ..network.builders import FAMILY_BUILDERS
 from ..parallel.cache import content_address
-from ..simulator.engine import ENGINES
 from ..simulator.schedulers import SCHEDULER_NAMES
 
 __all__ = [
@@ -50,7 +49,7 @@ __all__ = [
 ]
 
 #: Version tag of the wire format; mixed into every request key.
-PROTOCOL_SCHEMA = "repro-service/1"
+PROTOCOL_SCHEMA = "repro-service/2"
 
 #: The job kinds the daemon serves.
 JOB_KINDS = ("advice", "simulate")
@@ -108,7 +107,7 @@ def _require_int(data: Mapping[str, Any], field: str, default=None, lo=None, hi=
 
 _KNOWN_FIELDS = {
     "job", "task", "family", "n", "oracle", "algorithm",
-    "scheduler", "scheduler_seed", "anonymous", "trace_level", "engine",
+    "scheduler", "scheduler_seed", "anonymous", "trace_level",
     # envelope bookkeeping tolerated on the request side:
     "id",
 }
@@ -146,7 +145,6 @@ def normalize_request(data: Mapping[str, Any]) -> Dict[str, Any]:
     if not isinstance(anonymous, bool):
         raise RequestError(f"'anonymous' must be a boolean, got {anonymous!r}")
     trace_level = _require_choice(data, "trace_level", _TRACE_LEVELS, default="full")
-    engine = _require_choice(data, "engine", ENGINES, default="auto")
     return {
         "job": "simulate",
         "task": task,
@@ -158,7 +156,6 @@ def normalize_request(data: Mapping[str, Any]) -> Dict[str, Any]:
         "scheduler_seed": scheduler_seed,
         "anonymous": anonymous,
         "trace_level": trace_level,
-        "engine": engine,
     }
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import TYPE_CHECKING, Any, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from .protocol import canonical_json, error_envelope
 
@@ -58,8 +58,21 @@ _MAX_BODY = 4 * 1024 * 1024
 def _parse_body(raw: bytes) -> Tuple[Any, bool]:
     try:
         return json.loads(raw.decode("utf-8")), True
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (ValueError, RecursionError):
+        # ValueError covers bad UTF-8, bad JSON and integers past Python's
+        # digit limit; RecursionError covers arrays or objects nested too
+        # deep for the decoder.
         return None, False
+
+
+def _content_length(headers: Dict[str, str]) -> Optional[int]:
+    """The declared body length, or None unless it is a plain decimal."""
+    raw = headers.get("content-length", "0") or "0"
+    if not (raw.isascii() and raw.isdigit()):
+        return None
+    # A longer string is refused as oversize without int(), which raises
+    # past Python's integer-digit limit.
+    return int(raw) if len(raw) <= 16 else _MAX_BODY + 1
 
 
 async def _route(
@@ -141,15 +154,18 @@ async def _handle_http(
                 break
             method, target, headers = head
             path = target.split("?", 1)[0]
-            length = int(headers.get("content-length", "0") or "0")
-            if length > _MAX_BODY:
-                response = _http_response(
-                    400,
-                    error_envelope("bad_request", f"body exceeds {_MAX_BODY} bytes"),
-                    {},
-                    close=True,
+            length = _content_length(headers)
+            if length is None or length > _MAX_BODY:
+                message = (
+                    "Content-Length must be a non-negative decimal integer"
+                    if length is None
+                    else f"body exceeds {_MAX_BODY} bytes"
                 )
-                writer.write(response)
+                writer.write(
+                    _http_response(
+                        400, error_envelope("bad_request", message), {}, close=True
+                    )
+                )
                 await writer.drain()
                 break
             body = await reader.readexactly(length) if length else b""

@@ -19,23 +19,18 @@ complexity that all four theorems are about.
 
 Execution paths
 ---------------
-:meth:`Simulation.run` dispatches between three engines:
+:meth:`Simulation.run` picks one of two loops from what it observes:
 
-* ``fastpath`` (default) — :func:`repro.fastpath.engine.run_fastpath`:
-  a fresh :class:`~repro.simulator.schedulers.SynchronousScheduler` runs
-  the scheduler-free synchronous core over the graph's flat-array
-  :class:`~repro.fastpath.topology.CompiledTopology`; every other
-  scheduler runs the legacy loop;
-* ``legacy`` — the dict-walking reference loop
-  (:meth:`Simulation._run_legacy`), kept runnable forever as the
-  executable specification;
-* ``vectorized`` — the numpy round core of :mod:`repro.vectorized`, which
-  drains whole synchronous rounds as frontier operations for quiet
-  counters runs and hands every other run to the fast path.
+* a fresh :class:`~repro.simulator.schedulers.SynchronousScheduler` runs
+  :func:`repro.fastpath.engine.run_fastpath`, the scheduler-free
+  synchronous core over the graph's flat-array
+  :class:`~repro.fastpath.topology.CompiledTopology`;
+* every other scheduler — and a pre-seeded synchronous one — runs the
+  dict-walking reference loop (:meth:`Simulation._run_legacy`), kept
+  runnable forever as the executable specification.
 
-Selection: the ``engine=`` constructor argument wins when explicit;
-``engine="auto"`` runs the fast path unless ``REPRO_FASTPATH=0`` selects
-the legacy loop.  All engines are byte-identical at
+``REPRO_FASTPATH=0`` in the environment is the one switch that sends
+every run to the reference loop.  Both loops are byte-identical at
 ``trace_level="full"`` — same trace, same obs events — and counter-exact
 at ``trace_level="counters"``, a contract enforced by
 ``tests/test_fastpath.py`` and ``tests/test_differential.py``.  The
@@ -58,10 +53,7 @@ from .node import NodeContext, NodeRuntime, Process, WakeupViolation
 from .schedulers import Scheduler, SynchronousScheduler
 from .trace import TRACE_LEVELS, ExecutionTrace
 
-__all__ = ["Simulation", "ENGINES"]
-
-#: Engine names accepted by ``Simulation(engine=...)``.
-ENGINES = ("auto", "legacy", "fastpath", "vectorized")
+__all__ = ["Simulation"]
 
 
 class Simulation:
@@ -109,10 +101,6 @@ class Simulation:
         all that the lower-bound drivers and sweep cells actually read —
         and skips the per-delivery allocations.  The obs event stream is
         identical at both levels.
-    engine:
-        ``"auto"`` (default) honors the ``REPRO_FASTPATH`` environment
-        switch; ``"legacy"``, ``"fastpath"`` and ``"vectorized"`` pin the
-        execution path regardless of the environment.
     """
 
     def __init__(
@@ -129,7 +117,6 @@ class Simulation:
         no_source: bool = False,
         obs: Optional[Observation] = None,
         trace_level: str = "full",
-        engine: str = "auto",
     ) -> None:
         if not graph.frozen:
             graph = graph.copy().freeze()
@@ -137,11 +124,6 @@ class Simulation:
             raise ValueError(
                 f"unknown trace_level {trace_level!r}; expected one of {TRACE_LEVELS}"
             )
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        self._engine = engine
         self._graph = graph
         self._scheduler = scheduler if scheduler is not None else SynchronousScheduler()
         self._obs = resolve_obs(obs)
@@ -180,24 +162,20 @@ class Simulation:
     def run(self) -> ExecutionTrace:
         """Execute to quiescence (or a limit) and return the trace.
 
-        ``engine="auto"`` resolves via the environment —
-        ``REPRO_FASTPATH=0`` selects the legacy loop, anything else the
-        compiled fast path.  An explicit ``engine=`` pins the path.  Every
-        engine produces byte-identical traces and events at
-        ``trace_level="full"``.
+        A fresh synchronous scheduler runs the compiled synchronous core;
+        every other scheduler, and every run under ``REPRO_FASTPATH=0``,
+        runs the reference loop.  Both produce byte-identical traces and
+        events at ``trace_level="full"``.
         """
         if self._ran:
             raise RuntimeError("a Simulation object runs once; build a new one")
         self._ran = True
-        engine = self._engine
-        if engine == "auto":
-            fast = os.environ.get("REPRO_FASTPATH", "1") != "0"
-            engine = "fastpath" if fast else "legacy"
-        if engine == "vectorized":
-            from ..vectorized.engine import run_vectorized
-
-            return run_vectorized(self)
-        if engine == "fastpath":
+        scheduler = self._scheduler
+        if (
+            type(scheduler) is SynchronousScheduler
+            and scheduler.empty()
+            and os.environ.get("REPRO_FASTPATH", "1") != "0"
+        ):
             from ..fastpath.engine import run_fastpath
 
             return run_fastpath(self)
@@ -207,7 +185,7 @@ class Simulation:
         """The reference implementation: scheduler-driven, dict lookups.
 
         Kept runnable forever (``REPRO_FASTPATH=0``) as the executable
-        specification the other engines are tested against, and the loop
+        specification the synchronous core is tested against, and the loop
         every non-synchronous or pre-seeded scheduler runs.
         """
         trace = self._trace

@@ -1,37 +1,27 @@
-"""Struct-of-arrays execution: whole synchronous rounds as numpy ops.
+"""Struct-of-arrays execution: Theorem 2.2's gadget runs as numpy ops.
 
-The per-delivery engines (:mod:`repro.simulator.engine`,
-:mod:`repro.fastpath.engine`) pay Python-interpreter cost per message —
-~1.4 µs/delivery in counters mode — which caps the paper's separation
-curves near ``n = 10^3``.  This package removes the per-message loop for
-the synchronous schedules those curves actually use:
+The per-delivery loops (:mod:`repro.simulator.engine`,
+:mod:`repro.fastpath.engine`) pay Python-interpreter cost per message,
+and need the graph's port tables in memory.  Theorem 2.2's ``G_{n,S}``
+gadget has ``Θ(n²)`` edges, so at ``n = 10^5`` neither is affordable.
+This package runs the gadget's tree wakeup without either:
 
-* :mod:`~repro.vectorized.program` compiles the run's schemes into a
-  :class:`~repro.vectorized.program.VectorProgram` — a declarative
-  per-node send table (flooding's "all ports but the arrival" or
-  tree-wakeup's decoded children ports) over numpy views of the PR 4 CSR
-  topology;
-* :mod:`~repro.vectorized.core` drains whole rounds as frontier array
-  operations (lexsort delivery ordering, first-occurrence activation,
-  informed-set union), for one run or for a *batch* of (cell, seed)
-  replicas pushed through a single pass;
-* :mod:`~repro.vectorized.engine` is the dispatch target of
-  ``Simulation.run(engine="vectorized")``: counters-mode quiet runs take
-  the numpy core, and everything else — full traces, observed runs,
-  ``stop_when_informed``, runs a safety limit would truncate, schemes the
-  compiler cannot express — runs on the fast path, so the engine is
-  *always* byte-identical to the legacy loop
-  (``tests/test_differential.py``);
 * :mod:`~repro.vectorized.gadgets` builds the ``G_{n,S}`` spanning-tree
-  program *implicitly* — the gadget has ``Θ(n²)`` edges, so at
-  ``n = 10^5`` the CSR tables could never be materialized; the BFS tree
-  the oracle would output is derived analytically instead — and runs a
-  seed or a multi-seed batch of them through the core
-  (:func:`mega_gadget_wakeup`, :func:`mega_gadget_batch`).
+  program *implicitly* — the BFS tree the oracle would output is derived
+  analytically, never from materialized port tables — and runs a seed or
+  a multi-seed batch of them (:func:`mega_gadget_wakeup`,
+  :func:`mega_gadget_batch`);
+* :mod:`~repro.vectorized.core` drains whole synchronous rounds of those
+  programs as frontier array operations (lexsort delivery ordering,
+  first-occurrence activation, informed-set union), for a *batch* of
+  replicas pushed through a single pass.
+
+Nothing here goes through :class:`~repro.simulator.Simulation`.  The
+core's counters are held to the reference loop's on explicit gadgets
+small enough to build (``tests/test_engine_properties.py``).
 """
 
-from .core import ReplicaCounters, ReplicaProgram, VectorLimitAbort, run_batch
-from .engine import run_vectorized
+from .core import ReplicaCounters, ReplicaProgram, run_batch
 from .gadgets import (
     MegaGadgetRow,
     gadget_spanning_program,
@@ -39,23 +29,11 @@ from .gadgets import (
     mega_gadget_wakeup,
     sample_edge_tuple_sparse,
 )
-from .program import (
-    VectorProgram,
-    VectorTopology,
-    compile_program,
-    register_vector_semantics,
-)
 
 __all__ = [
-    "VectorTopology",
-    "VectorProgram",
-    "compile_program",
-    "register_vector_semantics",
     "ReplicaProgram",
     "ReplicaCounters",
-    "VectorLimitAbort",
     "run_batch",
-    "run_vectorized",
     "MegaGadgetRow",
     "gadget_spanning_program",
     "mega_gadget_wakeup",

@@ -6,7 +6,7 @@ slots.  No engine that *materializes* the graph can run it.  But the
 tree-wakeup upper bound never touches most of that topology: the
 spanning-tree oracle reads the graph only to run a BFS, and the scheme
 then walks exactly the ``N - 1`` tree edges.  This module derives that
-BFS tree in closed form from ``(n, S)`` and emits a ``"ports"``-kind
+BFS tree in closed form from ``(n, S)`` and emits a
 :class:`~repro.vectorized.core.ReplicaProgram` — identical, node for
 node and port for port, to what the explicit pipeline
 (:func:`~repro.network.constructions.subdivision_family_graph` →
@@ -255,13 +255,8 @@ def _repr_ranks(N: int) -> np.ndarray:
     return rank
 
 
-def gadget_spanning_program(
-    n: int,
-    edge_tuple,
-    max_messages: Optional[int] = None,
-    max_steps: Optional[int] = None,
-) -> Tuple[ReplicaProgram, int]:
-    """The tree-wakeup run on ``G_{n,S}`` as a ``"ports"`` replica.
+def gadget_spanning_program(n: int, edge_tuple) -> Tuple[ReplicaProgram, int]:
+    """The tree-wakeup run on ``G_{n,S}`` as a ports replica.
 
     Returns ``(program, oracle_bits)`` where ``oracle_bits`` is exactly
     what ``SpanningTreeWakeupOracle("bfs").predicted_size`` would report
@@ -289,12 +284,9 @@ def gadget_spanning_program(
     init_active[0] = True  # node 1, the source, at dense index 0
     program = ReplicaProgram(
         num_nodes=N,
-        kind="ports",
         rank=_repr_ranks(N),
         init_active=init_active,
         init_informed=init_active.copy(),
-        max_messages=max_messages,
-        max_steps=max_steps,
         send_counts=send_counts,
         send_dest=(order + 1).astype(_I64),
         send_aport=cport[1:][order],

@@ -1,28 +1,19 @@
-"""Three-way differential harness: every engine against the legacy reference.
+"""Differential harness: the fast path against the reference loop, widened.
 
-``tests/test_fastpath.py`` pins the fast path to the legacy loop through
-the ``REPRO_FASTPATH`` escape hatch.  This file generalizes that into an
-*engine-parameterized* harness: :data:`ENGINES` lists every non-legacy
-engine, and each one is held to the same contract against the legacy
-reference —
+``tests/test_fastpath.py`` holds the fast path to the reference loop
+(``REPRO_FASTPATH=0``) on two graphs.  This file feeds the same checks
+four — K*_12, a subdivided K*_11, a random G(n, p) and a random tree —
+and adds the cells that file does not have:
 
 * dataclass-equal :class:`ExecutionTrace` and equal :class:`TaskResult`
-  at ``trace_level="full"``,
-* byte-equal telemetry JSONL (trace level governs retention, never
-  emission),
-* exact counter equality at ``trace_level="counters"``,
-
-across schedulers, seeds, task pairs, and the awkward modes (anonymity,
-message/step limits, early stop, missing source).  A future engine joins
-the whole matrix by adding one string to :data:`ENGINES`.
-
-The JSONL capture turns observation on, which keeps the vectorized engine
-off its numpy core; :func:`test_counters_quiet_limits` runs unobserved
-counters cells so the core — and its fallback when a safety limit would
-truncate the run — face the same reference.
+  at ``trace_level="full"``, byte-equal telemetry JSONL, across
+  schedulers, seeds and task pairs;
+* the awkward modes (anonymity, message/step limits, early stop, missing
+  source) on both tasks;
+* exact counter equality at ``trace_level="counters"``, observed and
+  unobserved, with and without a safety limit that truncates the run.
 """
 
-import io
 import random
 
 import pytest
@@ -31,23 +22,19 @@ from repro.algorithms.flooding import Flooding
 from repro.algorithms.scheme_b import SchemeB
 from repro.algorithms.tree_wakeup import TreeWakeup
 from repro.core.oracle import NullOracle
-from repro.core.tasks import run_broadcast, run_wakeup
 from repro.network import complete_graph_star
 from repro.network.builders import random_connected_gnp, random_tree
 from repro.network.constructions import sample_edge_tuple, subdivision_family_graph
-from repro.obs.observe import Observation
-from repro.obs.sinks import JSONLSink
 from repro.oracles.light_tree import LightTreeBroadcastOracle
 from repro.oracles.spanning_tree import SpanningTreeWakeupOracle
-from repro.simulator.engine import ENGINES as ALL_ENGINES
 from repro.simulator.engine import Simulation
 from repro.simulator.schedulers import make_scheduler
-from repro.vectorized import VectorLimitAbort
-from repro.vectorized import engine as vectorized_engine
 
-#: The engines under test, each diffed against the ``"legacy"`` reference.
-#: Extending the matrix to a new engine is this one line.
-ENGINES = ("fastpath", "vectorized")
+from test_fastpath import (
+    check_byte_identity,
+    check_counters_downgrade,
+    check_engine_modes,
+)
 
 SEEDS = (0, 1, 2)
 SCHEDULERS = ("sync", "fifo", "random", "delay-hello")
@@ -61,11 +48,6 @@ PAIRS = (
 )
 
 
-def test_engine_registry_covers_matrix():
-    """Every registered engine is either the reference or in the matrix."""
-    assert set(ALL_ENGINES) == {"auto", "legacy"} | set(ENGINES)
-
-
 def _graphs():
     rng = random.Random(7)
     return [
@@ -76,143 +58,49 @@ def _graphs():
     ]
 
 
-def _run_one(graph, task, oracle, algorithm, scheduler_name, seed, engine, **kwargs):
-    """One task run under one (explicitly pinned) engine, JSONL captured."""
-    stream = io.StringIO()
-    obs = Observation(sink=JSONLSink(stream))
-    runner = run_broadcast if task == "broadcast" else run_wakeup
-    result = runner(
-        graph,
-        oracle(),
-        algorithm(),
-        scheduler=make_scheduler(scheduler_name, seed=seed),
-        obs=obs,
-        engine=engine,
-        **kwargs,
-    )
-    return result, stream.getvalue()
-
-
-def _assert_identical(graph, task, oracle, algorithm, scheduler_name, seed, **kwargs):
-    """Run legacy once, then hold every matrix engine to byte-identity."""
-    legacy, legacy_jsonl = _run_one(
-        graph, task, oracle, algorithm, scheduler_name, seed, "legacy", **kwargs
-    )
-    for engine in ENGINES:
-        other, other_jsonl = _run_one(
-            graph, task, oracle, algorithm, scheduler_name, seed, engine, **kwargs
-        )
-        label = f"{engine}/{task}/{oracle.__name__}/{scheduler_name}/seed={seed}/{kwargs}"
-        assert other.trace == legacy.trace, f"trace diverged: {label}"
-        assert other_jsonl == legacy_jsonl, f"telemetry diverged: {label}"
-        assert other == legacy, f"TaskResult diverged: {label}"
-
-
 @pytest.mark.parametrize("scheduler_name", SCHEDULERS)
 @pytest.mark.parametrize(
     "task,oracle,algorithm", PAIRS, ids=lambda p: getattr(p, "__name__", p)
 )
-def test_byte_identity(task, oracle, algorithm, scheduler_name):
-    for graph in _graphs():
-        for seed in SEEDS:
-            _assert_identical(graph, task, oracle, algorithm, scheduler_name, seed)
+def test_byte_identity(task, oracle, algorithm, scheduler_name, monkeypatch):
+    check_byte_identity(_graphs(), task, oracle, algorithm, scheduler_name, monkeypatch)
 
 
 @pytest.mark.parametrize("scheduler_name", SCHEDULERS)
 @pytest.mark.parametrize(
     "kwargs", [{"anonymous": True}, {"max_messages": 7}], ids=("anonymous", "msg-limit")
 )
-def test_byte_identity_modes(scheduler_name, kwargs):
+def test_byte_identity_modes(scheduler_name, kwargs, monkeypatch):
     """Task-level switches: anonymity and a limit that truncates the run."""
-    for graph in _graphs()[:2]:
-        _assert_identical(
-            graph, "broadcast", NullOracle, Flooding, scheduler_name, 0, **kwargs
-        )
-        _assert_identical(
-            graph, "wakeup", SpanningTreeWakeupOracle, TreeWakeup, scheduler_name, 0,
-            **kwargs,
+    for task, oracle, algorithm in (PAIRS[0], PAIRS[2]):
+        check_byte_identity(
+            _graphs()[:2], task, oracle, algorithm, scheduler_name, monkeypatch,
+            seeds=(0,), **kwargs,
         )
 
 
 @pytest.mark.parametrize("scheduler_name", SCHEDULERS)
 @pytest.mark.parametrize("mode", ["stop_when_informed", "max_steps", "no_source"])
-def test_byte_identity_engine_modes(scheduler_name, mode):
-    """Engine-level switches that the task wrappers don't expose."""
-    sim_kwargs = {
-        "stop_when_informed": {"stop_when_informed": True},
-        "max_steps": {"max_steps": 5},
-        "no_source": {"no_source": True},
-    }[mode]
-    for graph in _graphs():
-        frozen = graph if graph.frozen else graph.copy().freeze()
-        traces = {}
-        streams = {}
-        for engine in ("legacy",) + ENGINES:
-            advice = NullOracle().advise(frozen)
-            alg = Flooding()
-            schemes = {
-                v: alg.scheme_for(advice[v], v == frozen.source, v, frozen.degree(v))
-                for v in frozen.nodes()
-            }
-            stream = io.StringIO()
-            sim = Simulation(
-                frozen,
-                schemes,
-                advice=advice,
-                scheduler=make_scheduler(scheduler_name, seed=1),
-                obs=Observation(sink=JSONLSink(stream)),
-                engine=engine,
-                **sim_kwargs,
-            )
-            traces[engine] = sim.run()
-            streams[engine] = stream.getvalue()
-        for engine in ENGINES:
-            assert traces[engine] == traces["legacy"], f"trace diverged: {engine}/{mode}"
-            assert streams[engine] == streams["legacy"], (
-                f"telemetry diverged: {engine}/{mode}"
-            )
+def test_byte_identity_engine_modes(scheduler_name, mode, monkeypatch):
+    check_engine_modes(_graphs(), scheduler_name, mode, monkeypatch)
 
 
 @pytest.mark.parametrize(
     "task,oracle,algorithm", PAIRS, ids=lambda p: getattr(p, "__name__", p)
 )
-def test_counters_exact(task, oracle, algorithm):
-    """Counters mode: every surviving counter matches the legacy reference."""
-    for graph in _graphs():
-        for seed in SEEDS:
-            legacy, legacy_jsonl = _run_one(
-                graph, task, oracle, algorithm, "sync", seed, "legacy",
-                trace_level="counters",
-            )
-            for engine in ENGINES:
-                other, other_jsonl = _run_one(
-                    graph, task, oracle, algorithm, "sync", seed, engine,
-                    trace_level="counters",
-                )
-                label = f"{engine}/{task}/{oracle.__name__}/seed={seed}"
-                assert other.trace == legacy.trace, f"counters diverged: {label}"
-                assert other_jsonl == legacy_jsonl, f"telemetry diverged: {label}"
-                assert other == legacy, f"TaskResult diverged: {label}"
+def test_counters_exact(task, oracle, algorithm, monkeypatch):
+    """Counters mode: every surviving counter matches the reference loop."""
+    check_byte_identity(
+        _graphs(), task, oracle, algorithm, "sync", monkeypatch,
+        trace_level="counters",
+    )
 
 
-def test_counters_match_full_across_engines():
-    """Each engine's counters runs agree with its own full runs."""
-    graph = _graphs()[1]
-    for engine in ("legacy",) + ENGINES:
-        full, _ = _run_one(
-            graph, "wakeup", SpanningTreeWakeupOracle, TreeWakeup, "sync", 0, engine
-        )
-        counters, _ = _run_one(
-            graph, "wakeup", SpanningTreeWakeupOracle, TreeWakeup, "sync", 0, engine,
-            trace_level="counters",
-        )
-        assert counters.trace.messages_sent == full.trace.messages_sent
-        assert counters.trace.delivered == full.trace.delivered
-        assert counters.trace.rounds == full.trace.rounds
-        assert counters.trace.informed_at == full.trace.informed_at
-        assert counters.trace.per_round_deliveries() == full.trace.per_round_deliveries()
-        assert counters.trace.completed == full.trace.completed
-        assert counters.trace.deliveries == []
+def test_counters_match_full_across_engines(monkeypatch):
+    """Each loop's counters runs agree with its own full runs."""
+    check_counters_downgrade(
+        _graphs()[1], "wakeup", SpanningTreeWakeupOracle, TreeWakeup, monkeypatch
+    )
 
 
 #: Safety-limit settings for the unobserved counters cells: none, message
@@ -241,35 +129,19 @@ def _runtime_counters(runtimes):
     ids=("flooding", "tree-wakeup"),
 )
 def test_counters_quiet_limits(oracle, algorithm, limits, monkeypatch):
-    """Unobserved counters runs: the numpy core and its limit fallback.
+    """Unobserved counters runs, truncated or not, match the reference loop.
 
-    With ``obs=None`` every vectorized cell reaches ``run_batch``.  The
-    core must raise :class:`VectorLimitAbort` exactly for the runs a limit
-    truncates, and the fallback must then reproduce the truncation.  Each
-    engine's trace and per-node runtime counters match legacy.
+    With ``obs=None`` nothing but the trace and the per-node runtime
+    counters records the run, so both are compared.
     """
-    outcome = {"ran": 0, "aborted": 0}
-    run_batch = vectorized_engine.run_batch
-
-    def counting_run_batch(replicas):
-        try:
-            counters = run_batch(replicas)
-        except VectorLimitAbort:
-            outcome["aborted"] += 1
-            raise
-        outcome["ran"] += 1
-        return counters
-
-    monkeypatch.setattr(vectorized_engine, "run_batch", counting_run_batch)
     wakeup = algorithm is TreeWakeup
-    cells = 0
-    truncated = 0
     for graph in _graphs():
         frozen = graph if graph.frozen else graph.copy().freeze()
         advice = oracle().advise(frozen)
         for seed in SEEDS:
             runs = {}
-            for engine in ("legacy",) + ENGINES:
+            for fastpath in (False, True):
+                monkeypatch.setenv("REPRO_FASTPATH", "1" if fastpath else "0")
                 alg = algorithm()
                 schemes = {
                     v: alg.scheme_for(advice[v], v == frozen.source, v, frozen.degree(v))
@@ -283,19 +155,12 @@ def test_counters_quiet_limits(oracle, algorithm, limits, monkeypatch):
                     wakeup=wakeup,
                     obs=None,
                     trace_level="counters",
-                    engine=engine,
                     **limits,
                 )
-                runs[engine] = (sim.run(), sim.runtimes)
-            cells += 1
-            legacy_trace, legacy_runtimes = runs["legacy"]
-            truncated += legacy_trace.message_limit_hit
-            for engine in ENGINES:
-                trace, runtimes = runs[engine]
-                label = f"{engine}/{algorithm.__name__}/seed={seed}/{limits}"
-                assert trace == legacy_trace, f"trace diverged: {label}"
-                assert _runtime_counters(runtimes) == _runtime_counters(
-                    legacy_runtimes
-                ), f"runtimes diverged: {label}"
-    assert outcome["ran"] + outcome["aborted"] == cells
-    assert outcome["aborted"] == truncated
+                runs[fastpath] = (sim.run(), sim.runtimes)
+            (ref_trace, ref_runtimes), (trace, runtimes) = runs[False], runs[True]
+            label = f"{algorithm.__name__}/seed={seed}/{limits}"
+            assert trace == ref_trace, f"trace diverged: {label}"
+            assert _runtime_counters(runtimes) == _runtime_counters(
+                ref_runtimes
+            ), f"runtimes diverged: {label}"

@@ -99,39 +99,28 @@ def _assert_identical(graph, task, oracle, algorithm, scheduler_name, seed,
     assert fast == legacy, f"TaskResult diverged: {label}"
 
 
-@pytest.mark.parametrize("scheduler_name", SCHEDULERS)
-@pytest.mark.parametrize(
-    "task,oracle,algorithm", PAIRS, ids=lambda p: getattr(p, "__name__", p)
-)
-def test_byte_identity(task, oracle, algorithm, scheduler_name, monkeypatch):
-    for graph in _graphs():
-        for seed in SEEDS:
+# ----------------------------------------------------------------------
+# The checks.  ``tests/test_differential.py`` feeds them more graphs.
+# ----------------------------------------------------------------------
+def check_byte_identity(graphs, task, oracle, algorithm, scheduler_name,
+                        monkeypatch, seeds=SEEDS, **kwargs):
+    """Every graph and seed: same trace, JSONL and TaskResult on both loops."""
+    for graph in graphs:
+        for seed in seeds:
             _assert_identical(
-                graph, task, oracle, algorithm, scheduler_name, seed, monkeypatch
+                graph, task, oracle, algorithm, scheduler_name, seed,
+                monkeypatch, **kwargs,
             )
 
 
-@pytest.mark.parametrize("scheduler_name", SCHEDULERS)
-def test_byte_identity_modes(scheduler_name, monkeypatch):
-    """The awkward modes: limits, anonymity, early stop, missing source."""
-    graph = _graphs()[1]
-    for kwargs in ({"anonymous": True}, {"max_messages": 7}):
-        _assert_identical(
-            graph, "broadcast", NullOracle, Flooding, scheduler_name, 0,
-            monkeypatch, **kwargs,
-        )
-
-
-@pytest.mark.parametrize("scheduler_name", SCHEDULERS)
-@pytest.mark.parametrize("mode", ["stop_when_informed", "max_steps", "no_source"])
-def test_byte_identity_engine_modes(scheduler_name, mode, monkeypatch):
+def check_engine_modes(graphs, scheduler_name, mode, monkeypatch):
     """Engine-level switches that the task wrappers don't expose."""
     sim_kwargs = {
         "stop_when_informed": {"stop_when_informed": True},
         "max_steps": {"max_steps": 5},
         "no_source": {"no_source": True},
     }[mode]
-    for graph in _graphs():
+    for graph in graphs:
         frozen = graph if graph.frozen else graph.copy().freeze()
         traces = {}
         streams = {}
@@ -158,18 +147,18 @@ def test_byte_identity_engine_modes(scheduler_name, mode, monkeypatch):
         assert streams[True] == streams[False], f"telemetry diverged: {mode}"
 
 
-def test_counters_downgrade_consistency(monkeypatch):
+def check_counters_downgrade(graph, task, oracle, algorithm, monkeypatch):
     """Counters mode keeps every counter and the whole event stream."""
-    graph = _graphs()[0]
+    runner = run_broadcast if task == "broadcast" else run_wakeup
     for fastpath in (False, True):
         monkeypatch.setenv("REPRO_FASTPATH", "1" if fastpath else "0")
         stream_full, stream_counters = io.StringIO(), io.StringIO()
-        full = run_broadcast(
-            graph, LightTreeBroadcastOracle(), SchemeB(),
+        full = runner(
+            graph, oracle(), algorithm(),
             obs=Observation(sink=JSONLSink(stream_full)),
         )
-        counters = run_broadcast(
-            graph, LightTreeBroadcastOracle(), SchemeB(),
+        counters = runner(
+            graph, oracle(), algorithm(),
             obs=Observation(sink=JSONLSink(stream_counters)),
             trace_level="counters",
         )
@@ -187,6 +176,36 @@ def test_counters_downgrade_consistency(monkeypatch):
             counters.trace.history_of(graph.source)
         with pytest.raises(TraceLevelError):
             counters.trace.edges_used()
+
+
+@pytest.mark.parametrize("scheduler_name", SCHEDULERS)
+@pytest.mark.parametrize(
+    "task,oracle,algorithm", PAIRS, ids=lambda p: getattr(p, "__name__", p)
+)
+def test_byte_identity(task, oracle, algorithm, scheduler_name, monkeypatch):
+    check_byte_identity(_graphs(), task, oracle, algorithm, scheduler_name, monkeypatch)
+
+
+@pytest.mark.parametrize("scheduler_name", SCHEDULERS)
+def test_byte_identity_modes(scheduler_name, monkeypatch):
+    """The awkward modes: limits, anonymity, early stop, missing source."""
+    for kwargs in ({"anonymous": True}, {"max_messages": 7}):
+        check_byte_identity(
+            _graphs()[1:], "broadcast", NullOracle, Flooding, scheduler_name,
+            monkeypatch, seeds=(0,), **kwargs,
+        )
+
+
+@pytest.mark.parametrize("scheduler_name", SCHEDULERS)
+@pytest.mark.parametrize("mode", ["stop_when_informed", "max_steps", "no_source"])
+def test_byte_identity_engine_modes(scheduler_name, mode, monkeypatch):
+    check_engine_modes(_graphs(), scheduler_name, mode, monkeypatch)
+
+
+def test_counters_downgrade_consistency(monkeypatch):
+    check_counters_downgrade(
+        _graphs()[0], "broadcast", LightTreeBroadcastOracle, SchemeB, monkeypatch
+    )
 
 
 def test_counters_rejects_audit():

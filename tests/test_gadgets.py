@@ -128,13 +128,13 @@ def _reference_program(n: int, edge_tuple) -> Tuple[ReplicaProgram, int]:
         for _pport, child, cport in ch:
             dest.append(child - 1)
             aport.append(cport)
-    # repr ranks of the labels 1..N, as VectorTopology derives them.
+    # repr ranks of the labels 1..N: each label's place among the sorted
+    # repr strings.
     rank = np.unique(np.arange(1, N + 1).astype(str), return_inverse=True)[1].astype(np.int64)
     init_active = np.zeros(N, dtype=bool)
     init_active[0] = True
     program = ReplicaProgram(
         num_nodes=N,
-        kind="ports",
         rank=rank,
         init_active=init_active,
         init_informed=init_active.copy(),

@@ -17,6 +17,11 @@ hand-off that worker processes rebuild their caches from.
 import functools
 import io
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 
@@ -441,3 +446,60 @@ def test_recover_sweeps_orphaned_tmp_files(tmp_path):
 
 def test_recover_without_disk_layer_is_noop():
     assert ConstructionCache().recover() == 0
+
+
+# ----------------------------------------------------------------------
+# Pool workers outlive no parent
+# ----------------------------------------------------------------------
+#: Starts a 2-worker pool through init_worker_cache, writes the worker
+#: pids to argv[1] and SIGKILLs itself, so the pool is never shut down.
+_ORPHANING_PARENT = textwrap.dedent(
+    """
+    import os, signal, sys
+    from concurrent.futures import ProcessPoolExecutor
+    from repro.parallel.cache import init_worker_cache
+
+    pool = ProcessPoolExecutor(
+        max_workers=2, initializer=init_worker_cache, initargs=(None,)
+    )
+    list(pool.map(abs, range(8)))
+    with open(sys.argv[1] + ".tmp", "w") as fh:
+        fh.write(" ".join(str(pid) for pid in pool._processes))
+    os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+    os.kill(os.getpid(), signal.SIGKILL)
+    """
+)
+
+
+def _alive(pid):
+    """True while ``pid`` runs; a zombie nobody reaped counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_pool_workers_exit_when_parent_is_killed(tmp_path):
+    pid_file = tmp_path / "workers.txt"
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    # No pipes: orphaned workers would hold them open and hang the read.
+    proc = subprocess.run(
+        [sys.executable, "-c", _ORPHANING_PARENT, str(pid_file)],
+        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL, timeout=120,
+    )
+    assert proc.returncode == -signal.SIGKILL
+    pids = [int(pid) for pid in pid_file.read_text().split()]
+    assert len(pids) == 2
+    try:
+        deadline = time.monotonic() + 10.0
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in pids if _alive(pid)] == []
+    finally:
+        for pid in filter(_alive, pids):
+            os.kill(pid, signal.SIGKILL)

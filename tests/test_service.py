@@ -20,6 +20,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -64,7 +65,6 @@ def test_normalize_fills_defaults_deterministically():
             "job": "simulate", "task": "broadcast", "family": "kstar", "n": 16,
             "oracle": "light-tree", "algorithm": "SchemeB", "scheduler": "sync",
             "scheduler_seed": 0, "anonymous": False, "trace_level": "full",
-            "engine": "auto",
         }
     )
     assert minimal == explicit
@@ -98,6 +98,7 @@ def test_normalize_advice_ignores_simulation_fields():
         {"job": "simulate", "n": 8, "anonymous": "yes"},      # non-bool
         {"job": "simulate", "n": 8, "schedular": "sync"},     # typo'd field
         ["job", "simulate"],                                  # not an object
+        {"job": "simulate", "n": 8, "engine": "legacy"},      # removed field
     ],
 )
 def test_normalize_rejects_bad_requests(bad):
@@ -117,7 +118,7 @@ def test_request_key_distinguishes_every_field():
         {"n": 17}, {"task": "wakeup"}, {"family": "path"},
         {"oracle": "null"}, {"algorithm": "Flooding"},
         {"scheduler": "random"}, {"scheduler_seed": 1},
-        {"anonymous": True}, {"trace_level": "counters"}, {"engine": "legacy"},
+        {"anonymous": True}, {"trace_level": "counters"},
     ]
     keys = {request_key(normalize_request({**base, **v})) for v in variants}
     keys.add(request_key(normalize_request(base)))
@@ -146,7 +147,6 @@ def _direct_simulate(params):
         anonymous=params["anonymous"],
         obs=Observation(sink),
         trace_level=params["trace_level"],
-        engine=params["engine"],
     )
     return result, [encode_event(event) for event in sink.events]
 
@@ -512,6 +512,66 @@ def test_http_control_endpoints_and_errors():
             response = client._conn.getresponse()
             assert response.status == 405
             response.read()
+
+
+#: Bodies the JSON decoder refuses with something other than a decode
+#: error: an integer past Python's digit limit, and nesting past the
+#: recursion limit.
+_HUGE_INT_BODY = b'{"job":"simulate","n":8,"scheduler_seed":' + b"9" * 5000 + b"}"
+
+
+def _raw_http(address, head: bytes, body: bytes) -> bytes:
+    """One raw request on a fresh connection; every byte the daemon sends."""
+    with socket.create_connection(address, timeout=30) as sock:
+        sock.sendall(
+            b"POST /v1/jobs HTTP/1.1\r\nConnection: close\r\n" + head + b"\r\n\r\n" + body
+        )
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+@pytest.mark.parametrize(
+    "length,body",
+    [
+        (b"abc", b""),
+        (b"-5", b""),
+        (None, _HUGE_INT_BODY),
+        (None, b"[" * 200_000),
+    ],
+    ids=("length-abc", "length-negative", "huge-int", "deep-nesting"),
+)
+def test_http_malformed_bytes_get_typed_400(length, body):
+    if length is None:
+        length = str(len(body)).encode("ascii")
+    with ServiceThread(ServiceConfig()) as st:
+        raw = _raw_http(st.http_address, b"Content-Length: " + length, body)
+        status_line, _, rest = raw.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 400 Bad Request"
+        envelope = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert envelope["ok"] is False and envelope["error"] == "bad_request"
+        with HttpServiceClient(*st.http_address) as client:
+            assert client.get("/healthz")["status"] == "serving"
+
+
+@pytest.mark.parametrize(
+    "line", [_HUGE_INT_BODY, b"[" * 50_000], ids=("huge-int", "deep-nesting")
+)
+def test_ipc_malformed_bytes_get_typed_error(tmp_path, line):
+    uds = str(tmp_path / "ipc.sock")
+    with ServiceThread(ServiceConfig(uds=uds)):
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(30)
+            sock.connect(uds)
+            reader = sock.makefile("rb")
+            sock.sendall(line + b"\n")
+            envelope = json.loads(reader.readline())
+            assert envelope["ok"] is False and envelope["error"] == "bad_request"
+            sock.sendall(b'{"job":"advice","n":4}\n')
+            assert json.loads(reader.readline())["ok"] is True
 
 
 def test_path_implied_job_endpoints():
