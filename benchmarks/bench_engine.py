@@ -1,6 +1,6 @@
 """The compiled simulation core, measured.
 
-Three claims, each timed and asserted:
+Two claims, each timed and asserted:
 
 * **Per-delivery cost** — the flat-array fast path
   (:mod:`repro.fastpath`) delivers messages at least 2x cheaper than the
@@ -15,10 +15,6 @@ Three claims, each timed and asserted:
   cheaper per delivery than the fastpath *counters* baseline on
   ``kstar_96``.  Its counters are held to the reference loop's in
   ``tests/test_engine_properties.py``.
-* **Advice throughput** — oracle advice construction (light-tree MST
-  and spanning-tree BFS encodings) is timed per advised bit, so an
-  encoding-layer regression shows up here even though it is not on the
-  engine fast path.
 
 Timings are wall-clock on whatever host runs this — the committed
 ``BENCH_engine.json`` records the CPU count (CI containers are often
@@ -35,14 +31,11 @@ from conftest import run_once
 
 from repro.algorithms.flooding import Flooding
 from repro.core.oracle import NullOracle
-from repro.encoding.codes import encode_paired_list
 from repro.network.constructions import (
     complete_graph_star,
     sample_edge_tuple,
     subdivision_family_graph,
 )
-from repro.oracles.light_tree import LightTreeBroadcastOracle
-from repro.oracles.spanning_tree import SpanningTreeWakeupOracle
 from repro.simulator.engine import Simulation
 
 #: (name, builder) — the paper's dense star family and the Theorem 2.2
@@ -133,33 +126,6 @@ def _compare_engine_paths():
     return outcome
 
 
-def _advice_throughput():
-    graph = complete_graph_star(96).freeze()
-    outcome = {}
-    for key, oracle in (
-        ("light_tree", LightTreeBroadcastOracle()),
-        ("spanning_tree", SpanningTreeWakeupOracle()),
-    ):
-        start = time.perf_counter()
-        for _ in range(REPS):
-            advice = oracle.advise(graph)
-        elapsed = time.perf_counter() - start
-        bits = advice.total_bits()
-        outcome[f"{key}_bits"] = bits
-        outcome[f"{key}_ms_per_advise"] = elapsed / REPS * 1e3
-        outcome[f"{key}_bits_per_s"] = bits * REPS / elapsed
-    # The paired-code encoder feeds both oracles; time it standalone so an
-    # encoding regression is attributable without re-running an oracle.
-    weights = list(range(1, 513))
-    start = time.perf_counter()
-    for _ in range(REPS * 10):
-        encoded = encode_paired_list(weights)
-    elapsed = time.perf_counter() - start
-    outcome["paired_list_bits"] = len(encoded)
-    outcome["paired_list_us_per_call"] = elapsed / (REPS * 10) * 1e6
-    return outcome
-
-
 def _compare_vectorized_paths():
     """The fastpath counters baseline vs the multi-seed batch mode on
     implicit mega gadgets."""
@@ -225,13 +191,3 @@ def test_vectorized_per_delivery(benchmark):
         "mega batch mode is not cheaper per delivery than the scalar "
         "fastpath counters baseline"
     )
-
-
-def test_advice_throughput(benchmark):
-    outcome = run_once(benchmark, _advice_throughput)
-    for key, value in outcome.items():
-        benchmark.extra_info[key] = value
-    # Theta(n log n) bits on K*_96: sanity-pin the sizes so a throughput
-    # number can never silently describe a different workload.
-    assert outcome["light_tree_bits"] > 0
-    assert outcome["spanning_tree_bits"] > 0

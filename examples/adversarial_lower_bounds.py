@@ -104,7 +104,8 @@ def main() -> None:
     broadcast_gadgets_demo()
     print(
         "The counting side of both theorems (Equations 1-7) is exact and\n"
-        "plotted by benchmarks/bench_e2 and bench_e5; see EXPERIMENTS.md."
+        "tabled by experiments E2 and E5 (python -m repro exp E2 E5);\n"
+        "see EXPERIMENTS.md."
     )
 
 

@@ -28,7 +28,7 @@ per edge), so the message complexity is at most ``2(n - 1)``.
 
 The scheme ignores node identifiers and uses two constant-size payloads, so
 Theorem 3.1's upper bound holds anonymously, asynchronously, and with
-bounded-size messages — benchmark E7 exercises all three.
+bounded-size messages — experiment E7 exercises all three.
 """
 
 from __future__ import annotations

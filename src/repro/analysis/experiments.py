@@ -5,9 +5,10 @@ plus conclusion-conjecture extensions (E9-E11) registered from
 The paper has no numbered tables or figures — its evaluation *is* its
 theorems — so DESIGN.md defines eight experiments, each regenerating the
 empirical content of one result.  Every experiment here returns an
-:class:`ExperimentResult` (rows + headline findings); the ``benchmarks/``
-tree times them and prints their tables, and EXPERIMENTS.md records
-paper-vs-measured for each.
+:class:`ExperimentResult` (rows + headline findings); ``repro all``
+prints their tables, ``repro verdict`` judges them against the
+pre-registered criteria in :mod:`repro.verdict.criteria`, and
+EXPERIMENTS.md records paper-vs-measured for each.
 
 All experiments are deterministic (fixed seeds) and sized to run in seconds
 on a laptop; pass larger ``sizes`` for sharper asymptotics.

@@ -3,9 +3,9 @@
 Experiments are mostly of one shape — "for every graph family and every
 size, run some (oracle, algorithm) pairs and record a row".  This module is
 that loop, with reproducible family builders and failure capture (a failed
-run becomes a row with ``success=False``; a failed *builder* becomes a row
-with ``skipped=True`` and the exception type — never a silently missing
-cell).
+run becomes a row with ``success=False``; a builder's refusal of a size
+becomes a row with ``skipped=True`` and the exception type — never a
+silently missing cell).
 
 The loop body lives in :func:`run_sweep_cell` so that the serial sweep here
 and the process-pool fan-out in :mod:`repro.runner` execute *the same
@@ -28,7 +28,7 @@ from ..core.oracle import Oracle
 from ..core.scheme import Algorithm
 from ..core.tasks import TaskResult, run_broadcast, run_wakeup
 from ..network.builders import FAMILY_BUILDERS
-from ..network.graph import PortLabeledGraph
+from ..network.graph import GraphError, PortLabeledGraph
 from ..obs.events import SweepCellMeasured, SweepCellSkipped
 from ..obs.observe import Observation, resolve_obs
 
@@ -109,11 +109,12 @@ def run_sweep_cell(
     """Execute one (family, n) cell: build, measure, emit, return the row.
 
     This is the single cell body shared by :func:`sweep_families` and the
-    runner's pool workers.  Builder failures become structured skipped rows
-    (with a :class:`repro.obs.SweepCellSkipped` event); measurement
-    failures propagate — a broken measurement is a bug, not a grid gap.
-    When ``cache`` is given, graph construction goes through
-    ``cache.graph(family, n)``.
+    runner's pool workers.  A builder's :class:`~repro.network.GraphError`
+    — its refusal of an infeasible size — becomes a structured skipped row
+    (with a :class:`repro.obs.SweepCellSkipped` event).  Any other builder
+    exception, and every measurement failure, propagates: a broken builder
+    or measurement is a bug, not a grid gap.  When ``cache`` is given,
+    graph construction goes through ``cache.graph(family, n)``.
     """
     builder = FAMILY_BUILDERS[family]
     try:
@@ -121,7 +122,7 @@ def run_sweep_cell(
             graph = cache.graph(family, n, builder=lambda: builder(n))
         else:
             graph = builder(n)
-    except Exception as exc:
+    except GraphError as exc:
         row = skipped_row(family, n, type(exc).__name__, str(exc))
         if obs.enabled:
             obs.emit(
@@ -159,14 +160,16 @@ def sweep_families(
     """Apply ``measurement(family, n, graph)`` over the grid; one row each.
 
     ``families`` defaults to every named family in
-    :data:`repro.network.FAMILY_BUILDERS`.  A builder error (e.g. a family
-    that needs a larger minimum size) no longer silently skips the cell:
-    it records a structured row ``{"family", "n", "requested_n",
-    "skipped": True, "error": <exception type>, "detail": <message>}`` and
-    emits a :class:`repro.obs.SweepCellSkipped` event, so a sweep can never
+    :data:`repro.network.FAMILY_BUILDERS`.  A builder that refuses the size
+    with :class:`~repro.network.GraphError` (e.g. a family that needs a
+    larger minimum size) does not silently skip the cell: it records a
+    structured row ``{"family", "n", "requested_n", "skipped": True,
+    "error": "GraphError", "detail": <message>}`` and emits a
+    :class:`repro.obs.SweepCellSkipped` event, so a sweep can never
     under-cover the grid without the gap showing up in its own output.
-    Filter with ``[r for r in rows if not r.get("skipped")]`` where only
-    measured cells are wanted.
+    Any other builder exception is a bug and propagates.  Filter with
+    ``[r for r in rows if not r.get("skipped")]`` where only measured
+    cells are wanted.
 
     ``cache`` — an optional
     :class:`repro.parallel.ConstructionCache` — memoizes graph

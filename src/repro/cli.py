@@ -63,8 +63,9 @@ Commands
     Run one experiment under the deterministic profiler: nested
     per-phase wall-clock table (self/cumulative), optional Chrome-trace
     and flamegraph exports.
-``bench-export raw.json [--out BENCH_obs.json]``
-    Convert pytest-benchmark JSON output into the committed perf record.
+``bench-export raw.json [--out bench.json]``
+    Distill pytest-benchmark JSON output into a ``repro-bench/1``
+    document, the shape of the committed ``BENCH_*.json`` baselines.
 ``verdict [EXP ...] [--results DIR] [--json] [--log [PATH]]``
     Evaluate the pre-registered success criteria (see
     :mod:`repro.verdict` and ``docs/VERDICT.md``): each experiment's
@@ -949,10 +950,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     p_bench = sub.add_parser(
-        "bench-export", help="convert pytest-benchmark JSON to BENCH_obs.json"
+        "bench-export", help="distill pytest-benchmark JSON into a repro-bench/1 document"
     )
     p_bench.add_argument("input", help="file written by pytest --benchmark-json=...")
-    p_bench.add_argument("--out", default="BENCH_obs.json")
+    p_bench.add_argument(
+        "--out", default="bench.json", help="where to write the document (default: bench.json)"
+    )
 
     p_serve = sub.add_parser(
         "serve",

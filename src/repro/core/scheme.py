@@ -70,7 +70,7 @@ class Algorithm(abc.ABC):
     #: works unchanged when the engine hands every node ``node_id=None``.
     #: Declarative, like :attr:`is_wakeup_algorithm`; the static linter
     #: (:mod:`repro.lint`, rule MDL002) cross-checks the claim against the
-    #: code, and benchmark E7 checks it dynamically.
+    #: code, and experiment E7 checks it dynamically.
     anonymous_safe: bool = False
 
     @abc.abstractmethod

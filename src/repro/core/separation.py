@@ -5,7 +5,7 @@ complexity* costs ``Theta(n log n)`` advice bits for wakeup but only
 ``Theta(n)`` for broadcast.  :func:`separation_profile` measures both sides
 on the same networks — the oracle sizes of the two constructive upper bounds
 together with their realized message counts, plus the zero-advice baselines'
-message cost — producing the series behind benchmark E6.
+message cost — producing the series behind experiment E6.
 
 The interesting quantity is the *ratio* of the two oracle sizes, which grows
 like ``log n``: advice for efficient wakeup gets relatively more expensive

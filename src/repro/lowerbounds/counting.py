@@ -201,7 +201,7 @@ def claim21_holds(a: int, b: int) -> bool:
 def claim21_constants(a_max: int = 200, b_max: int = 200) -> Tuple[int, int]:
     """Smallest ``(A, B)`` with the inequality holding on all of
     ``(A, a_max] x (B, b_max]`` — the paper's existential constants, located
-    empirically (benchmark E8 reports them; they turn out to be tiny)."""
+    empirically (experiment E8 reports them; they turn out to be tiny)."""
     # Find smallest B that works for all a <= a_max, then smallest A for it.
     for big_b in range(0, b_max + 1):
         if all(

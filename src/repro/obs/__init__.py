@@ -34,8 +34,9 @@ Usage::
     print(obs.timings.snapshot())          # wall-time per phase
 
 ``repro trace`` / ``repro stats`` are the CLI faces of this package, and
-:mod:`repro.obs.bench` turns pytest-benchmark output into the committed
-``BENCH_obs.json`` perf record.
+:mod:`repro.obs.bench` (``repro bench-export``) distills pytest-benchmark
+output into the ``repro-bench/1`` documents CI compares against the
+committed ``BENCH_*.json`` baselines.
 """
 
 from .events import (

@@ -1,12 +1,12 @@
-"""Bench-results emitter: pytest-benchmark JSON → ``BENCH_obs.json``.
+"""Bench-results emitter: pytest-benchmark JSON → a ``repro-bench/1`` document.
 
 ``pytest benchmarks/ --benchmark-json=raw.json`` writes a large
 machine-specific document.  :func:`convert_benchmark_json` distills it to
 the stable facts a perf trajectory needs — per-benchmark timing stats and
-the experiment ``extra_info`` the bench files attach — and
-:func:`emit_bench_obs` writes that as the committed ``BENCH_obs.json``.
-The CI smoke job runs one bench file through this on every push, so the
-repository's perf record is data, not folklore.
+the ``extra_info`` the bench files attach — and :func:`emit_bench_obs`
+writes that to a file.  CI exports the engine, profile and service
+benchmarks this way and compares them against the committed
+``BENCH_*.json`` baselines with ``scripts/check_bench_regression.py``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def convert_benchmark_json(data: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
-def emit_bench_obs(in_path: str, out_path: str = "BENCH_obs.json") -> Dict[str, Any]:
+def emit_bench_obs(in_path: str, out_path: str) -> Dict[str, Any]:
     """Convert ``in_path`` (pytest-benchmark JSON) and write ``out_path``.
 
     Returns the emitted document.  Output is pretty-printed with sorted

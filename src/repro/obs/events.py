@@ -261,7 +261,7 @@ class SweepCellMeasured(Event):
 
 @dataclass(frozen=True)
 class SweepCellSkipped(Event):
-    """One (family, n) cell of a sweep was skipped by a builder failure."""
+    """One (family, n) cell of a sweep was skipped: its builder refused the size."""
 
     kind: ClassVar[str] = "sweep_cell_skipped"
     family: str

@@ -59,7 +59,7 @@ def light_spanning_tree(graph: PortLabeledGraph) -> Set[Edge]:
     Deterministic: ties among minimum-weight outgoing edges break on
     ``(weight, repr(edge))``.  The result is a spanning tree whose total
     contribution is at most ``4n`` (asserted cheaply here; certified broadly
-    by the tests and benchmark E3).
+    by the tests and experiment E3).
 
     The scan reads the graph's :class:`~repro.fastpath.CompiledTopology`
     (an unfrozen graph is frozen on a copy first): a slot's weight is

@@ -14,7 +14,7 @@ which is optimal, as every node other than the source must receive at least
 one message.
 
 Tree selection is pluggable (BFS, DFS, or a uniformly random spanning tree);
-the size bound holds for any of them, and benchmark E1 compares the
+the size bound holds for any of them, and experiment E1 compares the
 constants.
 """
 

@@ -29,7 +29,6 @@ from .cache import (
     CacheStats,
     ConstructionCache,
     default_cache_dir,
-    resolve_cache,
     worker_cache,
 )
 from .grids import e1_e4_cell
@@ -40,7 +39,6 @@ __all__ = [
     "CacheStats",
     "ConstructionCache",
     "default_cache_dir",
-    "resolve_cache",
     "worker_cache",
     "e1_e4_cell",
 ]

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..core.oracle import AdviceMap, Oracle, advice_from_json, advice_to_json
-from ..fastpath.topology import CompiledTopology, compiled_topology
 from ..network import serialization
 from ..network.builders import FAMILY_BUILDERS
 from ..network.graph import GraphError, PortLabeledGraph
@@ -58,7 +57,6 @@ __all__ = [
     "content_address",
     "default_cache_dir",
     "init_worker_cache",
-    "resolve_cache",
     "worker_cache",
 ]
 
@@ -196,10 +194,10 @@ class ConstructionCache:
     are keyed identically, so a disk hit also warms the memory layer.
 
     The memory layer is a bounded LRU: ``max_entries`` caps the total
-    number of cached objects across all kinds (graphs, advice, compiled
-    topologies); the least-recently-used entry is evicted first and
-    counted in ``stats.evictions``.  Eviction never touches the disk
-    layer — an evicted-then-requested entry comes back as a disk hit.
+    number of cached objects across both kinds (graphs and advice); the
+    least-recently-used entry is evicted first and counted in
+    ``stats.evictions``.  Eviction never touches the disk layer — an
+    evicted-then-requested entry comes back as a disk hit.
     ``max_entries=None`` disables the bound.
     """
 
@@ -287,35 +285,6 @@ class ConstructionCache:
         self._mem_put("graph", key, graph)
         self._store(key, "graph", lambda: serialization.to_json(graph))
         return graph
-
-    # ------------------------------------------------------------------
-    # Compiled topologies
-    # ------------------------------------------------------------------
-    def topology(
-        self,
-        family: str,
-        n: int,
-        graph: PortLabeledGraph,
-        seed: Optional[int] = None,
-    ) -> CompiledTopology:
-        """The :class:`~repro.fastpath.CompiledTopology` for ``(family, n, seed)``.
-
-        Memory-layer only: a topology is derivable from its (already
-        cached) graph in one O(n + m) pass, so persisting it would just
-        duplicate the graph entry on disk.  As with :meth:`advice`, the
-        caller vouches that ``graph`` is the ``(family, n, seed)`` member.
-        """
-        key = self.key("topology", family, n, seed)
-        cached = self._mem_get("topology", key)
-        if cached is not None:
-            self.stats.hits += 1
-            return cached
-        self.stats.misses += 1
-        if not graph.frozen:
-            graph = graph.copy().freeze()
-        topo = compiled_topology(graph)
-        self._mem_put("topology", key, topo)
-        return topo
 
     # ------------------------------------------------------------------
     # Advice
@@ -467,19 +436,3 @@ class ConstructionCache:
             f"ConstructionCache({where}, entries={len(self)}, "
             f"hits={self.stats.hits}, misses={self.stats.misses})"
         )
-
-
-def resolve_cache(
-    cache: Optional[ConstructionCache], enabled: bool = True
-) -> Optional[ConstructionCache]:
-    """Normalize an optional cache argument.
-
-    ``cache`` itself when given; else a fresh in-memory cache when
-    ``enabled``, else ``None`` (caching off).  Mirrors
-    :func:`repro.obs.observe.resolve_obs` in spirit, but the "off" state
-    is ``None`` rather than a null object so hot paths can skip keying
-    entirely.
-    """
-    if cache is not None:
-        return cache
-    return ConstructionCache() if enabled else None

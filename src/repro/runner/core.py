@@ -46,10 +46,12 @@ import json
 import os
 import pickle
 import time
+import warnings
 from collections import deque
+from contextlib import contextmanager
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import functools
 
@@ -527,48 +529,35 @@ def execute_units(
 # ----------------------------------------------------------------------
 # Shared by the front-ends
 # ----------------------------------------------------------------------
-def _execute_in_run_dir(
-    units: Sequence[WorkUnit],
-    run_dir: Optional[str],
-    runner_obs: Optional[Observation],
-    **execute_kwargs: Any,
-) -> Tuple[Dict[str, CellOutcome], RunStats]:
-    """:func:`execute_units`, journaled under ``run_dir`` when one is given.
+@contextmanager
+def _open_run_dir(
+    run_dir: Optional[str], runner_obs: Optional[Observation]
+) -> Iterator[Tuple[Optional[RunJournal], Dict[str, JournalEntry], int, Optional[Observation]]]:
+    """Open ``run_dir`` for one run: ``(journal, journaled, corrupt, runner_obs)``.
 
-    Loads the journal (counting corrupt lines into the stats), appends
-    every newly settled unit to it, and — unless the caller brings its own
-    ``runner_obs`` — records fault telemetry in the run directory's
-    ``runner.jsonl``, opened for append so a resumed run extends (never
-    truncates) the interrupted run's record.
+    Loads the journal (its entries by key and the corrupt-line count) and
+    opens it for append.  Unless the caller brings its own ``runner_obs``,
+    fault telemetry goes to the run directory's ``runner.jsonl``, opened
+    for append so a resumed run extends (never truncates) the interrupted
+    run's record.  Without a run directory nothing is journaled.
     """
-    journal: Optional[RunJournal] = None
-    journaled: Dict[str, JournalEntry] = {}
-    corrupt = 0
+    if run_dir is None:
+        yield None, {}, 0, runner_obs
+        return
+    os.makedirs(run_dir, exist_ok=True)
+    path = os.path.join(run_dir, JOURNAL_NAME)
+    journaled, corrupt = load_journal(path)
     stream = None
-    if run_dir is not None:
-        os.makedirs(run_dir, exist_ok=True)
-        path = os.path.join(run_dir, JOURNAL_NAME)
-        journaled, corrupt = load_journal(path)
-        journal = RunJournal(path)
-        if runner_obs is None:
-            stream = open(os.path.join(run_dir, RUNNER_TRACE_NAME), "a", encoding="utf-8")
-            runner_obs = Observation(JSONLSink(stream))
+    if runner_obs is None:
+        stream = open(os.path.join(run_dir, RUNNER_TRACE_NAME), "a", encoding="utf-8")
+        runner_obs = Observation(JSONLSink(stream))
     try:
-        outcomes, stats = execute_units(
-            units,
-            journal=journal,
-            journaled=journaled,
-            runner_obs=runner_obs,
-            **execute_kwargs,
-        )
+        with RunJournal(path) as journal:
+            yield journal, journaled, corrupt, runner_obs
     finally:
-        if journal is not None:
-            journal.close()
         if stream is not None:
             runner_obs.close()
             stream.close()
-    stats.corrupt_journal_lines = corrupt
-    return outcomes, stats
 
 
 def _write_run_file(run_dir: Optional[str], name: str, payload: Any) -> None:
@@ -663,16 +652,19 @@ def resilient_sweep_families(
         for family in chosen
         for n in sizes
     ]
-    outcomes, stats = _execute_in_run_dir(
-        units,
-        run_dir,
-        runner_obs,
-        workers=workers,
-        policy=policy,
-        cache_spec=cache.spec() if cache is not None else None,
-        normalize=_sweep_normalize,
-        progress=progress,
-    )
+    with _open_run_dir(run_dir, runner_obs) as (journal, journaled, corrupt, runner_obs):
+        outcomes, stats = execute_units(
+            units,
+            workers=workers,
+            policy=policy,
+            journal=journal,
+            journaled=journaled,
+            runner_obs=runner_obs,
+            cache_spec=cache.spec() if cache is not None else None,
+            normalize=_sweep_normalize,
+            progress=progress,
+        )
+    stats.corrupt_journal_lines = corrupt
 
     rows: List[Dict[str, Any]] = []
     with obs.wallspan("merge"):
@@ -701,6 +693,10 @@ def resilient_sweep_families(
 # ----------------------------------------------------------------------
 # Front-end: registry experiments
 # ----------------------------------------------------------------------
+#: The fields :func:`experiment_result_to_dict` writes, in order.
+_RESULT_FIELDS = ("experiment", "title", "rows", "findings", "columns")
+
+
 def experiment_result_to_dict(result: Any) -> Dict[str, Any]:
     """Serialize an :class:`~repro.analysis.result.ExperimentResult` for
     the journal (JSON-canonical, so replay is byte-stable)."""
@@ -715,15 +711,38 @@ def experiment_result_to_dict(result: Any) -> Dict[str, Any]:
     )
 
 
-def experiment_result_from_dict(data: Dict[str, Any]) -> Any:
+def experiment_result_from_dict(data: Any) -> Any:
+    """Rehydrate what :func:`experiment_result_to_dict` wrote.
+
+    Raises :class:`ValueError` when ``data`` is not that shape: not an
+    object, a field missing or of the wrong type, a row that is not an
+    object, a finding or column that is not a string.
+    """
     from ..analysis.result import ExperimentResult
 
+    if not isinstance(data, dict):
+        raise ValueError(f"an experiment result must be an object, not {type(data).__name__}")
+    missing = [name for name in _RESULT_FIELDS if name not in data]
+    if missing:
+        raise ValueError(f"experiment result lacks {', '.join(missing)}")
+    rows, findings, columns = data["rows"], data["findings"], data["columns"]
+    if not (
+        isinstance(data["experiment"], str)
+        and isinstance(data["title"], str)
+        and isinstance(rows, list)
+        and all(isinstance(row, dict) for row in rows)
+        and isinstance(findings, list)
+        and all(isinstance(finding, str) for finding in findings)
+        and (columns is None or isinstance(columns, list))
+        and all(isinstance(column, str) for column in columns or ())
+    ):
+        raise ValueError(f"experiment result {data['experiment']!r} has a field of the wrong type")
     return ExperimentResult(
         experiment=data["experiment"],
         title=data["title"],
-        rows=data["rows"],
-        findings=data["findings"],
-        columns=data["columns"],
+        rows=rows,
+        findings=findings,
+        columns=columns,
     )
 
 
@@ -751,7 +770,8 @@ def load_results(run_dir: str) -> Dict[str, Any]:
     :class:`~repro.analysis.result.ExperimentResult`, with entries that
     exhausted their retries synthesized into single-row ``failed`` results.
     This is what lets ``repro verdict --results DIR`` replay a saved run
-    instead of re-executing the grid.
+    instead of re-executing the grid.  A file that is not that shape
+    raises :class:`ValueError` naming the file and the experiment id.
     """
     path = os.path.join(run_dir, RESULTS_NAME)
     if not os.path.exists(path):
@@ -761,12 +781,19 @@ def load_results(run_dir: str) -> Dict[str, Any]:
         )
     with open(path, "r", encoding="utf-8") as handle:
         serialized = json.load(handle)
+    if not isinstance(serialized, dict):
+        raise ValueError(
+            f"{path}: expected an object of experiment results, not {type(serialized).__name__}"
+        )
     results: Dict[str, Any] = {}
     for eid, payload in serialized.items():
-        if payload.get("failed"):
-            results[eid] = _failed_experiment_result(eid, payload)
-        else:
-            results[eid] = experiment_result_from_dict(payload)
+        try:
+            if isinstance(payload, dict) and payload.get("failed"):
+                results[eid] = _failed_experiment_result(eid, payload)
+            else:
+                results[eid] = experiment_result_from_dict(payload)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {eid}: {exc}") from None
     return results
 
 
@@ -823,15 +850,34 @@ def resilient_run_experiments(
         )
         for eid in ids
     ]
-    outcomes, stats = _execute_in_run_dir(
-        units,
-        run_dir,
-        runner_obs,
-        workers=workers,
-        policy=policy,
-        cache_spec=cache.spec() if cache is not None else None,
-        progress=progress,
-    )
+    with _open_run_dir(run_dir, runner_obs) as (journal, journaled, corrupt, runner_obs):
+        # A journaled row that is not an experiment result is a corrupt
+        # line like a torn one: warned about, counted, recomputed.
+        for unit in units:
+            entry = journaled.get(unit.key)
+            if entry is None or entry.status != "done":
+                continue
+            try:
+                experiment_result_from_dict(entry.row)
+            except ValueError as exc:
+                warnings.warn(
+                    f"{journal.path}: corrupted journal line for {unit.experiment} "
+                    f"({exc}); the experiment will be recomputed",
+                    stacklevel=2,
+                )
+                del journaled[unit.key]
+                corrupt += 1
+        outcomes, stats = execute_units(
+            units,
+            workers=workers,
+            policy=policy,
+            journal=journal,
+            journaled=journaled,
+            runner_obs=runner_obs,
+            cache_spec=cache.spec() if cache is not None else None,
+            progress=progress,
+        )
+    stats.corrupt_journal_lines = corrupt
 
     results: Dict[str, Any] = {}
     serialized: Dict[str, Any] = {}

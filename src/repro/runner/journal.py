@@ -19,7 +19,9 @@ journal and recomputes.
 
 Corrupted lines (a torn write from a crash mid-append, manual editing)
 are **warnings, not errors**: the loader skips them, reports them, and
-the affected cells are recomputed.  ``failed`` entries are also not
+the affected cells are recomputed.  The experiments front-end
+(:func:`repro.runner.resilient_run_experiments`) does the same with a
+``done`` line whose row is not an experiment result.  ``failed`` entries are also not
 replayed on resume — a resumed run gives previously failed cells a fresh
 chance.
 """

@@ -34,7 +34,7 @@ class NodeContext:
     """Local knowledge and send capability handed to a scheme.
 
     ``node_id`` is ``None`` in anonymous runs (the paper's upper bounds are
-    claimed to survive anonymity; benchmark E7 checks ours do).
+    claimed to survive anonymity; experiment E7 checks ours do).
 
     Besides sending, a scheme may :meth:`output` a value — the mechanism
     for *construction* tasks (build a spanning tree, elect a leader, ...)

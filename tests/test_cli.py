@@ -276,7 +276,7 @@ class TestBenchExport:
                            "median": 1.4, "rounds": 3, "iterations": 1}},
             ],
         }))
-        out = tmp_path / "BENCH_obs.json"
+        out = tmp_path / "bench.json"
         assert main(["bench-export", str(raw), "--out", str(out)]) == 0
         assert "1 benchmark(s)" in capsys.readouterr().out
         doc = json.loads(out.read_text())

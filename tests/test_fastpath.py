@@ -37,7 +37,6 @@ from repro.obs.observe import Observation
 from repro.obs.sinks import JSONLSink
 from repro.oracles.light_tree import LightTreeBroadcastOracle
 from repro.oracles.spanning_tree import SpanningTreeWakeupOracle
-from repro.parallel import ConstructionCache
 from repro.simulator.engine import Simulation
 from repro.simulator.schedulers import SynchronousScheduler, make_scheduler
 from repro.simulator.trace import TraceLevelError
@@ -267,19 +266,6 @@ def test_topology_attached_at_freeze_and_unpickled_lazily():
     assert clone._compiled is None  # arrays are derived state, not payload
     assert compiled_topology(clone).num_edges == g.num_edges  # rebuilt on demand
     assert clone._compiled is not None
-
-
-def test_construction_cache_serves_topologies():
-    cache = ConstructionCache()
-    graph = complete_graph_star(8)
-    first = cache.topology("kstar", 8, graph)
-    again = cache.topology("kstar", 8, graph)
-    assert first is again
-    assert cache.stats.hits == 1 and cache.stats.misses == 1
-    assert first.num_nodes == graph.num_nodes
-    before = len(cache)
-    cache.clear_memory()
-    assert before >= 1 and len(cache) == 0
 
 
 def test_sync_pop_order_matches_heap():

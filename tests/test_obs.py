@@ -500,7 +500,7 @@ class TestBenchEmitter:
     def test_emit_writes_stable_json(self, tmp_path):
         raw = tmp_path / "raw.json"
         raw.write_text(json.dumps(self.RAW))
-        out = tmp_path / "BENCH_obs.json"
+        out = tmp_path / "bench.json"
         doc = emit_bench_obs(str(raw), str(out))
         on_disk = json.loads(out.read_text())
         assert on_disk == doc

@@ -30,7 +30,7 @@ from repro.analysis.experiments import run_experiment
 from repro.network import FAMILY_BUILDERS, path_graph
 from repro.obs import JSONLSink, MetricsRegistry, Observation
 from repro.oracles import LightTreeBroadcastOracle, SpanningTreeWakeupOracle
-from repro.parallel import ConstructionCache, e1_e4_cell, resolve_cache
+from repro.parallel import ConstructionCache, e1_e4_cell
 from repro.parallel.cache import CACHE_DIR_ENV, CacheSpec, default_cache_dir
 from repro.runner import (
     WORKERS_ENV,
@@ -268,13 +268,6 @@ def test_default_cache_dir_env_override(monkeypatch, tmp_path):
     assert default_cache_dir().endswith(os.path.join(".cache", "repro"))
 
 
-def test_resolve_cache():
-    cache = ConstructionCache()
-    assert resolve_cache(cache) is cache
-    assert isinstance(resolve_cache(None), ConstructionCache)
-    assert resolve_cache(None, enabled=False) is None
-
-
 def test_cache_stats_accounting():
     cache = ConstructionCache()
     assert cache.stats.hit_rate is None
@@ -344,9 +337,11 @@ def test_cache_lru_counts_all_kinds():
     cache = ConstructionCache(max_entries=2)
     g = cache.graph("path", 3)
     cache.advice("path", 3, LightTreeBroadcastOracle(), g)
-    cache.topology("path", 3, g)  # third entry: evicts the graph
+    cache.graph("path", 4)  # third entry: evicts the path-3 graph
     assert len(cache) == 2
     assert cache.stats.evictions == 1
+    cache.advice("path", 3, LightTreeBroadcastOracle(), g)  # advice stayed
+    assert cache.stats.hits == 1
 
 
 def test_cache_eviction_never_touches_disk(tmp_path):

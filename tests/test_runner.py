@@ -219,6 +219,38 @@ def test_resume_with_torn_final_line_recomputes_that_cell(tmp_path):
     assert report.stats.corrupt_journal_lines == 1
 
 
+def test_resume_with_wrong_shape_row_recomputes_that_experiment(tmp_path):
+    """A journaled row that is valid JSON but no experiment result is a
+    corrupt line too: warned about, counted, recomputed."""
+    ref_dir = str(tmp_path / "ref")
+    resilient_run_experiments(
+        ["E1", "E3"], workers=2, kwargs_by_id=EXP_KWARGS, policy=FAST, run_dir=ref_dir
+    )
+    bad_dir = tmp_path / "bad"
+    bad_dir.mkdir()
+    with open(os.path.join(ref_dir, JOURNAL_NAME), encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+    for record in records:
+        if record["experiment"] == "E1":
+            record["row"] = {"title": "x"}
+    (bad_dir / JOURNAL_NAME).write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    with pytest.warns(UserWarning, match="corrupted journal line for E1"):
+        report = resilient_run_experiments(
+            ["E1", "E3"], workers=2, kwargs_by_id=EXP_KWARGS, policy=FAST, run_dir=str(bad_dir)
+        )
+    assert report.stats.resumed == 1
+    assert report.stats.corrupt_journal_lines == 1
+    assert "1 corrupt journal line(s)" in report.stats.summary_line()
+    with open(os.path.join(ref_dir, RESULTS_NAME), "rb") as handle:
+        assert (bad_dir / RESULTS_NAME).read_bytes() == handle.read()
+    # The recomputed row was journaled: the next resume replays both.
+    again = resilient_run_experiments(
+        ["E1", "E3"], workers=2, kwargs_by_id=EXP_KWARGS, policy=FAST, run_dir=str(bad_dir)
+    )
+    assert again.stats.resumed == 2 and again.stats.corrupt_journal_lines == 0
+
+
 def test_resume_replays_done_cells_without_recomputing(tmp_path):
     """After a full journaled run, arm the bomb: a resume that *ran* any
     cell would crash its worker — so finishing proves replay."""

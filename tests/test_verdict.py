@@ -237,6 +237,20 @@ class TestCLI:
         assert main(["verdict", "E8", "--results", str(tmp_path / "nope")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "saved",
+        ([1, 2], {"E1": 5}, {"E1": {"title": "x"}}),
+        ids=("not-an-object", "result-not-an-object", "result-missing-fields"),
+    )
+    def test_wrong_shape_results_exit_2(self, saved, tmp_path, capsys):
+        """Valid JSON of the wrong shape is a usage error, never REFUTED."""
+        (tmp_path / "results.json").write_text(json.dumps(saved))
+        assert main(["verdict", "E1", "--results", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "results.json" in err
+        if isinstance(saved, dict):
+            assert "E1" in err
+
     def test_artifacts_and_log(self, tmp_path, capsys):
         json_out = str(tmp_path / "verdict.json")
         md_out = str(tmp_path / "verdict.md")
