@@ -69,7 +69,8 @@ class GrowthWinner(Check):
     shapes, null hypothesis first (ties are stable).  The winner must be
     ``expect`` with ``rel_rms_residual <= max_rel_err`` and
     ``r_squared >= min_r2`` — a winning-but-terrible fit is INCONCLUSIVE,
-    a losing fit is REFUTED.
+    a losing fit is REFUTED, and so is a winning fit whose constant is
+    not positive (a series that does not grow confirms no growth rate).
     """
 
     series: str = ""

@@ -176,6 +176,10 @@ def evaluate_check(
         )
         if best.model != check.expect:
             return CheckResult(check.claim, REFUTED, measured, predicted)
+        # An all-zero series fits every model exactly; only a positive
+        # constant is growth.
+        if best.constant <= 0:
+            return CheckResult(check.claim, REFUTED, measured + " — constant not positive", predicted)
         if best.rel_rms_residual > check.max_rel_err or best.r_squared < check.min_r2:
             return CheckResult(check.claim, INCONCLUSIVE, measured + " — below quality floor", predicted)
         return CheckResult(check.claim, CONFIRMED, measured, predicted)

@@ -117,6 +117,27 @@ class TestPlantedTamper:
         assert wakeup.status == REFUTED
         assert "* n (" in wakeup.measured  # the linear model won the race
 
+    def test_zero_series_refutes_growth(self):
+        """An all-zero series fits every model exactly (rel.err 0, R^2 1):
+        E4's Theta(n) growth check must refute it, not confirm it."""
+        rows = [
+            {
+                "family": "complete",
+                "n": n,
+                "oracle_bits": 0,
+                "8n_bound": 8 * n,
+                "messages": n - 1,
+                "2(n-1)": 2 * (n - 1),
+                "success": True,
+            }
+            for n in (16, 32, 64, 128, 256)
+        ]
+        verdict = evaluate_experiment(CRITERIA["E4"], {"rows": rows})
+        growth = next(c for c in verdict.checks if "grow Theta(n)" in c.claim)
+        assert growth.status == REFUTED
+        assert "best fit 0.000 * n" in growth.measured
+        assert verdict.status == REFUTED
+
     def test_tampered_run_dir_fails_cli(self, seed_results, tmp_path, capsys):
         """The CI gate end-to-end: a bent curve in results.json exits 1."""
         serialized = experiment_result_to_dict(seed_results["E6"])
