@@ -90,7 +90,6 @@ from .parallel import ConstructionCache
 from .runner import (
     RetryPolicy,
     resilient_run_experiments,
-    resilient_sweep_families,
 )
 from .simulator import (
     Simulation,
@@ -169,6 +168,5 @@ __all__ = [
     "ConstructionCache",
     # runner (fault tolerance)
     "RetryPolicy",
-    "resilient_sweep_families",
     "resilient_run_experiments",
 ]

@@ -1,4 +1,4 @@
-"""Measurement harness: sweeps, growth fits, tables, the E1-E11 registry."""
+"""Measurement harness: the E1-E15 registry, growth fits, tables, reports."""
 
 from .compare import DEFAULT_PAIRS, comparison_matrix, format_comparison
 from .extensions import (
@@ -32,13 +32,7 @@ from .series import (
     growth_finding_series,
     measured_series,
 )
-from .measure import (
-    measurement_keywords,
-    run_pair,
-    run_sweep_cell,
-    sweep_families,
-    task_result_row,
-)
+from .measure import run_pair, task_result_row
 from .tables import format_table, format_value
 
 __all__ = [
@@ -69,9 +63,6 @@ __all__ = [
     "growth_finding_series",
     "degraded_rows",
     "experiment_rows",
-    "sweep_families",
-    "run_sweep_cell",
-    "measurement_keywords",
     "run_pair",
     "task_result_row",
     "format_table",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import inspect
 import math
 import random
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from ..algorithms.chatter import ChatterFlood
 from ..algorithms.flooding import Flooding
@@ -57,7 +57,7 @@ from ..lowerbounds.wakeup_bound import (
     zero_advice_cost,
 )
 from ..network.builders import FAMILY_BUILDERS
-from ..network.graph import GraphError
+from ..network.graph import GraphError, PortLabeledGraph
 from ..obs.observe import resolve_obs
 from ..oracles.light_tree import (
     LightTreeBroadcastOracle,
@@ -98,6 +98,23 @@ def _family_graph(family: str, n: int, cache=None):
     return cache.graph(family, n, builder=lambda: builder(n))
 
 
+def _family_graphs(
+    families: Sequence[str], sizes: Sequence[int], cache=None
+) -> Iterator[Tuple[str, int, PortLabeledGraph]]:
+    """Yield ``(family, n, graph)`` over the grid, families outermost.
+
+    A builder's :class:`GraphError` — its refusal of an infeasible size —
+    skips that cell; any other builder exception is a bug and propagates.
+    """
+    for family in families:
+        for n in sizes:
+            try:
+                graph = _family_graph(family, n, cache)
+            except GraphError:
+                continue
+            yield family, n, graph
+
+
 def _cached_advice(cache, family: str, n: int, oracle, graph):
     """Memoized advice when a cache is active, else ``None`` (compute live)."""
     if cache is None:
@@ -117,29 +134,24 @@ def experiment_e1_wakeup_upper(
     """Oracle size ``n log n + o(n log n)``; exactly ``n - 1`` messages."""
     obs = resolve_obs(obs)
     rows: List[Dict[str, Any]] = []
-    for family in families:
-        for n in sizes:
-            try:
-                graph = _family_graph(family, n, cache)
-            except GraphError:
-                continue
-            oracle = SpanningTreeWakeupOracle()
-            advice = _cached_advice(cache, family, n, oracle, graph)
-            with obs.wallspan(f"cell/{family}/{n}"):
-                result = run_wakeup(graph, oracle, TreeWakeup(), advice=advice, obs=obs)
-            nn = graph.num_nodes
-            rows.append(
-                {
-                    "family": family,
-                    "n": nn,
-                    "oracle_bits": result.oracle_bits,
-                    "bound_bits": SpanningTreeWakeupOracle.size_upper_bound(nn),
-                    "bits/(n log n)": result.oracle_bits / (nn * math.log2(nn)),
-                    "messages": result.messages,
-                    "n-1": nn - 1,
-                    "success": result.success,
-                }
-            )
+    for family, n, graph in _family_graphs(families, sizes, cache):
+        oracle = SpanningTreeWakeupOracle()
+        advice = _cached_advice(cache, family, n, oracle, graph)
+        with obs.wallspan(f"cell/{family}/{n}"):
+            result = run_wakeup(graph, oracle, TreeWakeup(), advice=advice, obs=obs)
+        nn = graph.num_nodes
+        rows.append(
+            {
+                "family": family,
+                "n": nn,
+                "oracle_bits": result.oracle_bits,
+                "bound_bits": SpanningTreeWakeupOracle.size_upper_bound(nn),
+                "bits/(n log n)": result.oracle_bits / (nn * math.log2(nn)),
+                "messages": result.messages,
+                "n-1": nn - 1,
+                "success": result.success,
+            }
+        )
     findings = []
     ok = all(r["success"] and r["messages"] == r["n-1"] for r in rows)
     findings.append(
@@ -258,33 +270,28 @@ def experiment_e3_light_tree(
     """``sum #2(w(e)) <= 4n`` for the constructed tree, vs naive trees."""
     obs = resolve_obs(obs)
     rows: List[Dict[str, Any]] = []
-    for family in families:
-        for n in sizes:
-            try:
-                graph = _family_graph(family, n, cache)
-            except GraphError:
-                continue
-            nn = graph.num_nodes
-            with obs.wallspan(f"cell/{family}/{n}"):
-                light = tree_contribution(graph, light_spanning_tree(graph))
-                bfs_parent = build_spanning_tree(graph, "bfs")
-                bfs_edges = [(c, p) for c, p in bfs_parent.items() if p is not None]
-                bfs = tree_contribution(graph, bfs_edges)
-                dfs_parent = build_spanning_tree(graph, "dfs")
-                dfs_edges = [(c, p) for c, p in dfs_parent.items() if p is not None]
-                dfs = tree_contribution(graph, dfs_edges)
-            rows.append(
-                {
-                    "family": family,
-                    "n": nn,
-                    "light_tree": light,
-                    "4n_bound": 4 * nn,
-                    "ratio": light / (4 * nn),
-                    "bfs_tree": bfs,
-                    "dfs_tree": dfs,
-                    "ok": light <= 4 * nn,
-                }
-            )
+    for family, n, graph in _family_graphs(families, sizes, cache):
+        nn = graph.num_nodes
+        with obs.wallspan(f"cell/{family}/{n}"):
+            light = tree_contribution(graph, light_spanning_tree(graph))
+            bfs_parent = build_spanning_tree(graph, "bfs")
+            bfs_edges = [(c, p) for c, p in bfs_parent.items() if p is not None]
+            bfs = tree_contribution(graph, bfs_edges)
+            dfs_parent = build_spanning_tree(graph, "dfs")
+            dfs_edges = [(c, p) for c, p in dfs_parent.items() if p is not None]
+            dfs = tree_contribution(graph, dfs_edges)
+        rows.append(
+            {
+                "family": family,
+                "n": nn,
+                "light_tree": light,
+                "4n_bound": 4 * nn,
+                "ratio": light / (4 * nn),
+                "bfs_tree": bfs,
+                "dfs_tree": dfs,
+                "ok": light <= 4 * nn,
+            }
+        )
     findings = [
         f"Claim 3.1 bound held on every graph: {all(r['ok'] for r in rows)}",
         "the light tree never exceeds (and usually improves on) BFS/DFS contributions",
@@ -309,32 +316,27 @@ def experiment_e4_broadcast_upper(
     """Oracle ``<= 8n`` bits; Scheme B ``<= 2(n-1)`` messages, all schedulers."""
     obs = resolve_obs(obs)
     rows: List[Dict[str, Any]] = []
-    for family in families:
-        for n in sizes:
-            try:
-                graph = _family_graph(family, n, cache)
-            except GraphError:
-                continue
-            nn = graph.num_nodes
-            oracle = LightTreeBroadcastOracle()
-            advice = _cached_advice(cache, family, n, oracle, graph)
-            with obs.wallspan(f"cell/{family}/{n}"):
-                result = run_broadcast(graph, oracle, SchemeB(), advice=advice, obs=obs)
-            hello = result.trace.messages_with_payload(HELLO_MESSAGE)
-            msg = result.trace.messages_with_payload(SOURCE_MESSAGE)
-            rows.append(
-                {
-                    "family": family,
-                    "n": nn,
-                    "oracle_bits": result.oracle_bits,
-                    "8n_bound": 8 * nn,
-                    "messages": result.messages,
-                    "2(n-1)": 2 * (nn - 1),
-                    "M_msgs": msg,
-                    "hello_msgs": hello,
-                    "success": result.success,
-                }
-            )
+    for family, n, graph in _family_graphs(families, sizes, cache):
+        nn = graph.num_nodes
+        oracle = LightTreeBroadcastOracle()
+        advice = _cached_advice(cache, family, n, oracle, graph)
+        with obs.wallspan(f"cell/{family}/{n}"):
+            result = run_broadcast(graph, oracle, SchemeB(), advice=advice, obs=obs)
+        hello = result.trace.messages_with_payload(HELLO_MESSAGE)
+        msg = result.trace.messages_with_payload(SOURCE_MESSAGE)
+        rows.append(
+            {
+                "family": family,
+                "n": nn,
+                "oracle_bits": result.oracle_bits,
+                "8n_bound": 8 * nn,
+                "messages": result.messages,
+                "2(n-1)": 2 * (nn - 1),
+                "M_msgs": msg,
+                "hello_msgs": hello,
+                "success": result.success,
+            }
+        )
     findings = []
     ok = all(
         r["success"] and r["messages"] <= r["2(n-1)"] and r["oracle_bits"] <= r["8n_bound"]

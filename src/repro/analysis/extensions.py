@@ -41,7 +41,6 @@ from ..core.gossip import run_gossip
 from ..core.oracle import NullOracle
 from ..core.tasks import run_wakeup
 from ..network.builders import FAMILY_BUILDERS
-from ..network.graph import GraphError
 from ..oracles.gossip_tree import GossipTreeOracle
 from ..oracles.tradeoff import DepthLimitedTreeOracle, bfs_depths
 from .result import ExperimentResult
@@ -113,29 +112,27 @@ def experiment_e10_gossip(
     families: Sequence[str] = ("complete", "gnp_sparse", "random_tree"),
 ) -> ExperimentResult:
     """Gossip with and without advice, measured like the paper's tasks."""
+    # Imported here: experiments.py imports this module while it loads.
+    from .experiments import _family_graphs
+
     rows: List[Dict[str, Any]] = []
-    for family in families:
-        for n in sizes:
-            try:
-                graph = FAMILY_BUILDERS[family](n)
-            except GraphError:
-                continue
-            nn = graph.num_nodes
-            tree = run_gossip(graph, GossipTreeOracle(), TreeGossip())
-            flood = run_gossip(graph, NullOracle(), FloodGossip())
-            rows.append(
-                {
-                    "family": family,
-                    "n": nn,
-                    "m": graph.num_edges,
-                    "tree_bits": tree.oracle_bits,
-                    "tree_msgs": tree.messages,
-                    "2(n-1)": 2 * (nn - 1),
-                    "flood_msgs": flood.messages,
-                    "tree_ok": tree.success,
-                    "flood_ok": flood.success,
-                }
-            )
+    for family, _, graph in _family_graphs(families, sizes):
+        nn = graph.num_nodes
+        tree = run_gossip(graph, GossipTreeOracle(), TreeGossip())
+        flood = run_gossip(graph, NullOracle(), FloodGossip())
+        rows.append(
+            {
+                "family": family,
+                "n": nn,
+                "m": graph.num_edges,
+                "tree_bits": tree.oracle_bits,
+                "tree_msgs": tree.messages,
+                "2(n-1)": 2 * (nn - 1),
+                "flood_msgs": flood.messages,
+                "tree_ok": tree.success,
+                "flood_ok": flood.success,
+            }
+        )
     findings = []
     exact = all(r["tree_msgs"] == r["2(n-1)"] for r in rows)
     findings.append(f"tree gossip used exactly 2(n-1) messages on every run: {exact}")
@@ -178,30 +175,26 @@ def experiment_e11_construction(
     )
     from ..core.construction import run_tree_construction
     from ..oracles.parent_pointer import ParentPointerOracle
+    from .experiments import _family_graphs
 
     rows: List[Dict[str, Any]] = []
-    for family in families:
-        for n in sizes:
-            try:
-                graph = FAMILY_BUILDERS[family](n)
-            except GraphError:
-                continue
-            advised = run_tree_construction(
-                graph, ParentPointerOracle(), AdvisedTreeConstruction()
-            )
-            dfs = run_tree_construction(graph, NullOracle(), DFSTreeConstruction())
-            rows.append(
-                {
-                    "family": family,
-                    "n": graph.num_nodes,
-                    "m": graph.num_edges,
-                    "oracle_bits": advised.oracle_bits,
-                    "advised_msgs": advised.messages,
-                    "dfs_msgs": dfs.messages,
-                    "advised_ok": advised.success,
-                    "dfs_ok": dfs.success,
-                }
-            )
+    for family, _, graph in _family_graphs(families, sizes):
+        advised = run_tree_construction(
+            graph, ParentPointerOracle(), AdvisedTreeConstruction()
+        )
+        dfs = run_tree_construction(graph, NullOracle(), DFSTreeConstruction())
+        rows.append(
+            {
+                "family": family,
+                "n": graph.num_nodes,
+                "m": graph.num_edges,
+                "oracle_bits": advised.oracle_bits,
+                "advised_msgs": advised.messages,
+                "dfs_msgs": dfs.messages,
+                "advised_ok": advised.success,
+                "dfs_ok": dfs.success,
+            }
+        )
     findings = [
         f"advised construction used zero messages on every run: "
         f"{all(r['advised_msgs'] == 0 for r in rows)}",
@@ -238,27 +231,23 @@ def experiment_e12_election(
     from ..core.election import run_election
     from ..network.builders import cycle_graph
     from ..oracles.leader_bit import LeaderBitOracle
+    from .experiments import _family_graphs
 
     rows: List[Dict[str, Any]] = []
-    for family in families:
-        for n in sizes:
-            try:
-                graph = FAMILY_BUILDERS[family](n)
-            except GraphError:
-                continue
-            advised = run_election(graph, LeaderBitOracle(), AdvisedElection())
-            minid = run_election(graph, NullOracle(), MinIdElection())
-            rows.append(
-                {
-                    "family": family,
-                    "n": graph.num_nodes,
-                    "m": graph.num_edges,
-                    "1bit_msgs": advised.messages,
-                    "minid_msgs": minid.messages,
-                    "advised_ok": advised.success,
-                    "minid_ok": minid.success,
-                }
-            )
+    for family, _, graph in _family_graphs(families, sizes):
+        advised = run_election(graph, LeaderBitOracle(), AdvisedElection())
+        minid = run_election(graph, NullOracle(), MinIdElection())
+        rows.append(
+            {
+                "family": family,
+                "n": graph.num_nodes,
+                "m": graph.num_edges,
+                "1bit_msgs": advised.messages,
+                "minid_msgs": minid.messages,
+                "advised_ok": advised.success,
+                "minid_ok": minid.success,
+            }
+        )
     # the impossibility: anonymous deterministic election on symmetric rings
     impossibility: List[str] = []
     for n in (4, 6, 8, 12):
@@ -311,40 +300,36 @@ def experiment_e13_exploration(
         run_exploration,
     )
     from ..oracles.gossip_tree import GossipTreeOracle
+    from .experiments import _family_graphs
 
     rows: List[Dict[str, Any]] = []
-    for family in families:
-        for n in sizes:
-            try:
-                graph = FAMILY_BUILDERS[family](n)
-            except GraphError:
-                continue
-            nn, m = graph.num_nodes, graph.num_edges
-            advised = run_exploration(graph, GossipTreeOracle(), AdvisedTreeExplorer())
-            dfs = run_exploration(graph, NullOracle(), DFSExplorer())
-            # rotor-router cover time is O(m * diameter); 2*m*n is safely above
-            budget = 2 * m * nn
-            rotor = run_exploration(
-                graph,
-                NullOracle(),
-                RotorRouterExplorer(budget=budget),
-                max_moves=budget + 1,
-            )
-            rows.append(
-                {
-                    "family": family,
-                    "n": nn,
-                    "m": m,
-                    "oracle_bits": advised.oracle_bits,
-                    "advised_moves": advised.moves,
-                    "2(n-1)": 2 * (nn - 1),
-                    "dfs_moves": dfs.moves,
-                    "rotor_moves": rotor.moves,
-                    "advised_ok": advised.success,
-                    "dfs_ok": dfs.success,
-                    "rotor_covered": rotor.visited == nn,
-                }
-            )
+    for family, _, graph in _family_graphs(families, sizes):
+        nn, m = graph.num_nodes, graph.num_edges
+        advised = run_exploration(graph, GossipTreeOracle(), AdvisedTreeExplorer())
+        dfs = run_exploration(graph, NullOracle(), DFSExplorer())
+        # rotor-router cover time is O(m * diameter); 2*m*n is safely above
+        budget = 2 * m * nn
+        rotor = run_exploration(
+            graph,
+            NullOracle(),
+            RotorRouterExplorer(budget=budget),
+            max_moves=budget + 1,
+        )
+        rows.append(
+            {
+                "family": family,
+                "n": nn,
+                "m": m,
+                "oracle_bits": advised.oracle_bits,
+                "advised_moves": advised.moves,
+                "2(n-1)": 2 * (nn - 1),
+                "dfs_moves": dfs.moves,
+                "rotor_moves": rotor.moves,
+                "advised_ok": advised.success,
+                "dfs_ok": dfs.success,
+                "rotor_covered": rotor.visited == nn,
+            }
+        )
     findings = [
         f"the advised (memoryless!) agent toured in exactly 2(n-1) moves and halted: "
         f"{all(r['advised_moves'] == r['2(n-1)'] and r['advised_ok'] for r in rows)}",

@@ -16,10 +16,10 @@ Part-style tables (``part``/``detail``/``value``/``reference``/``ok`` rows)
 contribute ``value[part]`` series when their rows carry a numeric ``value``
 and a numeric size field (``N`` or ``n``).
 
-Rows that degraded to structured ``skipped``/``failed`` records (see
-:mod:`repro.analysis.measure` and :mod:`repro.runner`) are excluded from
-every series; :func:`degraded_rows` surfaces them so consumers can refuse
-to call a partial run CONFIRMED.
+Rows flagged ``skipped`` or ``failed`` (the structured record of an
+experiment the runner gave up on, see :mod:`repro.runner`) are excluded
+from every series; :func:`degraded_rows` surfaces them so consumers can
+refuse to call a partial run CONFIRMED.
 """
 
 from __future__ import annotations

@@ -56,9 +56,11 @@ Commands
     materialized.  Prints per-(n, seed) rows and the oracle-bits /
     messages / flooding growth fits.
 ``stats run.jsonl [more.jsonl ...]``
-    Summarize saved traces or sweeps: per-run table, per-round delivery
-    histogram, replayed metrics registry (with p50/p90/p99 columns),
-    growth fits across sizes.  Several files merge into one report.
+    Summarize saved event streams (``repro trace`` output, a run
+    directory's ``runner.jsonl``, a daemon access log): per-run table,
+    per-round delivery histogram, replayed metrics registry (with
+    p50/p90/p99 columns), growth fits across sizes.  Several files merge
+    into one report; event kinds it does not know are skipped.
 ``profile E4 [--chrome out.json] [--flame out.txt]``
     Run one experiment under the deterministic profiler: nested
     per-phase wall-clock table (self/cumulative), optional Chrome-trace
@@ -235,10 +237,14 @@ def _cmd_separation(family: str, sizes: Optional[str]) -> int:
 def _cmd_quickstart(n: int) -> int:
     from .algorithms import Flooding, SchemeB, TreeWakeup
     from .core import NullOracle, run_broadcast, run_wakeup
-    from .network import complete_graph_star
+    from .network import GraphError, complete_graph_star
     from .oracles import LightTreeBroadcastOracle, SpanningTreeWakeupOracle
 
-    graph = complete_graph_star(n)
+    try:
+        graph = complete_graph_star(n)
+    except GraphError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for label, result in (
         ("wakeup  (Thm 2.1)", run_wakeup(graph, SpanningTreeWakeupOracle(), TreeWakeup())),
         ("broadcast (Thm 3.1)", run_broadcast(graph, LightTreeBroadcastOracle(), SchemeB())),
@@ -402,6 +408,7 @@ def _cmd_trace(
     from .analysis.tables import format_table
     from .core import run_broadcast, run_wakeup
     from .network.builders import FAMILY_BUILDERS
+    from .network.graph import GraphError
     from .obs import (
         JSONLSink,
         MemorySink,
@@ -426,6 +433,9 @@ def _cmd_trace(
             f"error: unknown family {family!r}; have {sorted(FAMILY_BUILDERS)}",
             file=sys.stderr,
         )
+        return 2
+    except GraphError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if oracle_name is None:
         oracle_name = "light-tree" if task == "broadcast" else "spanning-tree"
@@ -1089,11 +1099,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "compare":
         from .analysis.compare import format_comparison
         from .network.builders import FAMILY_BUILDERS
+        from .network.graph import GraphError
 
         try:
             graph = FAMILY_BUILDERS[args.family](args.n)
         except KeyError:
             print(f"error: unknown family {args.family!r}; have {sorted(FAMILY_BUILDERS)}", file=sys.stderr)
+            return 2
+        except GraphError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         print(format_comparison(graph))
         return 0

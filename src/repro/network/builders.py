@@ -23,7 +23,7 @@ Two kinds of builders live here:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -387,22 +387,41 @@ def caterpillar_graph(spine: int, legs_per_node: int) -> PortLabeledGraph:
     return _finish(g, source=0)
 
 
-#: Named builders of ``n -> graph`` used by sweeps and benchmarks.  Random
+def _sized(family: str, build: Callable[[int], PortLabeledGraph]) -> Callable[[int], PortLabeledGraph]:
+    """``build`` behind a :class:`GraphError` for sizes below 1.
+
+    Several families clamp small sizes up to their minimum, which must not
+    turn a size of zero or less into a graph.
+    """
+
+    def builder(n: int) -> PortLabeledGraph:
+        if n < 1:
+            raise GraphError(f"{family} needs n >= 1, got {n}")
+        return build(n)
+
+    return builder
+
+
+#: Named builders of ``n -> graph`` used by the experiments, the CLI and the
+#: daemon.  Every one refuses n < 1 with :class:`GraphError`.  Random
 #: families get a fixed seed derived from ``n`` (the historical values, so
 #: sweeps stay byte-for-byte reproducible across versions).
 FAMILY_BUILDERS = {
-    "path": lambda n: path_graph(n),
-    "cycle": lambda n: cycle_graph(max(3, n)),
-    "star": lambda n: star_graph(n),
-    "complete": lambda n: complete_graph_star(n),
-    # The paper's name for the canonically port-labeled complete graph.
-    "kstar": lambda n: complete_graph_star(n),
-    "grid": lambda n: grid_graph(max(1, int(n**0.5)), max(1, (n + int(n**0.5) - 1) // max(1, int(n**0.5)))),
-    "random_tree": lambda n: random_tree(n, seed=10_000 + n),
-    "gnp_sparse": lambda n: random_connected_gnp(n, min(1.0, 3.0 / max(1, n - 1)), seed=20_000 + n),
-    "gnp_dense": lambda n: random_connected_gnp(n, 0.5, seed=30_000 + n),
-    "lollipop": lambda n: lollipop_graph(max(3, n // 2), max(1, n - max(3, n // 2))),
-    "barbell": lambda n: barbell_graph(max(3, n // 2), max(0, n - 2 * max(3, n // 2))),
-    "wheel": lambda n: wheel_graph(max(4, n)),
-    "caterpillar": lambda n: caterpillar_graph(max(2, n // 4), 3),
+    family: _sized(family, build)
+    for family, build in {
+        "path": lambda n: path_graph(n),
+        "cycle": lambda n: cycle_graph(max(3, n)),
+        "star": lambda n: star_graph(n),
+        "complete": lambda n: complete_graph_star(n),
+        # The paper's name for the canonically port-labeled complete graph.
+        "kstar": lambda n: complete_graph_star(n),
+        "grid": lambda n: grid_graph(max(1, int(n**0.5)), max(1, (n + int(n**0.5) - 1) // max(1, int(n**0.5)))),
+        "random_tree": lambda n: random_tree(n, seed=10_000 + n),
+        "gnp_sparse": lambda n: random_connected_gnp(n, min(1.0, 3.0 / max(1, n - 1)), seed=20_000 + n),
+        "gnp_dense": lambda n: random_connected_gnp(n, 0.5, seed=30_000 + n),
+        "lollipop": lambda n: lollipop_graph(max(3, n // 2), max(1, n - max(3, n // 2))),
+        "barbell": lambda n: barbell_graph(max(3, n // 2), max(0, n - 2 * max(3, n // 2))),
+        "wheel": lambda n: wheel_graph(max(4, n)),
+        "caterpillar": lambda n: caterpillar_graph(max(2, n // 4), 3),
+    }.items()
 }

@@ -4,7 +4,7 @@ This package is the library's measurement substrate.  Three layers:
 
 * **Events** (:mod:`repro.obs.events`) — typed, logical-only records of
   what happened: run boundaries, rounds, sends, deliveries, limit hits,
-  audit failures, sweep skips, adversary probes.  Deterministic by
+  audit failures, runner retries, adversary probes.  Deterministic by
   construction (no timestamps), so same-seed runs produce byte-identical
   JSONL streams.
 * **Sinks** (:mod:`repro.obs.sinks`) — where events go: ``NullSink``
@@ -53,7 +53,6 @@ from .events import (
     LimitHit,
     MessageDelivered,
     MessageSent,
-    ReplayedEvent,
     RoundStarted,
     RunEnded,
     RunStarted,
@@ -64,8 +63,6 @@ from .events import (
     ServiceStarted,
     SpanEnded,
     SpanStarted,
-    SweepCellMeasured,
-    SweepCellSkipped,
     VerdictRendered,
     jsonable,
 )
@@ -112,13 +109,10 @@ __all__ = [
     "AuditFailed",
     "SpanStarted",
     "SpanEnded",
-    "SweepCellMeasured",
-    "SweepCellSkipped",
     "CellAttemptFailed",
     "CellRetried",
     "CellFailed",
     "CellResumed",
-    "ReplayedEvent",
     "AdversaryProbe",
     "ServiceStarted",
     "ServiceRequestReceived",

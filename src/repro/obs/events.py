@@ -1,8 +1,8 @@
 """Typed telemetry events: the vocabulary of the structured run stream.
 
 Every observable moment in the library — a run starting, a round boundary,
-a send, a delivery, a safety limit, an audit failure, a sweep cell being
-skipped, an adversary probe — is one frozen dataclass here.  Events carry
+a send, a delivery, a safety limit, an audit failure, a runner retry, an
+adversary probe — is one frozen dataclass here.  Events carry
 **logical** information only: no wall-clock timestamps, no memory
 addresses, nothing host-dependent.  That discipline is what makes the
 JSONL event stream *deterministic*: two runs with the same seed produce
@@ -27,7 +27,6 @@ from typing import Any, ClassVar, Dict, Optional, Tuple, Type
 
 __all__ = [
     "Event",
-    "ReplayedEvent",
     "RunStarted",
     "RoundStarted",
     "MessageSent",
@@ -38,8 +37,6 @@ __all__ = [
     "AuditFailed",
     "SpanStarted",
     "SpanEnded",
-    "SweepCellMeasured",
-    "SweepCellSkipped",
     "CellAttemptFailed",
     "CellRetried",
     "CellFailed",
@@ -99,28 +96,6 @@ class Event:
         for f in fields(self):
             out[f.name] = jsonable(getattr(self, f.name))
         return out
-
-
-class ReplayedEvent(Event):
-    """A journaled event re-emitted verbatim (e.g. on ``--resume``).
-
-    Wraps an already-serialized event dict so that re-emitting it through a
-    sink or :func:`repro.obs.metrics.apply_event` produces exactly the bytes
-    and metric folds of the original typed event — the mechanism behind the
-    resume byte-identity guarantee of :mod:`repro.runner`.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: Dict[str, Any]) -> None:
-        object.__setattr__(self, "data", data)
-
-    @property
-    def kind(self) -> str:  # type: ignore[override]
-        return str(self.data.get("event", "event"))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return self.data
 
 
 @dataclass(frozen=True)
@@ -248,26 +223,6 @@ class SpanEnded(Event):
 
     kind: ClassVar[str] = "span_ended"
     name: str
-
-
-@dataclass(frozen=True)
-class SweepCellMeasured(Event):
-    """One (family, n) cell of a sweep produced a row."""
-
-    kind: ClassVar[str] = "sweep_cell_measured"
-    family: str
-    n: int
-
-
-@dataclass(frozen=True)
-class SweepCellSkipped(Event):
-    """One (family, n) cell of a sweep was skipped: its builder refused the size."""
-
-    kind: ClassVar[str] = "sweep_cell_skipped"
-    family: str
-    n: int
-    error: str
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -463,8 +418,6 @@ EVENT_KINDS: Dict[str, Type[Event]] = {
         AuditFailed,
         SpanStarted,
         SpanEnded,
-        SweepCellMeasured,
-        SweepCellSkipped,
         CellAttemptFailed,
         CellRetried,
         CellFailed,

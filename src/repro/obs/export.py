@@ -58,7 +58,7 @@ def replay_metrics(events: Iterable[Mapping[str, Any]]) -> MetricsRegistry:
 def split_runs(events: Iterable[Mapping[str, Any]]) -> List[List[Dict[str, Any]]]:
     """Group a stream into per-run slices, splitting at ``run_started``.
 
-    Events preceding the first run (sweep bookkeeping, spans) form their
+    Events preceding the first run (spans, advice) form their
     own leading group only if no run ever starts; otherwise they attach to
     the first run.
     """

@@ -220,10 +220,6 @@ def apply_event(metrics: MetricsRegistry, event: Union[Event, Mapping[str, Any]]
         metrics.counter("audit_failures").inc()
     elif kind == "span_started":
         metrics.counter(f"spans.{data['name']}").inc()
-    elif kind == "sweep_cell_measured":
-        metrics.counter("sweep_cells").inc()
-    elif kind == "sweep_cell_skipped":
-        metrics.counter("sweep_cells_skipped").inc()
     elif kind == "cell_attempt_failed":
         metrics.counter("runner_attempt_failures").inc()
     elif kind == "cell_retried":

@@ -6,7 +6,7 @@ This module is the *nested* extension of the flat ``Observation.span``
 timings registry (see :mod:`repro.obs.observe`): a :class:`Profiler`
 attached to an :class:`~repro.obs.Observation` receives every span the
 library opens — plus the engine-internal phases (topology compile, the
-execution loop) and per-sweep-cell spans that only exist on the profiler
+execution loop) and per-cell experiment spans that only exist on the profiler
 axis — and records them as a stack of :class:`SpanRecord` frames with
 begin/end offsets, depth, and *self* time (cumulative minus children).
 

@@ -1,13 +1,9 @@
-"""Construction caching and picklable grid measurements for the fan-out.
+"""The construction cache the process-pool fan-out and the daemon share.
 
-The library's evaluation is a grid — every (family, n, oracle, algorithm)
-cell independent of every other.  The one process-pool fan-out over it
-is the fault-tolerant runner in :mod:`repro.runner`
-(``$REPRO_WORKERS`` sets the default width), which merges results
-**deterministically**: rows in grid order, worker event streams
-re-emitted in canonical order, so rows, JSONL traces, and metrics
-registries are byte-identical to a serial run at the same seed.  This
-package holds what that fan-out and the serving daemon share:
+The one process-pool fan-out over the E1-E15 grid is the fault-tolerant
+runner in :mod:`repro.runner` (``$REPRO_WORKERS`` sets the default
+width); the serving daemon keeps a pool of its own.  Both hand their
+workers a :class:`ConstructionCache` through this package:
 
 * :mod:`repro.parallel.cache` — a content-addressed
   :class:`ConstructionCache` memoizing built graphs and oracle advice,
@@ -15,12 +11,9 @@ package holds what that fan-out and the serving daemon share:
   ``~/.cache/repro``), and the pool initializer
   (:func:`~repro.parallel.cache.init_worker_cache`) that hands it to
   worker processes.
-* :mod:`repro.parallel.grids` — picklable reference measurements
-  (:func:`e1_e4_cell`) used by the equivalence tests and the committed
-  parallel benchmark.
 
-See ``docs/PARALLEL.md`` for the determinism contract and cache key
-design.
+See ``docs/PARALLEL.md`` for the cache key design and how results stay
+identical across worker counts.
 """
 
 from .cache import (
@@ -31,7 +24,6 @@ from .cache import (
     default_cache_dir,
     worker_cache,
 )
-from .grids import e1_e4_cell
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -40,5 +32,4 @@ __all__ = [
     "ConstructionCache",
     "default_cache_dir",
     "worker_cache",
-    "e1_e4_cell",
 ]

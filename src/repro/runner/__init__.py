@@ -1,25 +1,23 @@
 """The process-pool fan-out: fault-tolerant, journaled, resumable.
 
-The one layer that runs experiment grids across worker processes
+The one layer that runs the E1-E15 experiments across worker processes
 (``workers`` explicit, else ``$REPRO_WORKERS``, else 1 — see
-:func:`resolve_workers`), merged deterministically so rows, JSONL traces
-and metrics registries are byte-identical to a serial run at the same
-seed.  On top of the plain pool it adds what a run you actually want to
-finish needs: per-cell timeouts, bounded retries with backoff, crash
-isolation (a dead worker fails only its own cell), an fsync'd on-disk
-journal of settled cells, and ``--resume`` that replays the journal and
-recomputes only what is missing — with the same byte-identity.
+:func:`resolve_workers`), merged in request order so the results are
+exactly what the serial :func:`repro.analysis.experiments.run_experiment`
+returns.  On top of the plain pool it adds what a run you actually want
+to finish needs: per-experiment timeouts, bounded retries with backoff,
+crash isolation (a dead worker fails only its own experiment), an
+fsync'd on-disk journal of settled experiments, and ``--resume`` that
+replays the journal and recomputes only what is missing, writing a
+byte-identical ``results.json``.
 
-Entry points: :func:`resilient_sweep_families` fans out
-:func:`repro.analysis.sweep_families`, :func:`resilient_run_experiments`
-fans out :func:`repro.analysis.experiments.run_experiment`;
-:func:`execute_units` is the generic core underneath both.  See
-``docs/ROBUSTNESS.md`` for the journal format and the exact guarantees.
+Entry point: :func:`resilient_run_experiments`, over the generic core
+:func:`execute_units`.  See ``docs/ROBUSTNESS.md`` for the journal
+format and the exact guarantees.
 """
 
 from .core import (
     RESULTS_NAME,
-    ROWS_NAME,
     RUNNER_TRACE_NAME,
     WORKERS_ENV,
     CellOutcome,
@@ -29,9 +27,7 @@ from .core import (
     canonical_json,
     execute_units,
     load_results,
-    measurement_fingerprint,
     resilient_run_experiments,
-    resilient_sweep_families,
     resolve_workers,
 )
 from .journal import (
@@ -53,7 +49,6 @@ __all__ = [
     "JOURNAL_SCHEMA",
     "JournalEntry",
     "RESULTS_NAME",
-    "ROWS_NAME",
     "RUNNER_TRACE_NAME",
     "RetryPolicy",
     "RunJournal",
@@ -66,8 +61,6 @@ __all__ = [
     "execute_units",
     "load_journal",
     "load_results",
-    "measurement_fingerprint",
     "resilient_run_experiments",
-    "resilient_sweep_families",
     "resolve_workers",
 ]

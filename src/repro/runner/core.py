@@ -3,71 +3,56 @@
 This module is the one place the E1-E15 grid fans out across worker
 processes (``workers`` explicit, else ``$REPRO_WORKERS``, else 1).  The
 fan-out survives the faults a long run actually meets — a worker
-segfaulting or OOM-killed, a cell hanging, a flaky exception — and the
-*parent* itself is interruptible: with a run directory, completed cells
-are journaled to disk (:mod:`repro.runner.journal`), so a killed run
-resumes where it stopped.  Without one, and with no faults, it is a
-plain process pool.
+segfaulting or OOM-killed, an experiment hanging, a flaky exception —
+and the *parent* itself is interruptible: with a run directory,
+completed experiments are journaled to disk
+(:mod:`repro.runner.journal`), so a killed run resumes where it
+stopped.  Without one, and with no faults, it is a plain process pool.
 
 **The determinism contract carries over.**  A run interrupted at an
-arbitrary cell and resumed produces rows, telemetry JSONL, and metrics
-byte-identical to an uninterrupted run at the same seed: journaled cells
-re-emit their stored rows and events verbatim
-(:class:`repro.obs.ReplayedEvent`), fresh cells compute exactly what the
-serial path computes, and the merge happens in canonical grid order
-whatever order cells settled in.  Fault telemetry — attempt failures,
-retries, resumes — is deliberately kept **out** of the deterministic
-result stream (faults are host-dependent) and flows through a separate
-runner Observation instead, which ``repro stats`` summarizes like any
-other event stream.
+arbitrary experiment and resumed writes a ``results.json``
+byte-identical to an uninterrupted run: journaled experiments replay
+their stored result, fresh ones compute exactly what the serial path
+computes, and the merge happens in request order whatever order they
+settled in.  Fault telemetry — attempt failures, retries, resumes — is
+deliberately kept **out** of the results (faults are host-dependent)
+and flows through a separate runner Observation instead, which
+``repro stats`` summarizes like any other event stream.
 
 **Fault semantics.**
 
-* A cell that raises keeps the pool alive; the cell is retried with
+* A unit that raises keeps the pool alive; the unit is retried with
   exponential backoff up to its budget.
-* A cell that exceeds the per-cell ``timeout`` gets its pool recycled
+* A unit that exceeds the per-unit ``timeout`` gets its pool recycled
   (there is no way to kill one hung worker out of a pool); the timed-out
-  cell is charged an attempt, innocent in-flight cells are resubmitted
+  unit is charged an attempt, innocent in-flight units are resubmitted
   free of charge.
 * A worker that *dies* breaks the whole
   :class:`~concurrent.futures.ProcessPoolExecutor`, which cannot say
-  which cell killed it — so every in-flight cell is re-run **solo** (one
-  at a time in a fresh pool).  A cell that crashes alone is definitively
-  the culprit and is charged; innocent cells simply succeed on their solo
-  run.  A dead worker therefore fails only its own cell.
-* A cell that exhausts ``retries`` degrades to a structured ``failed``
-  row (the fault analog of the sweep's ``skipped`` rows) and the run
-  continues; the caller reports a summary and a nonzero exit code.
+  which unit killed it — so every in-flight unit is re-run **solo** (one
+  at a time in a fresh pool).  A unit that crashes alone is definitively
+  the culprit and is charged; innocent units simply succeed on their
+  solo run.  A dead worker therefore fails only its own unit.
+* A unit that exhausts ``retries`` degrades to a structured ``failed``
+  record (a FAILED experiment result) and the run continues; the caller
+  reports a summary and a nonzero exit code.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import time
 import warnings
 from collections import deque
 from contextlib import contextmanager
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
-import functools
-
-from ..analysis.measure import Measurement, failed_row, run_sweep_cell
-from ..network.builders import FAMILY_BUILDERS
-from ..obs.events import (
-    CellAttemptFailed,
-    CellFailed,
-    CellResumed,
-    CellRetried,
-    Event,
-    ReplayedEvent,
-    jsonable,
-)
+from ..obs.events import CellAttemptFailed, CellFailed, CellResumed, CellRetried, jsonable
 from ..obs.observe import Observation, resolve_obs
-from ..obs.sinks import JSONLSink, MemorySink
+from ..obs.sinks import JSONLSink
 from ..parallel.cache import CacheSpec, ConstructionCache, init_worker_cache, worker_cache
 from .journal import JOURNAL_NAME, JournalEntry, RunJournal, cell_key, load_journal
 from .progress import ProgressReporter
@@ -79,16 +64,12 @@ __all__ = [
     "CellOutcome",
     "RunStats",
     "RunReport",
-    "ROWS_NAME",
     "RESULTS_NAME",
     "RUNNER_TRACE_NAME",
     "resolve_workers",
-    "measurement_fingerprint",
     "canonical_json",
     "load_results",
     "execute_units",
-    "sweep_cell_task",
-    "resilient_sweep_families",
     "resilient_run_experiments",
 ]
 
@@ -96,7 +77,6 @@ __all__ = [
 WORKERS_ENV = "REPRO_WORKERS"
 
 #: File names written into a run directory next to the journal.
-ROWS_NAME = "rows.json"
 RESULTS_NAME = "results.json"
 RUNNER_TRACE_NAME = "runner.jsonl"
 
@@ -121,22 +101,6 @@ def canonical_json(value: Any) -> Any:
     return json.loads(json.dumps(jsonable(value)))
 
 
-def measurement_fingerprint(measurement: Any) -> str:
-    """A stable textual identity for a measurement, used in journal keys.
-
-    ``functools.partial`` unwraps to ``module.qualname(bound args)``, so
-    seeded variants of one grid measurement key separately.
-    """
-    if isinstance(measurement, functools.partial):
-        inner = measurement_fingerprint(measurement.func)
-        bits = [repr(a) for a in measurement.args]
-        bits += [f"{k}={v!r}" for k, v in sorted(measurement.keywords.items())]
-        return f"{inner}({', '.join(bits)})"
-    module = getattr(measurement, "__module__", None) or "?"
-    qualname = getattr(measurement, "__qualname__", None) or repr(measurement)
-    return f"{module}.{qualname}"
-
-
 @dataclass(frozen=True)
 class WorkUnit:
     """One journalable unit of work: identity + the picklable task."""
@@ -146,15 +110,10 @@ class WorkUnit:
     seed: Any
     fn: Callable[..., Any]
     args: Tuple[Any, ...]
-    meta: Tuple[Tuple[str, Any], ...] = ()
 
     @property
     def key(self) -> str:
         return cell_key(self.experiment, self.cell, self.seed)
-
-    @property
-    def meta_dict(self) -> Dict[str, Any]:
-        return dict(self.meta)
 
 
 @dataclass
@@ -165,7 +124,6 @@ class CellOutcome:
     status: str  # "done" | "failed"
     attempts: int
     row: Optional[Dict[str, Any]] = None
-    events: List[Dict[str, Any]] = field(default_factory=list)
     resumed: bool = False
     error: Optional[str] = None
     detail: Optional[str] = None
@@ -203,11 +161,10 @@ class RunStats:
 
 @dataclass
 class RunReport:
-    """What a resilient front-end returns: payload + fault accounting."""
+    """What :func:`resilient_run_experiments` returns: payload + fault accounting."""
 
     stats: RunStats
-    rows: Optional[List[Dict[str, Any]]] = None
-    results: Optional[Dict[str, Any]] = None
+    results: Dict[str, Any]
     run_dir: Optional[str] = None
 
     @property
@@ -267,13 +224,6 @@ class _Flight:
     solo: bool
 
 
-Normalize = Callable[[Any], Tuple[Optional[Dict[str, Any]], List[Dict[str, Any]]]]
-
-
-def _default_normalize(payload: Any) -> Tuple[Optional[Dict[str, Any]], List[Dict[str, Any]]]:
-    return canonical_json(payload), []
-
-
 # ----------------------------------------------------------------------
 # The core loop
 # ----------------------------------------------------------------------
@@ -286,12 +236,13 @@ def execute_units(
     journaled: Optional[Dict[str, JournalEntry]] = None,
     runner_obs: Optional[Observation] = None,
     cache_spec: Optional[CacheSpec] = None,
-    normalize: Optional[Normalize] = None,
     progress: Optional["ProgressReporter"] = None,
 ) -> Tuple[Dict[str, CellOutcome], RunStats]:
     """Run every unit to a settled outcome, fault-tolerantly.
 
-    Returns outcomes keyed by :attr:`WorkUnit.key` — completion order is
+    Each unit's task returns its JSON-canonical row (see
+    :func:`canonical_json`), which the journal stores as is.  Returns
+    outcomes keyed by :attr:`WorkUnit.key` — completion order is
     irrelevant; callers merge in their own canonical order.  ``journaled``
     entries with status ``done`` are replayed without recomputation
     (``failed`` entries get a fresh chance).  ``runner_obs`` receives the
@@ -301,7 +252,6 @@ def execute_units(
     settled cell (stderr only; results are unaffected).
     """
     obs = resolve_obs(runner_obs)
-    normalize = normalize or _default_normalize
     stats = RunStats()
     outcomes: Dict[str, CellOutcome] = {}
     pending: deque = deque()
@@ -315,7 +265,6 @@ def execute_units(
                 "done",
                 attempts=entry.attempts,
                 row=entry.row,
-                events=list(entry.events),
                 resumed=True,
             )
             stats.resumed += 1
@@ -402,13 +351,10 @@ def execute_units(
             # Once suspect, always solo: keeps crash attribution exact.
             (suspects if flight.solo else pending).append((unit, attempts))
 
-    def settle_done(flight: _Flight, payload: Any) -> None:
+    def settle_done(flight: _Flight, row: Dict[str, Any]) -> None:
         unit = flight.unit
-        row, events = normalize(payload)
         attempts = flight.attempts + 1
-        outcomes[unit.key] = CellOutcome(
-            unit, "done", attempts=attempts, row=row, events=events
-        )
+        outcomes[unit.key] = CellOutcome(unit, "done", attempts=attempts, row=row)
         stats.done += 1
         if progress is not None:
             progress.cell_done()
@@ -422,7 +368,6 @@ def execute_units(
                     status="done",
                     attempts=attempts,
                     row=row,
-                    events=events,
                 )
             )
 
@@ -527,7 +472,7 @@ def execute_units(
 
 
 # ----------------------------------------------------------------------
-# Shared by the front-ends
+# The front-end: registry experiments
 # ----------------------------------------------------------------------
 @contextmanager
 def _open_run_dir(
@@ -560,139 +505,6 @@ def _open_run_dir(
             stream.close()
 
 
-def _write_run_file(run_dir: Optional[str], name: str, payload: Any) -> None:
-    """Write the merged payload into the run directory, if there is one."""
-    if run_dir is None:
-        return
-    with open(os.path.join(run_dir, name), "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
-# ----------------------------------------------------------------------
-# Front-end: sweeps
-# ----------------------------------------------------------------------
-def sweep_cell_task(
-    family: str, n: int, measurement: Measurement, want_events: bool
-) -> Tuple[Dict[str, Any], List[Event]]:
-    """Run one cell in a worker: returns (row, captured events)."""
-    if want_events:
-        sink = MemorySink()
-        obs = Observation(sink)
-    else:
-        sink = None
-        obs = resolve_obs(None)
-    row = run_sweep_cell(family, n, measurement, obs, cache=worker_cache())
-    return row, (sink.events if sink is not None else [])
-
-
-def _check_picklable(value: Any, what: str) -> None:
-    try:
-        pickle.dumps(value)
-    except Exception as exc:
-        raise TypeError(
-            f"{what} must be picklable to cross a process boundary "
-            f"(use a module-level function or functools.partial of one, "
-            f"not a lambda or closure); pickling failed with: {exc}"
-        ) from exc
-
-
-def _sweep_normalize(payload: Any) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    row, events = payload
-    return canonical_json(row), [canonical_json(e.to_dict()) for e in events]
-
-
-def resilient_sweep_families(
-    sizes: Sequence[int],
-    measurement: Measurement,
-    families: Optional[Sequence[str]] = None,
-    obs: Optional[Observation] = None,
-    workers: Optional[int] = None,
-    cache: Optional[ConstructionCache] = None,
-    policy: Optional[RetryPolicy] = None,
-    run_dir: Optional[str] = None,
-    runner_obs: Optional[Observation] = None,
-    label: Optional[str] = None,
-    progress: Optional[ProgressReporter] = None,
-) -> RunReport:
-    """:func:`repro.analysis.sweep_families`, fanned over a process pool.
-
-    Same grid, same rows, same deterministic event stream into ``obs`` —
-    byte-identical to the serial sweep at any worker count — plus
-    per-cell timeout/retry (``policy``), crash isolation, and a journaled
-    ``run_dir`` that makes the run resumable.  The measurement must be
-    picklable; builder lambdas never travel — workers look families up in
-    their own :data:`~repro.network.builders.FAMILY_BUILDERS`.  Failed
-    cells degrade to structured rows ``{"family", "n", "requested_n",
-    "failed": True, "error", "detail", "attempts"}``; check
-    ``report.stats.failed`` (the CLI turns it into a nonzero exit).
-    """
-    workers = resolve_workers(workers)
-    policy = policy or RetryPolicy()
-    obs = resolve_obs(obs)
-    chosen = list(families) if families is not None else sorted(FAMILY_BUILDERS)
-    for family in chosen:
-        if family not in FAMILY_BUILDERS:
-            raise KeyError(family)
-    _check_picklable(measurement, "measurement")
-
-    # Workers capture events only when someone reads them: this run's obs,
-    # or the journal, which a later resume may replay into an observed run.
-    want_events = obs.enabled or run_dir is not None
-    experiment = label or f"sweep:{measurement_fingerprint(measurement)}"
-    units = [
-        WorkUnit(
-            experiment=experiment,
-            cell=f"{family}:{n}",
-            seed="",
-            fn=sweep_cell_task,
-            args=(family, n, measurement, want_events),
-            meta=(("family", family), ("n", n)),
-        )
-        for family in chosen
-        for n in sizes
-    ]
-    with _open_run_dir(run_dir, runner_obs) as (journal, journaled, corrupt, runner_obs):
-        outcomes, stats = execute_units(
-            units,
-            workers=workers,
-            policy=policy,
-            journal=journal,
-            journaled=journaled,
-            runner_obs=runner_obs,
-            cache_spec=cache.spec() if cache is not None else None,
-            normalize=_sweep_normalize,
-            progress=progress,
-        )
-    stats.corrupt_journal_lines = corrupt
-
-    rows: List[Dict[str, Any]] = []
-    with obs.wallspan("merge"):
-        for unit in units:
-            outcome = outcomes[unit.key]
-            if outcome.status == "done":
-                rows.append(outcome.row)
-                if obs.enabled:
-                    for event in outcome.events:
-                        obs.emit(ReplayedEvent(event))
-            else:
-                meta = unit.meta_dict
-                rows.append(
-                    failed_row(
-                        meta["family"],
-                        meta["n"],
-                        outcome.error or "Error",
-                        outcome.detail or "",
-                        outcome.attempts,
-                    )
-                )
-    _write_run_file(run_dir, ROWS_NAME, rows)
-    return RunReport(stats=stats, rows=rows, run_dir=run_dir)
-
-
-# ----------------------------------------------------------------------
-# Front-end: registry experiments
-# ----------------------------------------------------------------------
 #: The fields :func:`experiment_result_to_dict` writes, in order.
 _RESULT_FIELDS = ("experiment", "title", "rows", "findings", "columns")
 
@@ -895,5 +707,8 @@ def resilient_run_experiments(
                 "attempts": outcome.attempts,
             }
             results[eid] = _failed_experiment_result(eid, serialized[eid])
-    _write_run_file(run_dir, RESULTS_NAME, serialized)
+    if run_dir is not None:
+        with open(os.path.join(run_dir, RESULTS_NAME), "w", encoding="utf-8") as handle:
+            json.dump(serialized, handle, indent=2)
+            handle.write("\n")
     return RunReport(stats=stats, results=results, run_dir=run_dir)

@@ -1,21 +1,22 @@
 """The on-disk run journal: one JSON line per settled unit of work.
 
 The journal is the durability layer of :mod:`repro.runner`.  Every time a
-cell of a run settles — measured successfully, or failed after exhausting
+unit of a run settles — computed successfully, or failed after exhausting
 its retry budget — the runner appends one line to
 ``<run_dir>/journal.jsonl`` and flushes + fsyncs it, so a crash of the
-*parent* process loses at most the cell in flight.  ``--resume`` then
-reads the journal back, skips every ``done`` cell, and re-emits its row
-and captured telemetry events verbatim, which is what keeps a resumed
-run's rows, JSONL trace, and metrics byte-identical to an uninterrupted
-one.
+*parent* process loses at most the units in flight.  ``--resume`` then
+reads the journal back, skips every ``done`` unit, and replays its stored
+row verbatim, which is what keeps a resumed run's ``results.json``
+byte-identical to an uninterrupted one.
 
 Entries are keyed by the same content-address scheme as the construction
 cache (:func:`repro.parallel.cache.content_address`):
 ``sha256(schema|experiment|cell|seed)``.  Anything that changes what a
-cell computes — a different measurement, grid coordinate, or seed — must
+unit computes — a different experiment, keyword arguments, or seed — must
 change the key, so resuming with different parameters simply misses the
-journal and recomputes.
+journal and recomputes.  Lines written before the journal stopped storing
+telemetry carry an ``"events"`` field; the loader ignores it, so such a
+run directory still resumes.
 
 Corrupted lines (a torn write from a crash mid-append, manual editing)
 are **warnings, not errors**: the loader skips them, reports them, and
@@ -31,8 +32,8 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 from ..parallel.cache import content_address
 
@@ -63,9 +64,8 @@ def cell_key(experiment: str, cell: str, seed: Any) -> str:
 class JournalEntry:
     """One settled unit of work: its identity, outcome, and payload.
 
-    ``row`` is the cell's result row (JSON-canonical); ``events`` are the
-    telemetry event dicts captured while the cell ran, re-emitted verbatim
-    on resume.  ``status`` is ``"done"`` or ``"failed"``.
+    ``row`` is the unit's result (JSON-canonical), replayed verbatim on
+    resume.  ``status`` is ``"done"`` or ``"failed"``.
     """
 
     key: str
@@ -75,7 +75,6 @@ class JournalEntry:
     status: str
     attempts: int = 1
     row: Optional[Dict[str, Any]] = None
-    events: List[Dict[str, Any]] = field(default_factory=list)
     error: Optional[str] = None
     detail: Optional[str] = None
 
@@ -89,7 +88,6 @@ class JournalEntry:
             "status": self.status,
             "attempts": self.attempts,
             "row": self.row,
-            "events": self.events,
             "error": self.error,
             "detail": self.detail,
         }
@@ -104,7 +102,6 @@ class JournalEntry:
             status=data["status"],
             attempts=int(data.get("attempts", 1)),
             row=data.get("row"),
-            events=list(data.get("events") or ()),
             error=data.get("error"),
             detail=data.get("detail"),
         )

@@ -1,4 +1,4 @@
-"""Tests for the analysis harness: fits, tables, sweeps, separation."""
+"""Tests for the analysis harness: fits, tables, run_pair, separation."""
 
 import math
 
@@ -12,11 +12,10 @@ from repro.analysis import (
     format_table,
     format_value,
     run_pair,
-    sweep_families,
     task_result_row,
 )
 from repro.core import NullOracle, separation_point, separation_profile
-from repro.network import FAMILY_BUILDERS, complete_graph_star
+from repro.network import complete_graph_star
 
 
 class TestFits:
@@ -89,24 +88,6 @@ class TestTables:
 
 
 class TestSweeps:
-    def test_sweep_families_rows(self):
-        rows = sweep_families(
-            [8, 16],
-            lambda family, n, g: {"nodes": g.num_nodes},
-            families=("path", "cycle"),
-        )
-        assert len(rows) == 4
-        assert all("family" in r and "n" in r for r in rows)
-
-    def test_sweep_defaults_to_registry(self):
-        rows = sweep_families([8], lambda f, n, g: {})
-        assert {r["family"] for r in rows} <= set(FAMILY_BUILDERS)
-
-    def test_sweep_skips_failing_builder(self):
-        # size 1 is invalid for most families; sweep must not raise
-        rows = sweep_families([1], lambda f, n, g: {}, families=("cycle",))
-        assert isinstance(rows, list)
-
     def test_run_pair_and_row(self, k5):
         result = run_pair(k5, NullOracle(), Flooding(), task="wakeup")
         row = task_result_row(result)

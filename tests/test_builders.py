@@ -345,6 +345,14 @@ class TestFamilyRegistry:
             large = FAMILY_BUILDERS[family](64).num_nodes
             assert large > small
 
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    @pytest.mark.parametrize("family", sorted(FAMILY_BUILDERS))
+    def test_sizes_below_one_raise_graph_error(self, family, n):
+        """No family builds a graph for n <= 0, nor fails with anything
+        but the builders' typed refusal."""
+        with pytest.raises(GraphError, match="needs n >= "):
+            FAMILY_BUILDERS[family](n)
+
 
 class TestExtraFamilies:
     def test_lollipop(self):

@@ -57,6 +57,11 @@ class TestQuickstart:
         out = capsys.readouterr().out
         assert "n=16" in out
 
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_size_too_small_is_a_usage_error(self, n, capsys):
+        assert main(["quickstart", n]) == 2
+        assert capsys.readouterr().err == "error: K*_n needs n >= 2\n"
+
 
 class TestArgparseBehaviour:
     def test_no_command_errors(self):
@@ -196,6 +201,12 @@ class TestCompare:
         assert main(["compare", "--family", "nope"]) == 2
         assert "unknown family" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family,n", [("cycle", "0"), ("grid", "-3"), ("complete", "1")])
+    def test_size_no_family_builds(self, family, n, capsys):
+        assert main(["compare", "--family", family, "--n", n]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "needs n >= " in err
+
 
 class TestListRegistry:
     def test_lists_algorithm_metadata(self, capsys):
@@ -234,6 +245,14 @@ class TestTrace:
         ) == 2
         assert "unknown family" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family,n", [("barbell", "0"), ("grid", "-3"), ("star", "1")])
+    def test_size_no_family_builds(self, family, n, tmp_path, capsys):
+        assert main(
+            ["trace", "--family", family, "--n", n, "--out", str(tmp_path / "x.jsonl")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "needs n >= " in err
+
     def test_unknown_algorithm(self, tmp_path, capsys):
         assert main(
             ["trace", "--algorithm", "Nope", "--out", str(tmp_path / "x.jsonl")]
@@ -260,6 +279,19 @@ class TestStats:
         bad.write_text("not json\n")
         assert main(["stats", str(bad)]) == 2
         assert "not JSON" in capsys.readouterr().err
+
+    def test_stats_skips_event_kinds_it_does_not_know(self, tmp_path, capsys):
+        """A saved stream holding kinds this version no longer emits (or
+        not yet) still reads: those events fold into nothing."""
+        out_path = tmp_path / "run.jsonl"
+        assert main(["trace", "--n", "8", "--out", str(out_path)]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(out_path)]) == 0
+        expected = capsys.readouterr().out
+        with open(out_path, "a", encoding="utf-8") as handle:
+            handle.write('{"event":"sweep_cell_measured","family":"kstar","n":8}\n')
+        assert main(["stats", str(out_path)]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestBenchExport:

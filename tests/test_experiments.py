@@ -18,7 +18,6 @@ from repro.analysis import (
     format_experiment,
     measured_series,
     run_experiment,
-    sweep_families,
 )
 from repro.network import FAMILY_BUILDERS, GraphError
 from repro.obs.events import jsonable
@@ -45,11 +44,10 @@ class TestBuilderFailures:
 
     ``GraphError`` is the builders' refusal of an infeasible size; any
     other exception is a bug and must reach the caller, not silently
-    drop the family's rows (or, in ``sweep_families``, turn into a
-    ``skipped`` row).
+    drop the family's rows.
     """
 
-    LOOPS = ("E1", "E3", "E4", "E10", "E11", "E12", "E13", "sweep_families")
+    LOOPS = ("E1", "E3", "E4", "E10", "E11", "E12", "E13")
 
     @staticmethod
     def _plant(monkeypatch, error):
@@ -59,14 +57,9 @@ class TestBuilderFailures:
         monkeypatch.setitem(FAMILY_BUILDERS, "complete", builder)
 
     @staticmethod
-    def _measured_families(loop):
-        if loop == "sweep_families":
-            rows = sweep_families(
-                (8,), lambda family, n, graph: {}, families=("path", "complete")
-            )
-        else:
-            rows = run_experiment(loop, sizes=(8,), families=("path", "complete")).rows
-        return {row.get("family") for row in rows if not row.get("skipped")}
+    def _measured_families(eid):
+        rows = run_experiment(eid, sizes=(8,), families=("path", "complete")).rows
+        return {row.get("family") for row in rows}
 
     @pytest.mark.parametrize("eid", LOOPS)
     def test_unexpected_error_propagates(self, eid, monkeypatch):

@@ -26,7 +26,6 @@ from repro.obs import (
     RoundStarted,
     RunEnded,
     RunStarted,
-    SweepCellSkipped,
     TeeSink,
     apply_event,
     convert_benchmark_json,
@@ -505,32 +504,6 @@ class TestBenchEmitter:
         on_disk = json.loads(out.read_text())
         assert on_disk == doc
         assert out.read_text().endswith("\n")
-
-
-class TestSweepSkips:
-    def test_builder_failure_becomes_structured_row(self):
-        from repro.analysis import sweep_families
-
-        obs = Observation(MemorySink())
-        rows = sweep_families(
-            [1, 4],
-            lambda family, n, graph: {"messages": graph.num_edges},
-            families=["kstar"],
-            obs=obs,
-        )
-        skipped = [r for r in rows if r.get("skipped")]
-        measured = [r for r in rows if not r.get("skipped")]
-        assert len(skipped) == 1 and len(measured) == 1
-        assert skipped[0]["family"] == "kstar" and skipped[0]["n"] == 1
-        assert skipped[0]["error"] == "GraphError"
-        assert "n >= 2" in skipped[0]["detail"]
-        kinds = [ev.kind for ev in obs.sink.events]
-        assert kinds.count("sweep_cell_skipped") == 1
-        assert kinds.count("sweep_cell_measured") == 1
-        assert isinstance(
-            next(ev for ev in obs.sink.events if ev.kind == "sweep_cell_skipped"),
-            SweepCellSkipped,
-        )
 
 
 class TestTraceSummary:

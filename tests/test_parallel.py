@@ -1,21 +1,17 @@
 """The process-pool fan-out's determinism contract, and the construction cache.
 
-The headline guarantee of :mod:`repro.runner`'s pool: at the same seed, a
-parallel sweep produces **byte-identical** output to the serial one —
-the row list, the JSONL event trace, and the metrics registry all match
-exactly, for any worker count.  These tests state that contract as
-executable assertions over seeds {0, 1, 2} and workers {1, 2, 4}, with
-:func:`repro.analysis.sweep_families` and
-:func:`repro.analysis.experiments.run_experiment` as the serial
-references.
+The headline guarantee of :mod:`repro.runner`'s pool: a pooled run of
+the registry experiments returns exactly what the serial
+:func:`repro.analysis.experiments.run_experiment` returns, and writes a
+``results.json`` byte-identical to the serial results at any worker
+count; a construction cache, cold or warm, changes no result.
 
 The cache tests cover both layers (memory and disk), the stats
 accounting, and the picklable :class:`~repro.parallel.cache.CacheSpec`
 hand-off that worker processes rebuild their caches from.
 """
 
-import functools
-import io
+import json
 import os
 import signal
 import subprocess
@@ -25,105 +21,48 @@ import time
 
 import pytest
 
-from repro.analysis import sweep_families
 from repro.analysis.experiments import run_experiment
-from repro.network import FAMILY_BUILDERS, path_graph
-from repro.obs import JSONLSink, MetricsRegistry, Observation
 from repro.oracles import LightTreeBroadcastOracle, SpanningTreeWakeupOracle
-from repro.parallel import ConstructionCache, e1_e4_cell
+from repro.parallel import ConstructionCache
 from repro.parallel.cache import CACHE_DIR_ENV, CacheSpec, default_cache_dir
 from repro.runner import (
+    RESULTS_NAME,
     WORKERS_ENV,
     resilient_run_experiments,
-    resilient_sweep_families,
     resolve_workers,
 )
+from repro.runner.core import experiment_result_to_dict
 
 FAMILIES = ("path", "cycle", "complete")
 SIZES = (3, 6, 8)
 
-
-def fanned_sweep(*args, **kwargs):
-    """The runner's sweep, reduced to the rows the serial sweep returns."""
-    return resilient_sweep_families(*args, **kwargs).rows
+#: E1 and E4 on one small grid: the wakeup and broadcast upper bounds.
+GRID = {eid: {"sizes": SIZES, "families": FAMILIES} for eid in ("E1", "E4")}
 
 
-def _sweep(runner, seed, **kwargs):
-    """Run one observed sweep; return (rows, jsonl bytes, metrics snapshot)."""
-    stream = io.StringIO()
-    metrics = MetricsRegistry()
-    obs = Observation(JSONLSink(stream), metrics)
-    measurement = functools.partial(e1_e4_cell, seed=seed)
-    rows = runner(SIZES, measurement, families=FAMILIES, obs=obs, **kwargs)
-    return rows, stream.getvalue(), metrics.snapshot()
+def serial_results(cache=None):
+    return {eid: run_experiment(eid, cache=cache, **kwargs) for eid, kwargs in GRID.items()}
+
+
+def assert_same_results(results, reference):
+    assert list(results) == list(reference)
+    for eid, result in results.items():
+        assert result.rows == reference[eid].rows
+        assert result.findings == reference[eid].findings
 
 
 # ----------------------------------------------------------------------
 # The determinism contract
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_parallel_sweep_byte_identical_to_serial(seed, workers):
-    serial_rows, serial_jsonl, serial_metrics = _sweep(sweep_families, seed)
-    par_rows, par_jsonl, par_metrics = _sweep(fanned_sweep, seed, workers=workers)
-    assert par_rows == serial_rows
-    assert par_jsonl == serial_jsonl  # byte-for-byte, not just same events
-    assert par_metrics == serial_metrics
-    assert serial_jsonl  # the comparison wasn't vacuous
-
-
-def test_distinct_seeds_give_distinct_traces():
-    """Guard against the equivalence test passing because seed is ignored."""
-    _, jsonl0, _ = _sweep(sweep_families, 0)
-    _, jsonl1, _ = _sweep(sweep_families, 1)
-    assert jsonl0 != jsonl1
-
-
-def test_parallel_sweep_preserves_skipped_cells():
-    """Builder failures travel home as the same structured rows + events."""
-    sizes = (1, 6)  # complete(1) raises; cycle rounds 1 up to 3; path measures
-    measurement = functools.partial(e1_e4_cell, seed=0)
-
-    def observed(runner, **kwargs):
-        stream = io.StringIO()
-        obs = Observation(JSONLSink(stream))
-        rows = runner(sizes, measurement, families=FAMILIES, obs=obs, **kwargs)
-        return rows, stream.getvalue()
-
-    serial_rows, serial_jsonl = observed(sweep_families)
-    par_rows, par_jsonl = observed(fanned_sweep, workers=2)
-    assert par_rows == serial_rows
-    assert par_jsonl == serial_jsonl
-    skipped = [r for r in par_rows if r.get("skipped")]
-    assert {(r["family"], r["requested_n"]) for r in skipped} == {("complete", 1)}
-    assert skipped[0]["error"] == "GraphError"
-    # the cycle builder rounds n=1 up to its minimum: the row records both
-    rounded = next(r for r in par_rows if r["family"] == "cycle" and r["requested_n"] == 1)
-    assert rounded["n"] == 3
-
-
-def test_parallel_sweep_without_obs_matches_rows():
-    measurement = functools.partial(e1_e4_cell, seed=2)
-    serial = sweep_families(SIZES, measurement, families=FAMILIES)
-    par = fanned_sweep(SIZES, measurement, families=FAMILIES, workers=2)
-    assert par == serial
-
-
-def test_parallel_sweep_rejects_unpicklable_measurement():
-    with pytest.raises(TypeError, match="picklable"):
-        resilient_sweep_families(
-            (4,),
-            lambda family, n, graph: {"n": n},
-            families=("path",),
-            workers=2,
-        )
-
-
-def test_parallel_sweep_rejects_unknown_family():
-    with pytest.raises(KeyError):
-        resilient_sweep_families(
-            (4,), e1_e4_cell, families=("not_a_family",), workers=2
-        )
+def test_run_experiments_byte_identical_to_serial(tmp_path, workers):
+    expected = {eid: experiment_result_to_dict(r) for eid, r in serial_results().items()}
+    report = resilient_run_experiments(
+        list(GRID), workers=workers, kwargs_by_id=GRID, run_dir=str(tmp_path)
+    )
+    assert report.ok
+    written = (tmp_path / RESULTS_NAME).read_text(encoding="utf-8")
+    assert written == json.dumps(expected, indent=2) + "\n"
 
 
 def test_run_experiments_matches_serial_order_and_rows():
@@ -155,12 +94,21 @@ def test_resolve_workers_rejects_nonpositive():
         resolve_workers(0)
 
 
-def test_env_workers_used_by_sweep(monkeypatch):
+def test_env_workers_used_by_run_experiments(monkeypatch):
+    import repro.runner.core as core
+
+    widths = []
+
+    class RecordingHost(core._PoolHost):
+        def __init__(self, workers, cache_spec):
+            widths.append(workers)
+            super().__init__(workers, cache_spec)
+
+    monkeypatch.setattr(core, "_PoolHost", RecordingHost)
     monkeypatch.setenv(WORKERS_ENV, "2")
-    measurement = functools.partial(e1_e4_cell, seed=0)
-    par = fanned_sweep((4, 6), measurement, families=("path",))
-    serial = sweep_families((4, 6), measurement, families=("path",))
-    assert par == serial
+    report = resilient_run_experiments(list(GRID), kwargs_by_id=GRID)
+    assert widths == [2]
+    assert_same_results(report.results, serial_results())
 
 
 # ----------------------------------------------------------------------
@@ -281,34 +229,33 @@ def test_cache_stats_accounting():
 
 
 # ----------------------------------------------------------------------
-# Cache + sweep integration
+# Cache + experiments integration
 # ----------------------------------------------------------------------
-def test_sweep_with_cache_matches_without():
-    measurement = functools.partial(e1_e4_cell, seed=1)
-    plain = sweep_families(SIZES, measurement, families=FAMILIES)
+def test_experiments_with_cache_match_without():
+    plain = serial_results()
     cache = ConstructionCache()
-    cached = sweep_families(SIZES, measurement, families=FAMILIES, cache=cache)
-    assert cached == plain
-    # graph per cell + two advice maps per cell, all built exactly once
-    assert cache.stats.misses == 3 * len(FAMILIES) * len(SIZES)
-    again = sweep_families(SIZES, measurement, families=FAMILIES, cache=cache)
-    assert again == plain
-    assert cache.stats.misses == 3 * len(FAMILIES) * len(SIZES)  # all warm now
+    assert_same_results(serial_results(cache), plain)
+    # E1 builds each graph and its wakeup advice, E4 its broadcast advice:
+    # three constructions per cell, each built exactly once.
+    cells = len(FAMILIES) * len(SIZES)
+    assert cache.stats.misses == 3 * cells
+    hits = cache.stats.hits
+    assert_same_results(serial_results(cache), plain)
+    # The warm pass is all hits: a graph and an advice lookup per
+    # experiment per cell, and not one miss.
+    assert cache.stats.misses == 3 * cells
+    assert cache.stats.hits - hits == 4 * cells
 
 
-def test_parallel_sweep_with_persistent_cache_matches(tmp_path):
-    # Caching changes the trace relative to *no* cache (precomputed advice
-    # skips the oracle span), so the fixture on both sides is
-    # cache-against-cache: serial with a fresh in-memory cache, parallel
-    # with a persistent one.
-    serial_rows, serial_jsonl, serial_metrics = _sweep(
-        sweep_families, 0, cache=ConstructionCache()
-    )
-    cache = ConstructionCache(persist_dir=str(tmp_path))
-    par_rows, par_jsonl, par_metrics = _sweep(fanned_sweep, 0, workers=2, cache=cache)
-    assert par_rows == serial_rows
-    assert par_jsonl == serial_jsonl
-    assert par_metrics == serial_metrics
+def test_parallel_experiments_with_persistent_cache_match(tmp_path):
+    plain = serial_results()
+    for _ in range(2):  # cold disk layer, then warm
+        cache = ConstructionCache(persist_dir=str(tmp_path))
+        report = resilient_run_experiments(
+            list(GRID), workers=2, cache=cache, kwargs_by_id=GRID
+        )
+        assert report.ok
+        assert_same_results(report.results, plain)
     # workers shared the disk layer: a fresh cache can now load from it
     warm = ConstructionCache(persist_dir=str(tmp_path))
     warm.graph(FAMILIES[0], SIZES[0])

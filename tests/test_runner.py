@@ -1,35 +1,34 @@
 """The fault-tolerant runner's guarantees, stated as executable assertions.
 
-The contract under test (docs/ROBUSTNESS.md):
+The contract under test (docs/ROBUSTNESS.md), on the path ``repro exp``
+and ``repro all`` run — :func:`repro.runner.resilient_run_experiments`:
 
-1. No faults: the resilient sweep is byte-identical to the serial one —
-   rows, JSONL trace, and metrics registry.
-2. Kill-and-resume: interrupt a journaled run at *any* cell boundary (or
-   mid-append) and resume; the merged output is byte-identical to an
-   uninterrupted run.
-3. Fault isolation: a crashing worker, a hung cell, or a flaky exception
-   costs exactly the guilty cell (a structured ``failed`` row after the
-   retry budget); every other row matches the serial path.
+1. No faults: the results are what the serial ``run_experiment`` returns.
+2. Kill-and-resume: interrupt a journaled run at *any* experiment
+   boundary (or mid-append) and resume; ``results.json`` is
+   byte-identical to an uninterrupted run's.
+3. Fault isolation: a crashing worker, a hung experiment, or a flaky
+   exception costs exactly the guilty experiment (a FAILED result after
+   the retry budget); every other result matches the serial path.
 4. Journal corruption degrades to recomputation with a warning, never to
    wrong results.
 
-Measurements used as fault injectors live at module level so they pickle
-across the process boundary; cross-process state (fail once, then
-succeed) goes through marker files under ``tmp_path``.
+Faults are injected by monkeypatching the worker entry point,
+``repro.runner.core.serialized_experiment_task``, with module-level
+functions (they must pickle across the process boundary).  Cross-process
+state (fail once, then succeed; an armed bomb) goes through marker files
+in the test's working directory, which pool workers inherit.
 """
 
-import functools
-import io
 import json
 import os
+import time
 
 import pytest
 
-from repro.analysis import sweep_families
 from repro.analysis.experiments import run_experiment
-from repro.obs import JSONLSink, MetricsRegistry, Observation
+from repro.obs import MetricsRegistry, Observation
 from repro.obs.sinks import MemorySink
-from repro.parallel import e1_e4_cell
 from repro.runner import (
     JOURNAL_NAME,
     JOURNAL_SCHEMA,
@@ -38,127 +37,151 @@ from repro.runner import (
     RunJournal,
     cell_key,
     load_journal,
-    measurement_fingerprint,
     resilient_run_experiments,
-    resilient_sweep_families,
 )
-from repro.runner.core import ROWS_NAME, RESULTS_NAME, RUNNER_TRACE_NAME
-
-FAMILIES = ("path", "cycle", "complete")
-SIZES = (3, 6, 8)
+from repro.runner.core import RESULTS_NAME, RUNNER_TRACE_NAME, serialized_experiment_task
 
 #: Fast policy for tests: immediate retries, one re-attempt.
 FAST = RetryPolicy(retries=1, backoff_base=0.0)
 
+#: Eight cheap experiments: eight units, so nine journal boundaries.
+GRID = {
+    "E1": {"sizes": (8,), "families": ("path", "cycle")},
+    "E3": {"sizes": (8, 12), "families": ("complete",)},
+    "E4": {"sizes": (8,), "families": ("path", "complete")},
+    "E6": {"sizes": (8, 16)},
+    "E9": {"n": 16, "families": ("grid",)},
+    "E10": {"sizes": (8,), "families": ("complete",)},
+    "E11": {"sizes": (8,), "families": ("complete",)},
+    "E12": {"sizes": (8,), "families": ("cycle",)},
+}
+IDS = list(GRID)
+
+#: The experiment every fault injector picks on.
+GUILTY = "E4"
+
 
 # ----------------------------------------------------------------------
-# Fault-injecting measurements (module-level: they must pickle)
+# Fault-injecting worker entry points (module-level: they must pickle)
 # ----------------------------------------------------------------------
-def plain_cell(family, n, graph, seed=0):
-    return {"family": family, "n": n, "value": n * 10 + seed}
-
-
-def crash_cell(family, n, graph, seed=0):
-    """Kill the worker process outright on one grid cell."""
-    if family == "cycle" and n == 6:
+def crash_task(experiment_id, kwargs):
+    """Kill the worker process outright on the guilty experiment."""
+    if experiment_id == GUILTY:
         os._exit(17)
-    return plain_cell(family, n, graph, seed=seed)
+    return serialized_experiment_task(experiment_id, kwargs)
 
 
-def hang_cell(family, n, graph, seed=0):
-    """Hang far past any test timeout on one grid cell."""
-    if family == "cycle" and n == 6:
-        import time
-
+def hang_task(experiment_id, kwargs):
+    """Hang far past any test timeout on the guilty experiment."""
+    if experiment_id == GUILTY:
         time.sleep(300)
-    return plain_cell(family, n, graph, seed=seed)
+    return serialized_experiment_task(experiment_id, kwargs)
 
 
-def raise_cell(family, n, graph, seed=0):
-    """Deterministically raise on one grid cell."""
-    if family == "cycle" and n == 6:
+def raise_task(experiment_id, kwargs):
+    """Deterministically raise on the guilty experiment."""
+    if experiment_id == GUILTY:
         raise RuntimeError("injected failure")
-    return plain_cell(family, n, graph, seed=seed)
+    return serialized_experiment_task(experiment_id, kwargs)
 
 
-def flaky_cell(family, n, graph, marker=""):
-    """Raise on the first attempt at one cell; succeed ever after."""
-    if family == "cycle" and n == 6 and not os.path.exists(marker):
-        with open(marker, "w", encoding="utf-8") as handle:
+def flaky_task(experiment_id, kwargs):
+    """Raise on the first attempt at the guilty experiment; succeed ever after."""
+    if experiment_id == GUILTY and not os.path.exists("flake-marker"):
+        with open("flake-marker", "w", encoding="utf-8") as handle:
             handle.write("tripped")
         raise RuntimeError("flaky: first attempt")
-    return plain_cell(family, n, graph)
+    return serialized_experiment_task(experiment_id, kwargs)
 
 
-def bomb_cell(family, n, graph, marker="", seed=0):
-    """Measure normally until ``marker`` exists; then crash the worker.
+def bomb_task(experiment_id, kwargs):
+    """Run normally until ``armed`` exists; then crash the worker.
 
-    Same fingerprint either way (the partial binds only ``marker`` and
-    ``seed``), so a journal written before arming the bomb still matches —
-    which is how the tests prove resumed cells are *replayed*, not rerun.
+    Journal keys do not depend on the task function, so a journal written
+    before arming the bomb still matches — which is how the tests prove
+    resumed experiments are *replayed*, not rerun.
     """
-    if os.path.exists(marker):
+    if os.path.exists("armed"):
         os._exit(23)
-    return plain_cell(family, n, graph, seed=seed)
+    return serialized_experiment_task(experiment_id, kwargs)
 
 
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
-def observed_serial(seed):
-    stream = io.StringIO()
-    metrics = MetricsRegistry()
-    obs = Observation(JSONLSink(stream), metrics)
-    rows = sweep_families(
-        SIZES, functools.partial(e1_e4_cell, seed=seed), families=FAMILIES, obs=obs
-    )
-    return rows, stream.getvalue(), metrics.snapshot()
+@pytest.fixture(scope="module")
+def serial():
+    return {eid: run_experiment(eid, **kwargs) for eid, kwargs in GRID.items()}
 
 
-def observed_resilient(seed, **kwargs):
-    stream = io.StringIO()
-    metrics = MetricsRegistry()
-    obs = Observation(JSONLSink(stream), metrics)
-    report = resilient_sweep_families(
-        SIZES,
-        functools.partial(e1_e4_cell, seed=seed),
-        families=FAMILIES,
-        obs=obs,
-        **kwargs,
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    """An uninterrupted journaled run: its directory and results.json bytes."""
+    run_dir = str(tmp_path_factory.mktemp("reference"))
+    report = resilient_run_experiments(
+        IDS, workers=2, kwargs_by_id=GRID, policy=FAST, run_dir=run_dir
     )
-    return report, stream.getvalue(), metrics.snapshot()
+    assert report.ok
+    with open(os.path.join(run_dir, RESULTS_NAME), "rb") as handle:
+        return run_dir, handle.read()
+
+
+@pytest.fixture
+def inject(monkeypatch, tmp_path):
+    """Swap the worker entry point; markers land in ``tmp_path``."""
+    monkeypatch.chdir(tmp_path)
+
+    def use(task):
+        monkeypatch.setattr("repro.runner.core.serialized_experiment_task", task)
+
+    return use
+
+
+def run_grid(**kwargs):
+    kwargs.setdefault("workers", 2)
+    kwargs.setdefault("policy", FAST)
+    return resilient_run_experiments(IDS, kwargs_by_id=GRID, **kwargs)
 
 
 def runner_observation():
     return Observation(MemorySink(), MetricsRegistry())
 
 
-# ----------------------------------------------------------------------
-# 1. No faults: byte-identical to serial
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_resilient_sweep_byte_identical_to_serial(seed, workers):
-    serial_rows, serial_jsonl, serial_metrics = observed_serial(seed)
-    report, jsonl, metrics = observed_resilient(seed, workers=workers, policy=FAST)
-    assert report.rows == serial_rows
-    assert jsonl == serial_jsonl
-    assert metrics == serial_metrics
-    assert serial_jsonl  # not vacuous
-    assert report.ok and report.stats.failed == 0
+def results_bytes(run_dir):
+    with open(os.path.join(run_dir, RESULTS_NAME), "rb") as handle:
+        return handle.read()
 
 
-def test_resilient_sweep_writes_run_dir_files(tmp_path):
+def assert_only_guilty_failed(report, serial, error):
+    failed = [eid for eid, result in report.results.items() if result.title == "FAILED"]
+    assert failed == [GUILTY]
+    (row,) = report.results[GUILTY].rows
+    assert row["failed"] and row["error"] == error
+    assert row["attempts"] == FAST.max_attempts
+    for eid, result in report.results.items():
+        if eid != GUILTY:
+            assert result.rows == serial[eid].rows
+            assert result.findings == serial[eid].findings
+
+
+# ----------------------------------------------------------------------
+# 1. No faults: the run directory
+# ----------------------------------------------------------------------
+def test_resilient_experiments_write_run_dir_files(tmp_path, serial):
     run_dir = str(tmp_path / "run")
-    report, _, _ = observed_resilient(0, workers=2, policy=FAST, run_dir=run_dir)
+    report = run_grid(run_dir=run_dir)
     assert sorted(os.listdir(run_dir)) == sorted(
-        [JOURNAL_NAME, ROWS_NAME, RUNNER_TRACE_NAME]
+        [JOURNAL_NAME, RESULTS_NAME, RUNNER_TRACE_NAME]
     )
-    with open(os.path.join(run_dir, ROWS_NAME), encoding="utf-8") as handle:
-        assert json.load(handle) == report.rows
+    with open(os.path.join(run_dir, RESULTS_NAME), encoding="utf-8") as handle:
+        serialized = json.load(handle)
+    assert list(serialized) == IDS
+    for eid in IDS:
+        assert report.results[eid].rows == serial[eid].rows
+        assert serialized[eid]["rows"] == serial[eid].rows
     entries, corrupt = load_journal(os.path.join(run_dir, JOURNAL_NAME))
     assert corrupt == 0
-    assert len(entries) == len(FAMILIES) * len(SIZES)
+    assert len(entries) == len(IDS)
     assert all(e.status == "done" for e in entries.values())
 
 
@@ -167,7 +190,7 @@ def test_resilient_sweep_writes_run_dir_files(tmp_path):
 # ----------------------------------------------------------------------
 def truncated_copy(journal_path, target_dir, keep_lines, partial_tail=""):
     """A run dir whose journal holds the first ``keep_lines`` entries —
-    exactly what a SIGKILL at that cell boundary leaves behind."""
+    exactly what a SIGKILL at that boundary leaves behind."""
     os.makedirs(target_dir, exist_ok=True)
     with open(journal_path, encoding="utf-8") as handle:
         lines = handle.readlines()
@@ -176,45 +199,33 @@ def truncated_copy(journal_path, target_dir, keep_lines, partial_tail=""):
         handle.write(partial_tail)
 
 
-@pytest.mark.parametrize("keep", [0, 1, 5, 8])
-def test_resume_after_interruption_is_byte_identical(tmp_path, keep):
-    serial_rows, serial_jsonl, serial_metrics = observed_serial(0)
-    full = str(tmp_path / "full")
-    observed_resilient(0, workers=2, policy=FAST, run_dir=full)
-
+@pytest.mark.parametrize("keep", range(len(GRID) + 1))
+def test_resume_after_interruption_is_byte_identical(tmp_path, reference, keep):
+    ref_dir, ref_bytes = reference
     resumed_dir = str(tmp_path / f"resume{keep}")
-    truncated_copy(os.path.join(full, JOURNAL_NAME), resumed_dir, keep)
+    truncated_copy(os.path.join(ref_dir, JOURNAL_NAME), resumed_dir, keep)
     runner_obs = runner_observation()
-    report, jsonl, metrics = observed_resilient(
-        0, workers=2, policy=FAST, run_dir=resumed_dir, runner_obs=runner_obs
-    )
-    assert report.rows == serial_rows
-    assert jsonl == serial_jsonl
-    assert metrics == serial_metrics
+    report = run_grid(run_dir=resumed_dir, runner_obs=runner_obs)
+    assert results_bytes(resumed_dir) == ref_bytes
     assert report.stats.resumed == keep
+    assert report.stats.done == len(IDS)
     resumes = runner_obs.metrics.counter("runner_cells_resumed").value
     assert resumes == keep or keep == 0
 
 
-def test_resume_with_torn_final_line_recomputes_that_cell(tmp_path):
+def test_resume_with_torn_final_line_recomputes_that_cell(tmp_path, reference):
     """A SIGKILL mid-append leaves a torn line: warned about, recomputed."""
-    serial_rows, serial_jsonl, _ = observed_serial(0)
-    full = str(tmp_path / "full")
-    observed_resilient(0, workers=2, policy=FAST, run_dir=full)
-
+    ref_dir, ref_bytes = reference
     resumed_dir = str(tmp_path / "torn")
     truncated_copy(
-        os.path.join(full, JOURNAL_NAME),
+        os.path.join(ref_dir, JOURNAL_NAME),
         resumed_dir,
         3,
         partial_tail='{"schema":"repro-runner/1","key":"abc","exp',  # torn write
     )
     with pytest.warns(UserWarning, match="corrupted journal line"):
-        report, jsonl, _ = observed_resilient(
-            0, workers=2, policy=FAST, run_dir=resumed_dir
-        )
-    assert report.rows == serial_rows
-    assert jsonl == serial_jsonl
+        report = run_grid(run_dir=resumed_dir)
+    assert results_bytes(resumed_dir) == ref_bytes
     assert report.stats.resumed == 3
     assert report.stats.corrupt_journal_lines == 1
 
@@ -251,189 +262,125 @@ def test_resume_with_wrong_shape_row_recomputes_that_experiment(tmp_path):
     assert again.stats.resumed == 2 and again.stats.corrupt_journal_lines == 0
 
 
-def test_resume_replays_done_cells_without_recomputing(tmp_path):
+def test_resume_replays_done_cells_without_recomputing(tmp_path, inject):
     """After a full journaled run, arm the bomb: a resume that *ran* any
-    cell would crash its worker — so finishing proves replay."""
-    marker = str(tmp_path / "armed")
+    experiment would crash its worker — so finishing proves replay."""
+    inject(bomb_task)
     run_dir = str(tmp_path / "run")
-    measurement = functools.partial(bomb_cell, marker=marker, seed=0)
-    first = resilient_sweep_families(
-        SIZES, measurement, families=FAMILIES, workers=2, policy=FAST, run_dir=run_dir
-    )
+    first = run_grid(run_dir=run_dir)
     assert first.ok
+    first_bytes = results_bytes(run_dir)
 
-    with open(marker, "w", encoding="utf-8") as handle:
-        handle.write("armed")
+    (tmp_path / "armed").write_text("armed")
     runner_obs = runner_observation()
-    again = resilient_sweep_families(
-        SIZES,
-        measurement,
-        families=FAMILIES,
-        workers=2,
-        policy=FAST,
-        run_dir=run_dir,
-        runner_obs=runner_obs,
-    )
+    again = run_grid(run_dir=run_dir, runner_obs=runner_obs)
     assert again.ok
-    assert again.rows == first.rows
-    assert again.stats.resumed == len(FAMILIES) * len(SIZES)
-    resumed = runner_obs.metrics.counter("runner_cells_resumed").value
-    assert resumed == len(FAMILIES) * len(SIZES)
+    assert results_bytes(run_dir) == first_bytes
+    assert again.stats.resumed == len(IDS)
+    assert runner_obs.metrics.counter("runner_cells_resumed").value == len(IDS)
 
 
-def test_resume_misses_on_different_measurement_fingerprint(tmp_path):
-    """A journal written for seed=0 must not answer a seed=1 run."""
+def test_resume_misses_on_different_kwargs(tmp_path, serial):
+    """A journal written for one grid must not answer another."""
     run_dir = str(tmp_path / "run")
-    observed_resilient(0, workers=2, policy=FAST, run_dir=run_dir)
-    serial_rows, serial_jsonl, _ = observed_serial(1)
-    report, jsonl, _ = observed_resilient(1, workers=2, policy=FAST, run_dir=run_dir)
-    assert report.stats.resumed == 0
-    assert report.rows == serial_rows
-    assert jsonl == serial_jsonl
-
-
-def test_journal_written_without_obs_resumes_as_observed_run(tmp_path):
-    """Workers capture events whenever a journal is written, not only when
-    the writing run observes: a later resume may replay the journal into
-    an observed run, which must see the serial stream."""
-    serial_rows, serial_jsonl, serial_metrics = observed_serial(0)
-    run_dir = str(tmp_path / "run")
-    first = resilient_sweep_families(
-        SIZES,
-        functools.partial(e1_e4_cell, seed=0),
-        families=FAMILIES,
-        workers=2,
-        policy=FAST,
-        run_dir=run_dir,
+    resilient_run_experiments(
+        ["E1"], workers=1, kwargs_by_id={"E1": {"sizes": (16,)}}, policy=FAST, run_dir=run_dir
     )
-    assert first.rows == serial_rows
+    report = resilient_run_experiments(
+        ["E1"], workers=1, kwargs_by_id={"E1": GRID["E1"]}, policy=FAST, run_dir=run_dir
+    )
+    assert report.stats.resumed == 0
+    assert report.results["E1"].rows == serial["E1"].rows
 
-    report, jsonl, metrics = observed_resilient(0, workers=2, policy=FAST, run_dir=run_dir)
-    assert report.stats.resumed == len(FAMILIES) * len(SIZES)
-    assert report.rows == serial_rows
-    assert jsonl == serial_jsonl
-    assert metrics == serial_metrics
+
+def test_resume_reads_journal_lines_that_carry_events(tmp_path, reference):
+    """Journal lines with an ``events`` field (written before the journal
+    stopped storing telemetry) still replay."""
+    ref_dir, ref_bytes = reference
+    old_dir = tmp_path / "old"
+    old_dir.mkdir()
+    with open(os.path.join(ref_dir, JOURNAL_NAME), encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+    lines = []
+    for record in records:
+        assert "events" not in record
+        record["events"] = []
+        lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+    (old_dir / JOURNAL_NAME).write_text("".join(lines))
+    report = run_grid(run_dir=str(old_dir))
+    assert report.stats.resumed == len(IDS)
+    assert (old_dir / RESULTS_NAME).read_bytes() == ref_bytes
 
 
 # ----------------------------------------------------------------------
 # 3. Fault isolation: crash, hang, exception, flake
 # ----------------------------------------------------------------------
-def assert_only_cycle6_failed(rows, error):
-    failed = [r for r in rows if r.get("failed")]
-    assert [(r["family"], r["n"]) for r in failed] == [("cycle", 6)]
-    assert failed[0]["error"] == error
-    assert failed[0]["attempts"] == FAST.max_attempts
-    good = [r for r in rows if not r.get("failed")]
-    assert len(good) == len(FAMILIES) * len(SIZES) - 1
-    assert all(r["value"] == r["n"] * 10 for r in good)
-
-
-def test_worker_crash_fails_only_its_cell():
+def test_worker_crash_fails_only_its_cell(inject, serial):
+    inject(crash_task)
     runner_obs = runner_observation()
-    report = resilient_sweep_families(
-        SIZES,
-        functools.partial(crash_cell, seed=0),
-        families=FAMILIES,
-        workers=2,
-        policy=FAST,
-        runner_obs=runner_obs,
-    )
+    report = run_grid(runner_obs=runner_obs)
     assert not report.ok
     assert report.stats.failed == 1
-    assert_only_cycle6_failed(report.rows, "WorkerCrash")
+    assert_only_guilty_failed(report, serial, "WorkerCrash")
     assert runner_obs.metrics.counter("runner_cells_failed").value == 1
     assert report.stats.pool_recycles >= 1
 
 
-def test_timeout_fails_only_the_hung_cell():
+def test_timeout_fails_only_the_hung_cell(inject, serial):
+    inject(hang_task)
     policy = RetryPolicy(retries=1, timeout=2.0, backoff_base=0.0)
-    report = resilient_sweep_families(
-        SIZES,
-        functools.partial(hang_cell, seed=0),
-        families=FAMILIES,
-        workers=2,
-        policy=policy,
-    )
+    report = run_grid(policy=policy)
     assert not report.ok
-    failed = [r for r in report.rows if r.get("failed")]
-    assert [(r["family"], r["n"]) for r in failed] == [("cycle", 6)]
-    assert failed[0]["error"] == "TimeoutError"
-    assert len([r for r in report.rows if not r.get("failed")]) == 8
+    assert_only_guilty_failed(report, serial, "TimeoutError")
 
 
-def test_exception_exhausts_retries_then_degrades():
+def test_exception_exhausts_retries_then_degrades(inject, serial):
+    inject(raise_task)
     runner_obs = runner_observation()
-    report = resilient_sweep_families(
-        SIZES,
-        functools.partial(raise_cell, seed=0),
-        families=FAMILIES,
-        workers=2,
-        policy=FAST,
-        runner_obs=runner_obs,
-    )
-    assert_only_cycle6_failed(report.rows, "RuntimeError")
+    report = run_grid(runner_obs=runner_obs)
+    assert_only_guilty_failed(report, serial, "RuntimeError")
+    assert "injected failure" in report.results[GUILTY].findings[0]
     metrics = runner_obs.metrics
     assert metrics.counter("runner_attempt_failures").value == FAST.max_attempts
     assert metrics.counter("runner_retries").value == FAST.retries
     assert metrics.counter("runner_cells_failed").value == 1
 
 
-def test_flaky_cell_retries_to_success(tmp_path):
-    marker = str(tmp_path / "flake-marker")
+def test_flaky_cell_retries_to_success(inject, serial):
+    inject(flaky_task)
     runner_obs = runner_observation()
-    report = resilient_sweep_families(
-        SIZES,
-        functools.partial(flaky_cell, marker=marker),
-        families=FAMILIES,
-        workers=2,
-        policy=FAST,
-        runner_obs=runner_obs,
-    )
+    report = run_grid(runner_obs=runner_obs)
     assert report.ok
     assert report.stats.failed == 0
     assert report.stats.retries == 1
-    assert [r["value"] for r in report.rows] == [n * 10 for __ in FAMILIES for n in SIZES]
+    for eid in IDS:
+        assert report.results[eid].rows == serial[eid].rows
     assert runner_obs.metrics.counter("runner_retries").value == 1
     assert "runner_cells_failed" not in runner_obs.metrics
 
 
-def test_failed_cells_are_journaled_and_retried_on_resume(tmp_path):
-    """``failed`` journal entries are recorded but NOT replayed: the resume
-    gives the cell a fresh chance (here: the injected fault is gone)."""
+def test_failed_cells_are_journaled_and_retried_on_resume(tmp_path, inject, reference):
+    """``failed`` journal entries are recorded but NOT replayed: a resume
+    gives the experiment a fresh chance — which succeeds once the fault is
+    gone, and re-fails while it persists."""
+    inject(raise_task)
     run_dir = str(tmp_path / "run")
-    report = resilient_sweep_families(
-        SIZES,
-        functools.partial(raise_cell, seed=0),
-        families=FAMILIES,
-        workers=2,
-        policy=FAST,
-        run_dir=run_dir,
-    )
+    report = run_grid(run_dir=run_dir)
     assert not report.ok
     entries, _ = load_journal(os.path.join(run_dir, JOURNAL_NAME))
     statuses = sorted(e.status for e in entries.values())
-    assert statuses.count("failed") == 1 and statuses.count("done") == 8
+    assert statuses.count("failed") == 1 and statuses.count("done") == len(IDS) - 1
 
-    # "Fix the bug" by switching to the healthy measurement of the same
-    # shape — but at the *same* fingerprint the failure would persist, so
-    # emulate the fix by resuming with the fault gone: raise_cell's
-    # injected failure is keyed to (cycle, 6); rerunning with plain_cell
-    # has a different fingerprint, so instead resume with raise_cell on a
-    # grid where the journal answers the 8 healthy cells and the failed
-    # cell raises again — proving failed entries re-run rather than replay.
-    runner_obs = runner_observation()
-    again = resilient_sweep_families(
-        SIZES,
-        functools.partial(raise_cell, seed=0),
-        families=FAMILIES,
-        workers=2,
-        policy=FAST,
-        run_dir=run_dir,
-        runner_obs=runner_obs,
-    )
-    assert again.stats.resumed == 8
+    again = run_grid(run_dir=run_dir)
+    assert again.stats.resumed == len(IDS) - 1
     assert again.stats.attempt_failures == FAST.max_attempts  # re-ran, re-failed
     assert not again.ok
+
+    inject(serialized_experiment_task)
+    fixed = run_grid(run_dir=run_dir)
+    assert fixed.ok
+    assert fixed.stats.resumed == len(IDS) - 1
+    assert results_bytes(run_dir) == reference[1]
 
 
 # ----------------------------------------------------------------------
@@ -466,10 +413,10 @@ def test_retry_policy_validation():
 # ----------------------------------------------------------------------
 def test_cell_key_separates_every_coordinate():
     keys = {
-        cell_key("sweep:a", "path:6", ""),
-        cell_key("sweep:a", "path:8", ""),
-        cell_key("sweep:b", "path:6", ""),
-        cell_key("sweep:a", "path:6", 1),
+        cell_key("E1", "{}", ""),
+        cell_key("E1", '{"sizes": [8]}', ""),
+        cell_key("E3", "{}", ""),
+        cell_key("E1", "{}", 1),
     }
     assert len(keys) == 4
 
@@ -484,7 +431,6 @@ def test_journal_round_trip(tmp_path):
         status="done",
         attempts=2,
         row={"a": 1},
-        events=[{"event": "x"}],
     )
     with RunJournal(path) as journal:
         journal.append(entry)
@@ -514,14 +460,6 @@ def test_load_journal_skips_wrong_schema_and_keeps_last_duplicate(tmp_path):
     assert corrupt == 1
     assert entries[key].status == "done"
     assert JOURNAL_SCHEMA in json.dumps(entries[key].to_dict())
-
-
-def test_measurement_fingerprint_distinguishes_partial_bindings():
-    base = measurement_fingerprint(e1_e4_cell)
-    seeded0 = measurement_fingerprint(functools.partial(e1_e4_cell, seed=0))
-    seeded1 = measurement_fingerprint(functools.partial(e1_e4_cell, seed=1))
-    assert base in seeded0
-    assert seeded0 != seeded1 != base
 
 
 # ----------------------------------------------------------------------
@@ -579,18 +517,12 @@ def test_resilient_experiments_rejects_unknown_id():
 # ----------------------------------------------------------------------
 # Fault telemetry feeds `repro stats`
 # ----------------------------------------------------------------------
-def test_runner_trace_replays_into_stats(tmp_path):
+def test_runner_trace_replays_into_stats(tmp_path, inject):
     from repro.obs import read_jsonl, stats_report
 
+    inject(raise_task)
     run_dir = str(tmp_path / "run")
-    resilient_sweep_families(
-        SIZES,
-        functools.partial(raise_cell, seed=0),
-        families=FAMILIES,
-        workers=2,
-        policy=FAST,
-        run_dir=run_dir,
-    )
+    run_grid(run_dir=run_dir)
     events = read_jsonl(os.path.join(run_dir, RUNNER_TRACE_NAME))
     report_text = stats_report(events)
     assert "runner_attempt_failures" in report_text
