@@ -107,6 +107,7 @@ class ColumnEquals(Check):
     column: str = ""
     value: Any = None
     where: Where = ()
+    where_not: Where = ()
 
 
 @dataclass(frozen=True)
@@ -322,6 +323,12 @@ CRITERIA: Dict[str, Criterion] = {
             RowsTrue(
                 "the 1-bit oracle elected exactly one leader, silently",
                 column="advised_ok",
+                where_not=(("family", "ring/anonymous"),),
+            ),
+            ColumnEquals(
+                "the 1-bit oracle's elections sent zero messages",
+                column="1bit_msgs",
+                value=0,
                 where_not=(("family", "ring/anonymous"),),
             ),
             RowsTrue(

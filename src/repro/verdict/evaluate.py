@@ -227,7 +227,7 @@ def evaluate_check(
         return CheckResult(check.claim, status, measured, predicted)
 
     if isinstance(check, ColumnEquals):
-        selected = _select(rows, check.where)
+        selected = _select(rows, check.where, check.where_not)
         predicted = f"{check.column} == {check.value!r} on every row"
         if not selected:
             return CheckResult(check.claim, INCONCLUSIVE, "no rows selected", predicted)

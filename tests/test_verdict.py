@@ -117,6 +117,19 @@ class TestPlantedTamper:
         assert wakeup.status == REFUTED
         assert "* n (" in wakeup.measured  # the linear model won the race
 
+    def test_noisy_election_refutes_e12(self):
+        """E12's 1-bit oracle must elect silently: rows whose election sent
+        n messages refute it, though every election still succeeded."""
+        rows = copy.deepcopy(run_experiment("E12").rows)
+        for row in rows:
+            if row["family"] != "ring/anonymous":
+                row["1bit_msgs"] = row["n"]
+        verdict = evaluate_experiment(CRITERIA["E12"], {"rows": rows})
+        assert verdict.status == REFUTED
+        silent = next(c for c in verdict.checks if "zero messages" in c.claim)
+        assert silent.status == REFUTED
+        assert silent.measured.startswith("0/12 rows")
+
     def test_zero_series_refutes_growth(self):
         """An all-zero series fits every model exactly (rel.err 0, R^2 1):
         E4's Theta(n) growth check must refute it, not confirm it."""
