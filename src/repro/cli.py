@@ -6,8 +6,9 @@ Commands
     Run experiments from the registry and print their tables and findings.
     ``--workers N`` fans the experiments over a process pool with a
     deterministic, serial-identical merge (default ``$REPRO_WORKERS``,
-    else 1 = in-process); ``--cache`` persists built graphs and oracle
-    advice under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``).
+    else 1 = in-process); ``--cache`` shares built graphs and oracle
+    advice in memory across the run's experiments (one cache per worker
+    under ``--workers N``).
 ``all``
     Run every experiment (E1-E15) at default sizes; accepts the same
     ``--workers`` / ``--cache`` flags.
@@ -80,11 +81,11 @@ Commands
     ``RESEARCH_LOG.md`` (idempotent), and ``--trace`` saves
     ``verdict_rendered`` events for ``repro stats``.  Exit 1 on any
     REFUTED; INCONCLUSIVE warns on stderr.
-``serve [--port P] [--uds PATH] [--workers N] [--cache] [--access-log F]``
+``serve [--port P] [--uds PATH] [--max-pending N] [--access-log F]``
     The long-running advice-serving daemon (see :mod:`repro.service` and
     ``docs/SERVICE.md``): advice-construction and simulation jobs over
     localhost HTTP plus an optional Unix-socket IPC lane, answered
-    byte-identically to the direct library calls from a shared
+    byte-identically to the direct library calls from an in-memory
     content-addressed construction cache, with single-flight request
     coalescing and bounded-queue backpressure.  SIGTERM drains
     gracefully: in-flight jobs finish, new ones are refused, exit 0.
@@ -124,7 +125,7 @@ def _cmd_experiment(
         resolve_workers,
     )
 
-    cache = ConstructionCache.persistent() if use_cache else None
+    cache = ConstructionCache() if use_cache else None
     try:
         workers = resolve_workers(workers)
     except ValueError as exc:
@@ -181,16 +182,12 @@ def _cmd_experiment(
             status = 1
     if cache is not None:
         if stats is not None:
-            # The parent cache never served a lookup: pool workers rebuilt
-            # their own from its spec, sharing only the disk layer.
-            print(f"construction cache: disk layer at {cache.persist_dir} "
-                  f"(per-worker stats not aggregated)")
+            # The parent cache never served a lookup: each pool worker
+            # built its own from the parent's spec.
+            print("construction cache: one per worker (per-worker stats not aggregated)")
         else:
             s = cache.stats
-            print(
-                f"construction cache: {s.hits} hit(s), {s.misses} miss(es), "
-                f"{s.disk_hits} from disk ({cache.persist_dir})"
-            )
+            print(f"construction cache: {s.hits} hit(s), {s.misses} miss(es)")
     if stats is not None:
         print(stats.summary_line())
         if stats.failed:
@@ -357,29 +354,13 @@ def _cmd_serve(
     host: str,
     port: int,
     uds: Optional[str],
-    workers: int,
     max_pending: int,
-    cache_dir: Optional[str],
-    use_cache: bool,
-    memory_entries: Optional[int],
     access_log: Optional[str],
 ) -> int:
-    from .parallel.cache import default_cache_dir
     from .service import ServiceConfig, serve
 
-    if use_cache and cache_dir is None:
-        cache_dir = default_cache_dir()
-    kwargs = {} if memory_entries is None else {"cache_entries": memory_entries}
     try:
-        config = ServiceConfig(
-            host=host,
-            port=port,
-            uds=uds,
-            workers=workers,
-            max_pending=max_pending,
-            cache_dir=cache_dir,
-            **kwargs,
-        )
+        config = ServiceConfig(host=host, port=port, uds=uds, max_pending=max_pending)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -600,7 +581,7 @@ def _cmd_profile(
     from .obs import Observation, Profiler, chrome_trace_json, collapsed_stacks
     from .parallel import ConstructionCache
 
-    cache = ConstructionCache.persistent() if use_cache else None
+    cache = ConstructionCache() if use_cache else None
     profiler = Profiler()
     # Profile-only Observation: no sink, no metrics, so the hot paths stay
     # dark (enabled=False) and the numbers reflect an unobserved run.
@@ -781,8 +762,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             "--cache",
             action=argparse.BooleanOptionalAction,
             default=False,
-            help="persist built graphs/advice under $REPRO_CACHE_DIR "
-            "(default ~/.cache/repro); --no-cache is the default",
+            help="share built graphs/advice in memory across the run's "
+            "experiments (one cache per worker); --no-cache is the default",
         )
         p.add_argument(
             "--timeout",
@@ -956,7 +937,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--cache",
         action=argparse.BooleanOptionalAction,
         default=False,
-        help="persist built graphs/advice under $REPRO_CACHE_DIR",
+        help="memoize built graphs/advice in memory during the run",
     )
 
     p_bench = sub.add_parser(
@@ -981,27 +962,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also open a Unix-socket IPC lane at PATH (newline-delimited JSON)",
     )
     p_serve.add_argument(
-        "--workers", type=int, default=0,
-        help="job worker processes; 0 (default) runs jobs on one in-process "
-        "thread sharing the daemon's construction cache",
-    )
-    p_serve.add_argument(
         "--max-pending", type=int, default=64,
         help="distinct jobs in flight before requests are rejected with 429",
-    )
-    p_serve.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="persist constructions under $REPRO_CACHE_DIR (like `experiment --cache`)",
-    )
-    p_serve.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="explicit persistent cache directory (implies --cache)",
-    )
-    p_serve.add_argument(
-        "--memory-entries", type=int, default=None,
-        help="in-memory construction-cache LRU cap (default 4096)",
     )
     p_serve.add_argument(
         "--access-log", default=None, metavar="FILE",
@@ -1131,10 +1093,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "bench-export":
         return _cmd_bench_export(args.input, args.out)
     if args.command == "serve":
-        return _cmd_serve(
-            args.host, args.port, args.uds, args.workers, args.max_pending,
-            args.cache_dir, args.cache, args.memory_entries, args.access_log,
-        )
+        return _cmd_serve(args.host, args.port, args.uds, args.max_pending, args.access_log)
     if args.command == "verdict":
         return _cmd_verdict(
             args.ids, args.results, args.profile, args.json,

@@ -114,7 +114,7 @@ def module_aliases(tree: ast.Module, watched: Sequence[str]) -> Dict[str, str]:
 def module_str_constants(tree: ast.Module) -> Dict[str, str]:
     """Module-level ``NAME = "literal"`` assignments, by name.
 
-    Used to resolve indirect lookups such as ``os.environ.get(CACHE_DIR_ENV)``
+    Used to resolve indirect lookups such as ``os.environ.get(WORKERS_ENV)``
     back to the string the constant holds.  Only simple, unconditional
     top-level assignments count; anything dynamic stays unresolved.
     """

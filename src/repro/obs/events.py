@@ -307,7 +307,6 @@ class ServiceStarted(Event):
     kind: ClassVar[str] = "service_started"
     http: str
     ipc: str
-    workers: int
     max_pending: int
 
 
@@ -380,9 +379,6 @@ class ConstructionCacheStats(Event):
     hits: int
     misses: int
     evictions: int
-    disk_hits: int
-    disk_writes: int
-    corrupt_dropped: int
     entries: int
 
 

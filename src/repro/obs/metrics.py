@@ -260,9 +260,6 @@ def apply_event(metrics: MetricsRegistry, event: Union[Event, Mapping[str, Any]]
         metrics.counter("verdict_checks_refuted").inc(data["refuted"])
         metrics.counter("verdict_checks_inconclusive").inc(data["inconclusive"])
     elif kind == "cache_stats":
-        for field in (
-            "hits", "misses", "evictions", "disk_hits", "disk_writes",
-            "corrupt_dropped", "entries",
-        ):
+        for field in ("hits", "misses", "evictions", "entries"):
             metrics.gauge(f"cache_{field}").set(data[field])
     # span_ended and unknown kinds: no metric contribution.

@@ -1,16 +1,15 @@
-"""The construction cache the process-pool fan-out and the daemon share.
+"""The in-memory construction cache and its hand-off to pool workers.
 
 The one process-pool fan-out over the E1-E15 grid is the fault-tolerant
 runner in :mod:`repro.runner` (``$REPRO_WORKERS`` sets the default
-width); the serving daemon keeps a pool of its own.  Both hand their
-workers a :class:`ConstructionCache` through this package:
+width).  It hands its workers a :class:`ConstructionCache` through this
+package:
 
-* :mod:`repro.parallel.cache` — a content-addressed
+* :mod:`repro.parallel.cache` — a content-addressed, in-memory
   :class:`ConstructionCache` memoizing built graphs and oracle advice,
-  in memory and optionally on disk (``$REPRO_CACHE_DIR`` or
-  ``~/.cache/repro``), and the pool initializer
-  (:func:`~repro.parallel.cache.init_worker_cache`) that hands it to
-  worker processes.
+  and the pool initializer
+  (:func:`~repro.parallel.cache.init_worker_cache`) that gives each
+  worker process a cache of its own.
 
 See ``docs/PARALLEL.md`` for the cache key design and how results stay
 identical across worker counts.
@@ -21,7 +20,6 @@ from .cache import (
     DEFAULT_MAX_ENTRIES,
     CacheStats,
     ConstructionCache,
-    default_cache_dir,
     worker_cache,
 )
 
@@ -30,6 +28,5 @@ __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "CacheStats",
     "ConstructionCache",
-    "default_cache_dir",
     "worker_cache",
 ]

@@ -18,14 +18,9 @@ through four gates, cheapest first:
    ``Retry-After`` hint rather than queueing without bound.  Rejection is
    deliberately cheap: no job state is created for refused work.
 
-Jobs run on a worker pool behind the event loop: ``workers=0`` keeps a
-single service thread sharing the parent's
-:class:`~repro.parallel.cache.ConstructionCache` in-process (one thread,
-so no locking), ``workers>=1`` fans out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` whose workers hydrate
-their own caches from the shared disk layer — the same
-:func:`~repro.parallel.cache.init_worker_cache` arrangement the runner's
-pools use.
+Admitted jobs run off the event loop on one job thread, which owns the
+daemon's in-memory :class:`~repro.parallel.cache.ConstructionCache` (one
+thread, so no locking).
 
 Telemetry goes through the standard :class:`~repro.obs.Observation`
 machinery as the daemon's *access log*: ``service_*`` events fold into
@@ -37,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
@@ -50,8 +46,8 @@ from ..obs.events import (
     ServiceStarted,
 )
 from ..obs.observe import Observation, resolve_obs
-from ..parallel.cache import DEFAULT_MAX_ENTRIES, ConstructionCache
-from .jobs import execute_job, service_job_task
+from ..parallel.cache import ConstructionCache
+from .jobs import execute_job
 from .protocol import (
     PROTOCOL_SCHEMA,
     RequestError,
@@ -73,24 +69,17 @@ class ServiceConfig:
 
     ``port=0`` binds an ephemeral port (the bound address is published on
     :attr:`AdviceService.http_address`); ``uds`` additionally opens the
-    Unix-socket IPC lane.  ``workers=0`` runs jobs on one thread inside
-    the daemon process — the right choice for in-memory cache sharing and
-    for tests — while ``workers>=1`` uses that many worker processes.
+    Unix-socket IPC lane.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     uds: Optional[str] = None
-    workers: int = 0
     max_pending: int = 64
     retry_after_s: float = 1.0
-    cache_dir: Optional[str] = None
-    cache_entries: Optional[int] = DEFAULT_MAX_ENTRIES
     response_entries: int = 4096
 
     def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {self.max_pending}")
         if self.response_entries < 0:
@@ -119,9 +108,7 @@ class AdviceService:
     ) -> None:
         self.config = config
         self.obs = resolve_obs(obs)
-        self.cache = ConstructionCache(
-            persist_dir=config.cache_dir, max_entries=config.cache_entries
-        )
+        self.cache = ConstructionCache()
         # Response LRU: key -> complete payload dict.
         self._responses: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         # Single-flight map: key -> future resolving to the payload.
@@ -154,28 +141,13 @@ class AdviceService:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Open listeners, warm the pool, announce readiness."""
+        """Open listeners, start the job thread, announce readiness."""
         self.stopped = asyncio.Event()
         self._idle_event = asyncio.Event()
         self._idle_event.set()
-        self.cache.recover()
-        if self.config.workers >= 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            from ..parallel.cache import init_worker_cache
-
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.config.workers,
-                initializer=init_worker_cache,
-                initargs=(self.cache.spec(),),
-            )
-            self._job_fn = service_job_task
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            # One thread: jobs run strictly serially off the event loop, so
-            # the shared in-process ConstructionCache needs no locking.
-            self._executor = ThreadPoolExecutor(max_workers=1)
+        # One thread: jobs run strictly serially off the event loop, so the
+        # daemon's ConstructionCache needs no locking.
+        self._executor = ThreadPoolExecutor(max_workers=1)
         from .server import start_http_server, start_ipc_server
 
         server = await start_http_server(self)
@@ -189,7 +161,6 @@ class AdviceService:
             ServiceStarted(
                 http=f"{self.http_address[0]}:{self.http_address[1]}",
                 ipc=self.ipc_path or "",
-                workers=self.config.workers,
                 max_pending=self.config.max_pending,
             )
         )
@@ -200,16 +171,16 @@ class AdviceService:
         Ordering matters: flip the drain flag (new requests start getting
         ``draining`` refusals), close the listeners (no new connections),
         wait for every in-flight request to be *answered* (not merely
-        computed), then tear down idle connections, the pool, and emit the
-        final accounting events.
+        computed), then tear down idle connections and the job thread, and
+        emit the final accounting events.
         """
         self._draining = True
         for server in self._servers:
             server.close()
         for server in self._servers:
             await server.wait_closed()
-        # In-flight jobs first: their futures must resolve before the pool
-        # may be shut down (shutdown blocks the loop until jobs finish).
+        # In-flight jobs first: their futures must resolve before the job
+        # thread may be shut down (shutdown blocks the loop until jobs finish).
         inflight = list(self._inflight.values())
         if inflight:
             await asyncio.gather(
@@ -229,9 +200,6 @@ class AdviceService:
                 hits=self.cache.stats.hits,
                 misses=self.cache.stats.misses,
                 evictions=self.cache.stats.evictions,
-                disk_hits=self.cache.stats.disk_hits,
-                disk_writes=self.cache.stats.disk_writes,
-                corrupt_dropped=self.cache.stats.corrupt_dropped,
                 entries=len(self.cache),
             )
         )
@@ -377,6 +345,12 @@ class AdviceService:
         return ok_envelope(key, payload), 200, {}
 
     def _failed(self, job: str, key: str, exc: Exception) -> Response:
+        """A job's error: a typed 400 for a :class:`RequestError`, else 500."""
+        if isinstance(exc, RequestError):
+            self.obs.emit(
+                ServiceResponseSent(job=job, key=key, status=exc.code, source="invalid")
+            )
+            return error_envelope(exc.code, str(exc)), 400, {}
         self.obs.emit(
             ServiceResponseSent(job=job, key=key, status="internal", source="failed")
         )
@@ -410,7 +384,6 @@ class AdviceService:
             "pending": self._pending,
             "inflight": len(self._inflight),
             "response_entries": len(self._responses),
-            "workers": self.config.workers,
             "max_pending": self.config.max_pending,
             "cache": {**self.cache.stats.as_dict(), "entries": len(self.cache)},
         }

@@ -9,7 +9,7 @@ process supervisors (and the CI smoke job) rely on.
 
 The ready line is machine-parseable on purpose::
 
-    repro-serve ready http=127.0.0.1:43117 ipc=/tmp/repro.sock workers=0
+    repro-serve ready http=127.0.0.1:43117 ipc=/tmp/repro.sock
 
 Supervisors and test harnesses wait for it instead of polling the port.
 """
@@ -32,10 +32,7 @@ __all__ = ["serve", "ready_line"]
 def ready_line(service: AdviceService) -> str:
     """The one-line readiness announcement for the bound listeners."""
     host, port = service.http_address
-    return (
-        f"repro-serve ready http={host}:{port} "
-        f"ipc={service.ipc_path or '-'} workers={service.config.workers}"
-    )
+    return f"repro-serve ready http={host}:{port} ipc={service.ipc_path or '-'}"
 
 
 async def _serve_async(config: ServiceConfig, obs: Observation) -> None:

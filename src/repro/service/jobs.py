@@ -14,9 +14,9 @@ event stream is identical with and without it:
   the fetch computes or hits the cache, exactly where ``_run`` emits it
   when it computes advice itself.
 
-Worker processes call :func:`service_job_task`, which picks up the
-per-worker cache installed by
-:func:`repro.parallel.cache.init_worker_cache`.
+A size the family's builder refuses is the client's error, not the
+daemon's: :func:`build_graph` raises it as a
+:class:`~repro.service.protocol.RequestError`.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from ..algorithms import ALGORITHM_REGISTRY
 from ..core.oracle import FullMapOracle, NullOracle, Oracle, advice_to_json
 from ..core.tasks import run_broadcast, run_wakeup
 from ..network.builders import FAMILY_BUILDERS
-from ..network.graph import PortLabeledGraph
+from ..network.graph import GraphError, PortLabeledGraph
 from ..obs.observe import Observation
 from ..obs.sinks import MemorySink, encode_event
 from ..oracles import LightTreeBroadcastOracle, SpanningTreeWakeupOracle
-from ..parallel.cache import ConstructionCache, worker_cache
+from ..parallel.cache import ConstructionCache
 from ..simulator.schedulers import make_scheduler
-from .protocol import PROTOCOL_SCHEMA
+from .protocol import PROTOCOL_SCHEMA, RequestError
 
 __all__ = [
     "ORACLE_FACTORIES",
@@ -42,7 +42,6 @@ __all__ = [
     "advice_payload",
     "simulate_payload",
     "execute_job",
-    "service_job_task",
 ]
 
 #: Request oracle name -> zero-argument factory.  The same named set the
@@ -64,10 +63,17 @@ def make_oracle(name: str) -> Oracle:
 def build_graph(
     family: str, n: int, cache: Optional[ConstructionCache] = None
 ) -> PortLabeledGraph:
-    """The frozen ``(family, n)`` member, through the cache when given."""
-    if cache is not None:
-        return cache.graph(family, n)
-    graph = FAMILY_BUILDERS[family](n)
+    """The frozen ``(family, n)`` member, through the cache when given.
+
+    A size the family refuses (``complete`` at n = 1, say) raises
+    :class:`~repro.service.protocol.RequestError`; nothing is cached.
+    """
+    try:
+        if cache is not None:
+            return cache.graph(family, n)
+        graph = FAMILY_BUILDERS[family](n)
+    except GraphError as exc:
+        raise RequestError(f"family {family!r} has no member at n={n}: {exc}") from exc
     if not graph.frozen:
         graph = graph.copy().freeze()
     return graph
@@ -167,8 +173,3 @@ def execute_job(
     if params["job"] == "advice":
         return advice_payload(params, cache)
     return simulate_payload(params, cache)
-
-
-def service_job_task(params: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool entry point: run a job against this worker's cache."""
-    return execute_job(params, worker_cache())

@@ -175,8 +175,8 @@ class TestRuleDetails:
     def test_det006_key_resolved_through_module_constant(self):
         ok = (
             "import os\n"
-            "CACHE_ENV = 'REPRO_CACHE_DIR'\n"
-            "def f():\n    return os.environ.get(CACHE_ENV)\n"
+            "WORKERS_ENV = 'REPRO_WORKERS'\n"
+            "def f():\n    return os.environ.get(WORKERS_ENV)\n"
         )
         bad = (
             "import os\n"

@@ -6,9 +6,9 @@ the registry experiments returns exactly what the serial
 ``results.json`` byte-identical to the serial results at any worker
 count; a construction cache, cold or warm, changes no result.
 
-The cache tests cover both layers (memory and disk), the stats
-accounting, and the picklable :class:`~repro.parallel.cache.CacheSpec`
-hand-off that worker processes rebuild their caches from.
+The cache tests cover the memory LRU, the stats accounting, and the
+picklable :class:`~repro.parallel.cache.CacheSpec` hand-off that worker
+processes rebuild their caches from.
 """
 
 import json
@@ -24,7 +24,7 @@ import pytest
 from repro.analysis.experiments import run_experiment
 from repro.oracles import LightTreeBroadcastOracle, SpanningTreeWakeupOracle
 from repro.parallel import ConstructionCache
-from repro.parallel.cache import CACHE_DIR_ENV, CacheSpec, default_cache_dir
+from repro.parallel.cache import CacheSpec
 from repro.runner import (
     RESULTS_NAME,
     WORKERS_ENV,
@@ -121,7 +121,6 @@ def test_cache_graph_memoizes_in_memory():
     assert g1 is g2
     assert cache.stats.hits == 1
     assert cache.stats.misses == 1
-    assert cache.stats.disk_writes == 0
     assert len(cache) == 1
 
 
@@ -137,8 +136,8 @@ def test_cache_keys_distinguish_kind_family_n_seed_oracle():
     assert len(keys) == 6
 
 
-def test_cache_advice_memoizes_and_matches_direct(tmp_path):
-    cache = ConstructionCache(persist_dir=str(tmp_path))
+def test_cache_advice_memoizes_and_matches_direct():
+    cache = ConstructionCache()
     oracle = SpanningTreeWakeupOracle()
     graph = cache.graph("complete", 8)
     a1 = cache.advice("complete", 8, oracle, graph)
@@ -148,32 +147,6 @@ def test_cache_advice_memoizes_and_matches_direct(tmp_path):
     assert a1.total_bits() == direct.total_bits()
     for v in graph.nodes():
         assert a1[v] == direct[v]
-
-
-def test_cache_disk_round_trip(tmp_path):
-    cold = ConstructionCache(persist_dir=str(tmp_path))
-    graph = cold.graph("cycle", 7, seed=3)
-    advice = cold.advice("cycle", 7, LightTreeBroadcastOracle(), graph, seed=3)
-    assert cold.stats.disk_writes == 2
-
-    warm = ConstructionCache(persist_dir=str(tmp_path))
-    g = warm.graph("cycle", 7, seed=3)
-    a = warm.advice("cycle", 7, LightTreeBroadcastOracle(), g, seed=3)
-    assert warm.stats.disk_hits == 2
-    assert warm.stats.misses == 0
-    assert g.num_nodes == graph.num_nodes
-    assert sorted(g.nodes()) == sorted(graph.nodes())
-    assert a.total_bits() == advice.total_bits()
-
-
-def test_cache_disk_layer_survives_clear_memory(tmp_path):
-    cache = ConstructionCache(persist_dir=str(tmp_path))
-    cache.graph("path", 5)
-    cache.clear_memory()
-    assert len(cache) == 0
-    cache.graph("path", 5)
-    assert cache.stats.disk_hits == 1
-    assert cache.stats.misses == 1  # only the original cold build
 
 
 def test_cache_builder_exception_propagates_uncached():
@@ -189,31 +162,15 @@ def test_cache_builder_exception_propagates_uncached():
     assert cache.graph("path", 6).num_nodes == 6
 
 
-def test_cache_unwritable_dir_degrades_to_memory(tmp_path):
-    target = tmp_path / "blocked"
-    target.write_text("a file, not a directory")
-    cache = ConstructionCache(persist_dir=str(target))
-    g = cache.graph("path", 5)
-    assert g.num_nodes == 5
-    assert cache.stats.disk_writes == 0
-    assert cache.graph("path", 5) is g  # memory layer still works
-
-
-def test_cache_spec_round_trip(tmp_path):
+def test_cache_spec_round_trip():
     import pickle
 
-    spec = ConstructionCache(persist_dir=str(tmp_path)).spec()
-    rebuilt = pickle.loads(pickle.dumps(spec)).build()
-    assert rebuilt.persist_dir == str(tmp_path)
-    assert len(rebuilt) == 0  # memory layer starts cold
-    assert ConstructionCache().spec() == CacheSpec(persist_dir=None)
-
-
-def test_default_cache_dir_env_override(monkeypatch, tmp_path):
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-    assert default_cache_dir() == str(tmp_path)
-    monkeypatch.delenv(CACHE_DIR_ENV)
-    assert default_cache_dir().endswith(os.path.join(".cache", "repro"))
+    cache = ConstructionCache(max_entries=9)
+    cache.graph("path", 5)
+    rebuilt = pickle.loads(pickle.dumps(cache.spec())).build()
+    assert rebuilt.max_entries == 9
+    assert len(rebuilt) == 0  # the entries do not travel: a worker starts cold
+    assert ConstructionCache().spec() == CacheSpec()
 
 
 def test_cache_stats_accounting():
@@ -247,19 +204,12 @@ def test_experiments_with_cache_match_without():
     assert cache.stats.hits - hits == 4 * cells
 
 
-def test_parallel_experiments_with_persistent_cache_match(tmp_path):
-    plain = serial_results()
-    for _ in range(2):  # cold disk layer, then warm
-        cache = ConstructionCache(persist_dir=str(tmp_path))
-        report = resilient_run_experiments(
-            list(GRID), workers=2, cache=cache, kwargs_by_id=GRID
-        )
-        assert report.ok
-        assert_same_results(report.results, plain)
-    # workers shared the disk layer: a fresh cache can now load from it
-    warm = ConstructionCache(persist_dir=str(tmp_path))
-    warm.graph(FAMILIES[0], SIZES[0])
-    assert warm.stats.disk_hits == 1
+def test_parallel_experiments_with_cache_match():
+    report = resilient_run_experiments(
+        list(GRID), workers=2, cache=ConstructionCache(), kwargs_by_id=GRID
+    )
+    assert report.ok
+    assert_same_results(report.results, serial_results())
 
 
 # ----------------------------------------------------------------------
@@ -291,15 +241,6 @@ def test_cache_lru_counts_all_kinds():
     assert cache.stats.hits == 1
 
 
-def test_cache_eviction_never_touches_disk(tmp_path):
-    cache = ConstructionCache(persist_dir=str(tmp_path), max_entries=1)
-    cache.graph("path", 3)
-    cache.graph("path", 4)  # evicts path3 from memory only
-    assert cache.stats.evictions == 1
-    cache.graph("path", 3)  # comes back from disk, not a rebuild
-    assert cache.stats.disk_hits == 1
-
-
 def test_cache_rejects_nonpositive_bound():
     with pytest.raises(ValueError):
         ConstructionCache(max_entries=0)
@@ -310,84 +251,10 @@ def test_cache_rejects_nonpositive_bound():
     assert unbounded.stats.evictions == 0
 
 
-def test_cache_spec_carries_max_entries(tmp_path):
-    cache = ConstructionCache(persist_dir=str(tmp_path), max_entries=7)
-    rebuilt = cache.spec().build()
+def test_cache_spec_carries_max_entries():
+    rebuilt = ConstructionCache(max_entries=7).spec().build()
     assert rebuilt.max_entries == 7
-    assert rebuilt.persist_dir == str(tmp_path)
-
-
-# ----------------------------------------------------------------------
-# Disk-layer hardening: corrupt entries and crash-window recovery
-# ----------------------------------------------------------------------
-def _sole_disk_file(tmp_path, kind):
-    files = [p for p in os.listdir(tmp_path) if p.endswith(f".{kind}.json")]
-    assert len(files) == 1
-    return os.path.join(str(tmp_path), files[0])
-
-
-def test_corrupt_graph_entry_is_dropped_and_rebuilt(tmp_path):
-    writer = ConstructionCache(persist_dir=str(tmp_path))
-    original = writer.graph("path", 5)
-    path = _sole_disk_file(tmp_path, "graph")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write('{"torn":')  # a crashed writer's partial JSON
-    reader = ConstructionCache(persist_dir=str(tmp_path))
-    rebuilt = reader.graph("path", 5)
-    assert rebuilt.num_nodes == original.num_nodes
-    assert reader.stats.corrupt_dropped == 1
-    assert reader.stats.misses == 1  # treated as a miss, not an error
-    # the entry was deleted and rewritten whole
-    fresh = ConstructionCache(persist_dir=str(tmp_path))
-    fresh.graph("path", 5)
-    assert fresh.stats.disk_hits == 1
-    assert fresh.stats.corrupt_dropped == 0
-
-
-def test_corrupt_advice_entry_is_dropped_and_rebuilt(tmp_path):
-    writer = ConstructionCache(persist_dir=str(tmp_path))
-    graph = writer.graph("path", 5)
-    oracle = LightTreeBroadcastOracle()
-    advice = writer.advice("path", 5, oracle, graph)
-    path = _sole_disk_file(tmp_path, "advice")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("not json at all")
-    reader = ConstructionCache(persist_dir=str(tmp_path))
-    g = reader.graph("path", 5)
-    again = reader.advice("path", 5, oracle, g)
-    assert again.total_bits() == advice.total_bits()
-    assert reader.stats.corrupt_dropped == 1
-
-
-def test_corrupt_entry_with_valid_json_wrong_shape(tmp_path):
-    writer = ConstructionCache(persist_dir=str(tmp_path))
-    writer.graph("path", 5)
-    path = _sole_disk_file(tmp_path, "graph")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write('{"schema": "something-else/9"}')
-    reader = ConstructionCache(persist_dir=str(tmp_path))
-    assert reader.graph("path", 5).num_nodes == 5
-    assert reader.stats.corrupt_dropped == 1
-
-
-def test_recover_sweeps_orphaned_tmp_files(tmp_path):
-    cache = ConstructionCache(persist_dir=str(tmp_path))
-    cache.graph("path", 5)
-    for name in ("abc123.tmp", "def456.tmp"):
-        with open(os.path.join(str(tmp_path), name), "w") as handle:
-            handle.write("partial")
-    assert cache.recover() == 2
-    leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
-    assert leftovers == []
-    # the real entry survived the sweep
-    fresh = ConstructionCache(persist_dir=str(tmp_path))
-    fresh.graph("path", 5)
-    assert fresh.stats.disk_hits == 1
-    assert cache.recover() == 0  # idempotent
-
-
-def test_recover_without_disk_layer_is_noop():
-    assert ConstructionCache().recover() == 0
+    assert ConstructionCache(max_entries=None).spec().build().max_entries is None
 
 
 # ----------------------------------------------------------------------

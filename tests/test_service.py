@@ -597,20 +597,72 @@ def test_internal_error_maps_to_500():
             assert "worker exploded" in str(excinfo.value)
 
 
-def test_worker_pool_mode_serves_identically(tmp_path):
-    """workers=1: jobs cross a process boundary and still match exactly."""
-    params = normalize_request({"job": "simulate", "family": "kstar", "n": 12})
-    expected = canonical_json(
-        ok_envelope(request_key(params), execute_job(params))
-    ).encode("utf-8")
-    config = ServiceConfig(workers=1, cache_dir=str(tmp_path / "cache"))
-    with ServiceThread(config) as st:
+#: Families whose builders refuse n = 1, which ``normalize_request`` admits.
+_NO_SINGLETON = ("complete", "kstar", "star", "random_tree", "gnp_sparse", "gnp_dense")
+
+
+@pytest.mark.parametrize("job", ["advice", "simulate"])
+@pytest.mark.parametrize("family", _NO_SINGLETON)
+def test_size_the_family_refuses_is_a_typed_400(family, job):
+    """The builder's refusal is the client's error: every coalesced waiter
+    gets the same 400, and neither cache keeps anything."""
+
+    async def scenario():
+        service = AdviceService(ServiceConfig())
+        await service.start()
+        try:
+            release = threading.Event()
+            computed = []
+
+            def gated_job(params):
+                release.wait(timeout=30)
+                computed.append(params)
+                return execute_job(params, service.cache)
+
+            service._job_fn = gated_job
+            request = {"job": job, "family": family, "n": 1}
+            tasks = [
+                asyncio.create_task(service.handle_request(dict(request), lane="test"))
+                for _ in range(3)
+            ]
+            while not service._inflight:
+                await asyncio.sleep(0.01)
+            release.set()
+            responses = await asyncio.gather(*tasks)
+        finally:
+            await service.drain()
+        return service, computed, responses
+
+    service, computed, responses = _run_async(scenario())
+    assert len(computed) == 1
+    assert {status for _, status, _ in responses} == {400}
+    assert len({canonical_json(envelope) for envelope, _, _ in responses}) == 1
+    envelope = responses[0][0]
+    assert envelope["ok"] is False
+    assert envelope["error"] == "bad_request"
+    assert family in envelope["message"] and "n=1" in envelope["message"]
+    assert len(service._responses) == 0
+    assert len(service.cache) == 0
+    assert service.served == 0
+
+
+def test_size_the_family_refuses_over_http():
+    with ServiceThread(ServiceConfig()) as st:
         with HttpServiceClient(*st.http_address) as client:
-            assert client.request_raw(dict(params)) == expected
-    # the worker wrote through to the shared disk layer
-    warm = ConstructionCache(persist_dir=str(tmp_path / "cache"))
-    warm.graph("kstar", 12)
-    assert warm.stats.disk_hits == 1
+            request = {"job": "advice", "family": "complete", "n": 1, "oracle": "light-tree"}
+            with pytest.raises(ServiceError) as excinfo:
+                client.request(request)
+            assert excinfo.value.status == 400
+            assert excinfo.value.code == "bad_request"
+            assert "GraphError" not in str(excinfo.value)
+            # Nothing was cached: the same request is refused the same way.
+            with pytest.raises(ServiceError) as again:
+                client.request(request)
+            assert again.value.status == 400
+            assert client.request({"job": "advice", "family": "complete", "n": 2})["ok"]
+            stats = client.get("/stats")
+            assert stats["served"] == 1
+            assert stats["response_entries"] == 1
 
 
 # ----------------------------------------------------------------------
