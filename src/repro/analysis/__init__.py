@@ -1,4 +1,9 @@
-"""Measurement harness: the E1-E15 registry, growth fits, tables, reports."""
+"""Measurement harness: the E1-E15 registry, growth fits, tables, reports.
+
+One (oracle, algorithm) pair on one network is a library call, not an
+analysis step: :func:`repro.core.run_task` runs a broadcast or a wakeup
+by name, and :func:`comparison_matrix` tabulates a grid of such runs.
+"""
 
 from .compare import DEFAULT_PAIRS, comparison_matrix, format_comparison
 from .extensions import (
@@ -32,7 +37,6 @@ from .series import (
     growth_finding_series,
     measured_series,
 )
-from .measure import run_pair, task_result_row
 from .tables import format_table, format_value
 
 __all__ = [
@@ -63,8 +67,6 @@ __all__ = [
     "growth_finding_series",
     "degraded_rows",
     "experiment_rows",
-    "run_pair",
-    "task_result_row",
     "format_table",
     "format_value",
     "comparison_matrix",

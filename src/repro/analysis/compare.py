@@ -22,7 +22,7 @@ from ..algorithms.scheme_b import SchemeB
 from ..algorithms.tree_wakeup import TreeWakeup
 from ..core.oracle import NullOracle, Oracle
 from ..core.scheme import Algorithm
-from ..core.tasks import run_broadcast, run_wakeup
+from ..core.tasks import run_task
 from ..network.graph import PortLabeledGraph
 from ..oracles.light_tree import LightTreeBroadcastOracle
 from ..oracles.spanning_tree import SpanningTreeWakeupOracle
@@ -47,8 +47,7 @@ def comparison_matrix(
     chosen = pairs if pairs is not None else DEFAULT_PAIRS
     rows: List[Dict[str, Any]] = []
     for label, oracle, algorithm, task in chosen:
-        runner = run_wakeup if task == "wakeup" else run_broadcast
-        result = runner(graph, oracle, algorithm)
+        result = run_task(task, graph, oracle, algorithm)
         rows.append(
             {
                 "design": label,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import inspect
 import math
 import random
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..algorithms.chatter import ChatterFlood
 from ..algorithms.flooding import Flooding
@@ -66,7 +66,7 @@ from ..oracles.light_tree import (
 )
 from ..oracles.spanning_tree import SpanningTreeWakeupOracle, build_spanning_tree
 from ..simulator.schedulers import make_scheduler
-from .fits import classify_growth
+from .fits import GrowthFit, classify_growth
 from .result import ExperimentResult, format_experiment
 from .series import growth_finding_series, measured_series
 
@@ -84,6 +84,7 @@ __all__ = [
     "experiment_e7_robustness",
     "experiment_e8_counting",
     "experiment_e15_mega_separation",
+    "mega_sweep",
 ]
 
 DEFAULT_SIZES = (16, 32, 64, 128, 256)
@@ -646,6 +647,46 @@ def experiment_e8_counting(
 # ----------------------------------------------------------------------
 # E15 — Theorem 2.2 at mega scale (implicit gadgets, vectorized engine)
 # ----------------------------------------------------------------------
+#: The growth series a mega sweep fits against the gadget's node count
+#: ``N``: (label, candidate models, the model Theorem 2.2 predicts).
+MEGA_GROWTH: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
+    ("oracle bits", ("n", "n log n"), "n log n"),
+    ("messages", ("n", "n log n"), "n"),
+    ("flooding messages", ("n", "n^2"), "n^2"),
+)
+
+
+def mega_sweep(
+    n_values: Sequence[int], seeds: Sequence[int], counts: Optional[int] = None
+) -> Tuple[List[List[Any]], List[List[GrowthFit]]]:
+    """One vectorized gadget batch per ``n``, and the growth fits across them.
+
+    Returns ``(batches, fits)``: ``batches[i]`` is
+    :func:`repro.vectorized.mega_gadget_batch` at ``n_values[i]`` over
+    ``seeds`` (``counts`` overrides ``|S|``), and ``fits`` holds one
+    :func:`classify_growth` ranking per :data:`MEGA_GROWTH` series — the
+    per-``n`` mean oracle bits, mean messages and analytic flooding count —
+    or nothing when fewer than two sizes were run.  ``repro mega`` and E15
+    both report from it.
+    """
+    from ..vectorized import mega_gadget_batch
+
+    batches = [mega_gadget_batch(n, list(seeds), counts=counts) for n in n_values]
+    if len(batches) < 2:
+        return batches, []
+    nodes = [batch[0].gadget_nodes for batch in batches]
+    series = (
+        [sum(r.oracle_bits for r in batch) / len(batch) for batch in batches],
+        [sum(r.messages for r in batch) / len(batch) for batch in batches],
+        [float(batch[0].flooding_messages) for batch in batches],
+    )
+    fits = [
+        classify_growth(nodes, ys, models=models)
+        for ys, (_label, models, _expect) in zip(series, MEGA_GROWTH)
+    ]
+    return batches, fits
+
+
 def experiment_e15_mega_separation(
     n_values: Sequence[int] = (2000, 5000, 10000, 20000, 50000),
     seeds: Sequence[int] = (0, 1, 2),
@@ -664,15 +705,9 @@ def experiment_e15_mega_separation(
     oracle bits ``Theta(N log N)`` against messages ``Theta(N)``, with
     zero-advice flooding ``Theta(N^2)`` computed analytically alongside.
     """
-    from ..vectorized import mega_gadget_batch
-
+    batches, fits = mega_sweep(n_values, seeds)
     rows: List[Dict[str, Any]] = []
-    nodes: List[int] = []
-    mean_bits: List[float] = []
-    mean_msgs: List[float] = []
-    flood: List[float] = []
-    for n in n_values:
-        batch = mega_gadget_batch(n, list(seeds))
+    for n, batch in zip(n_values, batches):
         for row in batch:
             rows.append(
                 {
@@ -684,10 +719,6 @@ def experiment_e15_mega_separation(
                     "N": row.gadget_nodes,
                 }
             )
-        nodes.append(batch[0].gadget_nodes)
-        mean_bits.append(sum(r.oracle_bits for r in batch) / len(batch))
-        mean_msgs.append(sum(r.messages for r in batch) / len(batch))
-        flood.append(float(batch[0].flooding_messages))
         rows.append(
             {
                 "part": "zero-advice",
@@ -698,22 +729,16 @@ def experiment_e15_mega_separation(
                 "N": batch[0].gadget_nodes,
             }
         )
-    if len(n_values) >= 2:
-        for series, label, models, expect in (
-            (mean_bits, "oracle bits", ("n", "n log n"), "n log n"),
-            (mean_msgs, "messages", ("n", "n log n"), "n"),
-            (flood, "flooding messages", ("n", "n^2"), "n^2"),
-        ):
-            fits = classify_growth(nodes, series, models=models)
-            rows.append(
-                {
-                    "part": "growth",
-                    "detail": f"{label} vs N",
-                    "value": str(fits[0]),
-                    "reference": f"expected Theta({expect})",
-                    "ok": fits[0].model == expect,
-                }
-            )
+    for (label, _models, expect), ranked in zip(MEGA_GROWTH, fits):
+        rows.append(
+            {
+                "part": "growth",
+                "detail": f"{label} vs N",
+                "value": str(ranked[0]),
+                "reference": f"expected Theta({expect})",
+                "ok": ranked[0].model == expect,
+            }
+        )
     findings = [
         f"implicit gadgets carry the separation to n={max(n_values)} "
         "(never materializing the Theta(n^2) edges)",

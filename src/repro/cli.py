@@ -99,11 +99,49 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Collection, List, Optional
 
 from .analysis.experiments import EXPERIMENTS, format_experiment, run_experiment
+from .core.tasks import TASKS
+from .network.builders import FAMILY_BUILDERS
+from .network.graph import GraphError
+from .oracles import ORACLE_FACTORIES
+from .simulator.schedulers import SCHEDULER_NAMES
+from .simulator.trace import TRACE_LEVELS
 
 __all__ = ["main"]
+
+
+class _UsageError(Exception):
+    """A name or combination no command accepts; :func:`main` prints it and
+    exits 2, as it does for a size a graph family refuses (GraphError)."""
+
+
+def _comma_list(
+    item: Callable[[str], Any], choices: Optional[Collection] = None
+) -> Callable[[str], list]:
+    """An argparse ``type=`` for comma-separated values, each converted by
+    ``item`` and, when ``choices`` is given, required to be one of them."""
+
+    def parse(text: str) -> list:
+        values = [item(part) for part in text.split(",")]
+        unknown = [v for v in values if choices is not None and v not in choices]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice(s) {unknown} (choose from {', '.join(sorted(choices))})"
+            )
+        return values
+
+    # argparse reports a ValueError raised by ``item`` as "invalid <name> value".
+    parse.__name__ = f"{item.__name__} list"
+    return parse
+
+
+def _family_member(family: str, n: int):
+    """The ``(family, n)`` network; an unknown family is a usage error."""
+    if family not in FAMILY_BUILDERS:
+        raise _UsageError(f"unknown family {family!r}; have {sorted(FAMILY_BUILDERS)}")
+    return FAMILY_BUILDERS[family](n)
 
 
 def _cmd_experiment(
@@ -222,10 +260,10 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_separation(family: str, sizes: Optional[str]) -> int:
+def _cmd_separation(family: str, sizes: Optional[List[int]]) -> int:
     kwargs = {"family": family}
     if sizes:
-        kwargs["sizes"] = tuple(int(s) for s in sizes.split(","))
+        kwargs["sizes"] = tuple(sizes)
     result = run_experiment("E6", **kwargs)
     print(format_experiment(result))
     return 0
@@ -234,14 +272,10 @@ def _cmd_separation(family: str, sizes: Optional[str]) -> int:
 def _cmd_quickstart(n: int) -> int:
     from .algorithms import Flooding, SchemeB, TreeWakeup
     from .core import NullOracle, run_broadcast, run_wakeup
-    from .network import GraphError, complete_graph_star
+    from .network import complete_graph_star
     from .oracles import LightTreeBroadcastOracle, SpanningTreeWakeupOracle
 
-    try:
-        graph = complete_graph_star(n)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    graph = complete_graph_star(n)
     for label, result in (
         ("wakeup  (Thm 2.1)", run_wakeup(graph, SpanningTreeWakeupOracle(), TreeWakeup())),
         ("broadcast (Thm 3.1)", run_broadcast(graph, LightTreeBroadcastOracle(), SchemeB())),
@@ -337,19 +371,6 @@ def _cmd_lint(
     return 1 if findings or stale else 0
 
 
-#: ``repro trace --oracle`` choices: a small named set covering the paper's
-#: pairs plus the baselines.
-TRACE_ORACLES = ("light-tree", "spanning-tree", "null", "full-map")
-
-
-def _make_trace_oracle(name: str):
-    # Same named set the serving daemon accepts: one factory table
-    # (service.jobs.ORACLE_FACTORIES) backs both faces.
-    from .service.jobs import make_oracle
-
-    return make_oracle(name)
-
-
 def _cmd_serve(
     host: str,
     port: int,
@@ -387,9 +408,7 @@ def _cmd_trace(
 ) -> int:
     from .algorithms import ALGORITHM_REGISTRY
     from .analysis.tables import format_table
-    from .core import run_broadcast, run_wakeup
-    from .network.builders import FAMILY_BUILDERS
-    from .network.graph import GraphError
+    from .core import run_task
     from .obs import (
         JSONLSink,
         MemorySink,
@@ -399,39 +418,20 @@ def _cmd_trace(
         chrome_trace_json,
         collapsed_stacks,
     )
+    from .oracles import make_oracle
     from .simulator.schedulers import make_scheduler
 
     if audit and trace_level != "full":
-        print(
-            "error: --audit replays the delivery log and needs --trace-level full",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        graph = FAMILY_BUILDERS[family](n)
-    except KeyError:
-        print(
-            f"error: unknown family {family!r}; have {sorted(FAMILY_BUILDERS)}",
-            file=sys.stderr,
-        )
-        return 2
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if oracle_name is None:
-        oracle_name = "light-tree" if task == "broadcast" else "spanning-tree"
-    oracle = _make_trace_oracle(oracle_name)
-    if algorithm_name is None:
-        algorithm_name = "SchemeB" if task == "broadcast" else "TreeWakeup"
+        raise _UsageError("--audit replays the delivery log and needs --trace-level full")
+    graph = _family_member(family, n)
+    default_oracle, default_algorithm = TASKS[task]
+    oracle = make_oracle(oracle_name or default_oracle)
+    algorithm_name = algorithm_name or default_algorithm
     info = ALGORITHM_REGISTRY.get(algorithm_name)
     if info is None:
-        print(
-            f"error: unknown algorithm {algorithm_name!r}; "
-            f"have {sorted(ALGORITHM_REGISTRY)}",
-            file=sys.stderr,
+        raise _UsageError(
+            f"unknown algorithm {algorithm_name!r}; have {sorted(ALGORITHM_REGISTRY)}"
         )
-        return 2
-    runner = run_broadcast if task == "broadcast" else run_wakeup
     # One Observation per format family: jsonl streams straight to disk;
     # the causal formats buffer events in memory to assemble the DAG; the
     # profiler formats skip events entirely and record wall-clock spans.
@@ -444,7 +444,8 @@ def _cmd_trace(
     else:
         obs_handle = Observation(JSONLSink(out))
     with obs_handle as obs:
-        result = runner(
+        result = run_task(
+            task,
             graph,
             oracle,
             info.cls(),
@@ -496,53 +497,32 @@ def _cmd_trace(
     return 0 if result.success else 1
 
 
-def _cmd_mega(sizes: Optional[str], batch_seeds: Optional[str], count: Optional[int]) -> int:
-    from .analysis.fits import classify_growth
+def _cmd_mega(sizes: List[int], seeds: List[int], count: Optional[int]) -> int:
+    from .analysis.experiments import mega_sweep
     from .analysis.tables import format_table
-    from .vectorized import mega_gadget_batch
 
-    n_values = (
-        [int(x) for x in sizes.split(",")] if sizes else [2000, 10000, 50000, 100000]
-    )
-    seeds = [int(x) for x in batch_seeds.split(",")] if batch_seeds else [0]
-    table: List[dict] = []
-    nodes: List[int] = []
-    mean_bits: List[float] = []
-    mean_msgs: List[float] = []
-    flood: List[float] = []
-    ok = True
-    for n in n_values:
-        batch = mega_gadget_batch(n, seeds, counts=count)
-        for row in batch:
-            ok = ok and row.success
-            table.append(
-                {
-                    "n": row.n,
-                    "seed": row.seed,
-                    "N": row.gadget_nodes,
-                    "oracle_bits": row.oracle_bits,
-                    "bits/(N log N)": f"{row.bits_per_node_log:.3f}",
-                    "messages": row.messages,
-                    "rounds": row.rounds,
-                    "flooding (analytic)": row.flooding_messages,
-                    "ok": "yes" if row.success else "NO",
-                }
-            )
-        nodes.append(batch[0].gadget_nodes)
-        mean_bits.append(sum(r.oracle_bits for r in batch) / len(batch))
-        mean_msgs.append(sum(r.messages for r in batch) / len(batch))
-        flood.append(float(batch[0].flooding_messages))
+    batches, fits = mega_sweep(sizes, seeds, counts=count)
+    rows = [row for batch in batches for row in batch]
+    table = [
+        {
+            "n": row.n,
+            "seed": row.seed,
+            "N": row.gadget_nodes,
+            "oracle_bits": row.oracle_bits,
+            "bits/(N log N)": f"{row.bits_per_node_log:.3f}",
+            "messages": row.messages,
+            "rounds": row.rounds,
+            "flooding (analytic)": row.flooding_messages,
+            "ok": "yes" if row.success else "NO",
+        }
+        for row in rows
+    ]
     print(format_table(table, title="Tree wakeup on implicit G_(n,S) (vectorized batch)"))
-    if len(n_values) >= 2:
+    if fits:
         print()
-        for series, label, models in (
-            (mean_bits, "oracle bits", ("n", "n log n")),
-            (mean_msgs, "messages", ("n", "n log n")),
-            (flood, "flooding", ("n", "n^2")),
-        ):
-            fits = classify_growth(nodes, series, models=models)
-            print(f"{label:>12}: best fit {fits[0]}")
-    return 0 if ok else 1
+        for label, ranked in zip(("oracle bits", "messages", "flooding"), fits):
+            print(f"{label:>12}: best fit {ranked[0]}")
+    return 0 if all(row.success for row in rows) else 1
 
 
 def _cmd_stats(paths: List[str]) -> int:
@@ -735,6 +715,7 @@ def _cmd_verdict(
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
+    int_list = _comma_list(int)
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Oracle size: a new measure of difficulty "
@@ -803,15 +784,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub.add_parser("list", help="list the experiment registry")
 
     p_sep = sub.add_parser("separation", help="the headline separation sweep")
-    p_sep.add_argument("--family", default="complete")
-    p_sep.add_argument("--sizes", default=None, help="comma-separated sizes")
+    p_sep.add_argument("--family", default="complete", choices=sorted(FAMILY_BUILDERS))
+    p_sep.add_argument("--sizes", type=int_list, default=None, help="comma-separated sizes")
 
     p_quick = sub.add_parser("quickstart", help="both theorems on K*_n")
     p_quick.add_argument("n", nargs="?", type=int, default=64)
 
     p_report = sub.add_parser("report", help="write a markdown report of experiments")
     p_report.add_argument("path", nargs="?", default="experiment_report.md")
-    p_report.add_argument("--only", default=None, help="comma-separated experiment ids")
+    p_report.add_argument(
+        "--only",
+        type=_comma_list(str.upper, EXPERIMENTS),
+        default=None,
+        help="comma-separated experiment ids",
+    )
 
     p_cmp = sub.add_parser("compare", help="oracle x algorithm matrix on one network")
     p_cmp.add_argument("--family", default="complete")
@@ -853,21 +839,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_trace = sub.add_parser(
         "trace", help="run one task with telemetry and export the JSONL event stream"
     )
-    p_trace.add_argument("--task", choices=("broadcast", "wakeup"), default="broadcast")
+    p_trace.add_argument("--task", choices=tuple(TASKS), default="broadcast")
     p_trace.add_argument("--family", default="kstar", help="graph family (see FAMILY_BUILDERS)")
     p_trace.add_argument("--n", type=int, default=64)
     p_trace.add_argument(
-        "--oracle", choices=TRACE_ORACLES, default=None,
+        "--oracle", choices=tuple(ORACLE_FACTORIES), default=None,
         help="default: the task's paper oracle",
     )
     p_trace.add_argument(
         "--algorithm", default=None,
         help="registry name (see `repro list`); default: the task's paper algorithm",
     )
-    p_trace.add_argument(
-        "--scheduler", default="sync",
-        help="sync | fifo | random | delay-hello | hurry-hello",
-    )
+    p_trace.add_argument("--scheduler", choices=SCHEDULER_NAMES, default="sync")
     p_trace.add_argument("--seed", type=int, default=0, help="scheduler RNG seed")
     p_trace.add_argument("--out", default="run.jsonl", help="JSONL output path")
     p_trace.add_argument(
@@ -875,7 +858,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_trace.add_argument(
         "--trace-level",
-        choices=("full", "counters"),
+        choices=TRACE_LEVELS,
         default="full",
         help="'counters' skips the per-delivery log (incompatible with --audit); "
         "the exported JSONL event stream is identical either way",
@@ -896,11 +879,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         "the vectorized batch engine",
     )
     p_mega.add_argument(
-        "--sizes", default=None, help="comma-separated n values (default 2000,10000,50000,100000)"
+        "--sizes",
+        type=int_list,
+        default=[2000, 10000, 50000, 100000],
+        help="comma-separated n values (default 2000,10000,50000,100000)",
     )
     p_mega.add_argument(
         "--batch-seeds",
-        default=None,
+        type=int_list,
+        default=[0],
         metavar="S1,S2,...",
         help="seeds batched through one vectorized pass per n (default: 0)",
     )
@@ -1018,6 +1005,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_sanitize.add_argument(
         "--hash-seeds",
+        type=int_list,
         default=None,
         metavar="S1,S2,...",
         help="comma-separated PYTHONHASHSEED values (default: 0,1,4242)",
@@ -1035,6 +1023,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    try:
+        return _run_command(args)
+    except (GraphError, _UsageError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_command(args: argparse.Namespace) -> int:
     if args.command in ("experiment", "exp"):
         return _cmd_experiment(
             args.ids, args.workers, args.cache,
@@ -1054,24 +1050,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "report":
         from .analysis.report import write_report
 
-        ids = args.only.split(",") if args.only else None
-        write_report(args.path, ids)
+        write_report(args.path, args.only)
         print(f"wrote {args.path}")
         return 0
     if args.command == "compare":
         from .analysis.compare import format_comparison
-        from .network.builders import FAMILY_BUILDERS
-        from .network.graph import GraphError
 
-        try:
-            graph = FAMILY_BUILDERS[args.family](args.n)
-        except KeyError:
-            print(f"error: unknown family {args.family!r}; have {sorted(FAMILY_BUILDERS)}", file=sys.stderr)
-            return 2
-        except GraphError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(format_comparison(graph))
+        print(format_comparison(_family_member(args.family, args.n)))
         return 0
     if args.command == "lint":
         return _cmd_lint(
@@ -1103,8 +1088,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .sanitize import main as sanitize_main
 
         return sanitize_main(args.hash_seeds, args.cells, args.run_cells)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    raise _UsageError(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,7 +7,7 @@ from .gossip import GOSSIP_KIND, GossipResult, rumor_of, run_gossip
 from .oracle import AdviceMap, advice_from_json, advice_to_json, FullMapOracle, NullOracle, Oracle, TruncatingOracle
 from .scheme import Algorithm, FunctionalAlgorithm, FunctionalScheme, History, sends
 from .separation import SeparationPoint, separation_point, separation_profile
-from .tasks import TaskResult, default_message_limit, run_broadcast, run_wakeup
+from .tasks import TASKS, TaskResult, default_message_limit, run_broadcast, run_task, run_wakeup, simulate_pair
 
 __all__ = [
     "LEADER",
@@ -37,9 +37,12 @@ __all__ = [
     "FunctionalScheme",
     "FunctionalAlgorithm",
     "sends",
+    "TASKS",
     "TaskResult",
+    "run_task",
     "run_broadcast",
     "run_wakeup",
+    "simulate_pair",
     "default_message_limit",
     "SeparationPoint",
     "separation_point",

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Optional
 
 from ..network.graph import PortLabeledGraph
-from ..simulator.schedulers import Scheduler, make_scheduler
+from ..simulator.schedulers import Scheduler
 from ..simulator.trace import ExecutionTrace
 from .oracle import AdviceMap, Oracle
 from .scheme import Algorithm
-from .tasks import default_message_limit
+from .tasks import simulate_pair
 
 __all__ = ["TreeConstructionResult", "verify_parent_outputs", "run_tree_construction"]
 
@@ -103,24 +103,10 @@ def run_tree_construction(
     advice: Optional[AdviceMap] = None,
 ) -> TreeConstructionResult:
     """Run a construction algorithm and verify the announced tree."""
-    from ..simulator.engine import Simulation
-
-    if not graph.frozen:
-        graph = graph.copy().freeze()
-    if advice is None:
-        advice = oracle.advise(graph)
-    schemes = {
-        v: algorithm.scheme_for(advice[v], v == graph.source, v, graph.degree(v))
-        for v in graph.nodes()
-    }
-    if scheduler is None:
-        scheduler = make_scheduler("sync")
-    if max_messages is None:
-        max_messages = default_message_limit(graph)
-    sim = Simulation(
-        graph, schemes, advice=advice, scheduler=scheduler, max_messages=max_messages
+    graph, advice, trace = simulate_pair(
+        graph, oracle, algorithm, scheduler=scheduler, max_messages=max_messages,
+        advice=advice,
     )
-    trace = sim.run()
     outputs = dict(trace.outputs)
     valid = verify_parent_outputs(graph, outputs)
     return TreeConstructionResult(

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Optional
 
 from ..network.graph import PortLabeledGraph
-from ..simulator.schedulers import Scheduler, make_scheduler
+from ..simulator.schedulers import Scheduler
 from ..simulator.trace import ExecutionTrace
 from .oracle import AdviceMap, Oracle
 from .scheme import Algorithm
-from .tasks import default_message_limit
+from .tasks import default_message_limit, simulate_pair
 
 __all__ = ["LEADER", "FOLLOWER", "ElectionResult", "run_election"]
 
@@ -89,32 +89,12 @@ def run_election(
     status bit 0) and spontaneous transmissions are allowed — symmetry
     breaking has to start somewhere.
     """
-    from ..simulator.engine import Simulation
-
-    if not graph.frozen:
-        graph = graph.copy().freeze()
-    if advice is None:
-        advice = oracle.advise(graph)
-    schemes = {
-        v: algorithm.scheme_for(
-            advice[v], False, None if anonymous else v, graph.degree(v)
-        )
-        for v in graph.nodes()
-    }
-    if scheduler is None:
-        scheduler = make_scheduler("sync")
     if max_messages is None:
         max_messages = graph.num_nodes * default_message_limit(graph)
-    sim = Simulation(
-        graph,
-        schemes,
-        advice=advice,
-        scheduler=scheduler,
-        anonymous=anonymous,
-        no_source=True,
-        max_messages=max_messages,
+    graph, advice, trace = simulate_pair(
+        graph, oracle, algorithm, scheduler=scheduler, anonymous=anonymous,
+        no_source=True, max_messages=max_messages, advice=advice,
     )
-    trace = sim.run()
     outputs = dict(trace.outputs)
     leaders = sum(1 for v in outputs.values() if v == LEADER)
     followers = sum(1 for v in outputs.values() if v == FOLLOWER)

@@ -32,11 +32,11 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Set, Tuple
 
 from ..network.graph import PortLabeledGraph
-from ..simulator.schedulers import Scheduler, make_scheduler
+from ..simulator.schedulers import Scheduler
 from ..simulator.trace import ExecutionTrace
 from .oracle import AdviceMap, Oracle
 from .scheme import Algorithm
-from .tasks import default_message_limit
+from .tasks import default_message_limit, simulate_pair
 
 __all__ = ["GOSSIP_KIND", "rumor_of", "GossipResult", "run_gossip"]
 
@@ -117,29 +117,13 @@ def run_gossip(
     must start the convergecast unprompted), so no wakeup constraint is
     enforced.
     """
-    from ..simulator.engine import Simulation
-
-    if not graph.frozen:
-        graph = graph.copy().freeze()
-    if advice is None:
-        advice = oracle.advise(graph)
-    schemes = {
-        v: algorithm.scheme_for(advice[v], v == graph.source, v, graph.degree(v))
-        for v in graph.nodes()
-    }
-    if scheduler is None:
-        scheduler = make_scheduler("sync")
     if max_messages is None:
         # flooding gossip can legitimately use ~n*m messages
         max_messages = graph.num_nodes * default_message_limit(graph)
-    sim = Simulation(
-        graph,
-        schemes,
+    graph, advice, trace = simulate_pair(
+        graph, oracle, algorithm, scheduler=scheduler, max_messages=max_messages,
         advice=advice,
-        scheduler=scheduler,
-        max_messages=max_messages,
     )
-    trace = sim.run()
     knowledge, max_payload = _replay(graph, trace)
     everything = frozenset(rumor_of(v) for v in graph.nodes())
     complete = all(k == everything for k in knowledge.values())

@@ -1,33 +1,49 @@
 """Task orchestration: run (oracle, algorithm) pairs on networks and verify.
 
-This is the library's main entry point.  :func:`run_broadcast` and
-:func:`run_wakeup` wire the whole pipeline together:
+This is the library's main entry point.  :func:`simulate_pair` assembles
+every run the library makes, whatever the task:
 
     oracle looks at the network  ->  advice strings
     algorithm gets each node's quadruple  ->  schemes
     engine executes the schemes under a scheduler  ->  trace
-    the trace is checked against the task's success predicate
 
-and return a :class:`TaskResult` carrying the two numbers the paper trades
-off — **oracle size** and **message complexity** — plus everything needed to
-audit the run.
+Each task then checks the trace against its own success predicate.  The
+paper's two tasks go through :func:`run_task` (or its faces
+:func:`run_broadcast` and :func:`run_wakeup`), which returns a
+:class:`TaskResult` carrying the two numbers the paper trades off —
+**oracle size** and **message complexity** — plus everything needed to
+audit the run.  Gossip, tree construction and election are checked in
+:mod:`repro.core.gossip`, :mod:`repro.core.construction` and
+:mod:`repro.core.election`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Dict, Optional, Tuple
 
 from ..network.graph import PortLabeledGraph
 from ..obs.events import AdviceComputed, AuditFailed
 from ..obs.observe import Observation, resolve_obs
 from ..simulator.engine import Simulation
-from ..simulator.schedulers import Scheduler, make_scheduler
+from ..simulator.schedulers import Scheduler
 from ..simulator.trace import ExecutionTrace
 from .oracle import AdviceMap, Oracle
 from .scheme import Algorithm
 
-__all__ = ["TaskResult", "run_broadcast", "run_wakeup", "default_message_limit"]
+__all__ = [
+    "TASKS", "TaskResult", "default_message_limit", "simulate_pair",
+    "run_task", "run_broadcast", "run_wakeup",
+]
+
+#: The dissemination tasks :func:`run_task` runs, each mapped to its paper
+#: pair by name: the oracle (a key of :data:`repro.oracles.ORACLE_FACTORIES`)
+#: and the algorithm (a key of :data:`repro.algorithms.ALGORITHM_REGISTRY`).
+#: ``repro trace`` and the daemon's ``simulate`` job default to this pair.
+TASKS: Dict[str, Tuple[str, str]] = {
+    "broadcast": ("light-tree", "SchemeB"),
+    "wakeup": ("spanning-tree", "TreeWakeup"),
+}
 
 
 @dataclass(frozen=True)
@@ -78,25 +94,33 @@ def default_message_limit(graph: PortLabeledGraph) -> int:
     return 10 * graph.num_edges + 10 * graph.num_nodes + 100
 
 
-def _run(
-    task: str,
+def simulate_pair(
     graph: PortLabeledGraph,
     oracle: Oracle,
     algorithm: Algorithm,
-    scheduler: Optional[Scheduler],
-    anonymous: bool,
-    wakeup: bool,
-    max_messages: Optional[int],
-    advice: Optional[AdviceMap],
-    audit: bool = False,
+    scheduler: Optional[Scheduler] = None,
+    anonymous: bool = False,
+    wakeup: bool = False,
+    no_source: bool = False,
+    max_messages: Optional[int] = None,
+    advice: Optional[AdviceMap] = None,
     obs: Optional[Observation] = None,
     trace_level: str = "full",
-) -> TaskResult:
+) -> Tuple[PortLabeledGraph, AdviceMap, ExecutionTrace]:
+    """Run one (oracle, algorithm) pair; returns ``(graph, advice, trace)``.
+
+    The graph is frozen (a copy, if it was not) and advised under the
+    ``oracle`` span unless ``advice`` is given; the
+    :class:`~repro.obs.events.AdviceComputed` event follows when ``obs`` is
+    enabled.  Node ``v`` runs ``algorithm``'s scheme for its quadruple: its
+    advice, its source bit (``v == graph.source``; 0 everywhere under
+    ``no_source``), its identity (``None`` when ``anonymous``) and its
+    degree.  The engine runs under the ``simulate`` span, synchronously and
+    capped at :func:`default_message_limit` unless ``scheduler`` /
+    ``max_messages`` say otherwise.  The returned graph and advice are the
+    ones the run used, which is what each task's verification reads.
+    """
     obs = resolve_obs(obs)
-    if audit and trace_level != "full":
-        raise ValueError(
-            "audit=True replays the delivery log and requires trace_level='full'"
-        )
     if not graph.frozen:
         graph = graph.copy().freeze()
     if advice is None:
@@ -115,16 +139,18 @@ def _run(
                 bits_histogram=dict(sorted(bits_histogram.items())),
             )
         )
-    schemes = {}
-    for v in graph.nodes():
-        node_id: Optional[Hashable] = None if anonymous else v
-        schemes[v] = algorithm.scheme_for(
-            advice[v], v == graph.source, node_id, graph.degree(v)
+    schemes = {
+        v: algorithm.scheme_for(
+            advice[v],
+            not no_source and v == graph.source,
+            None if anonymous else v,
+            graph.degree(v),
         )
-    if scheduler is None:
-        scheduler = make_scheduler("sync")
+        for v in graph.nodes()
+    }
     if max_messages is None:
         max_messages = default_message_limit(graph)
+    # The engine's default scheduler is a fresh synchronous one.
     sim = Simulation(
         graph,
         schemes,
@@ -132,12 +158,54 @@ def _run(
         scheduler=scheduler,
         anonymous=anonymous,
         wakeup=wakeup,
+        no_source=no_source,
         max_messages=max_messages,
         obs=obs,
         trace_level=trace_level,
     )
     with obs.span("simulate"):
         trace = sim.run()
+    return graph, advice, trace
+
+
+def run_task(
+    task: str,
+    graph: PortLabeledGraph,
+    oracle: Oracle,
+    algorithm: Algorithm,
+    scheduler: Optional[Scheduler] = None,
+    anonymous: bool = False,
+    max_messages: Optional[int] = None,
+    advice: Optional[AdviceMap] = None,
+    audit: bool = False,
+    obs: Optional[Observation] = None,
+    trace_level: str = "full",
+) -> TaskResult:
+    """Run a broadcast or a wakeup, by name; the one dispatch between them.
+
+    ``task`` is a key of :data:`TASKS`; any other name raises
+    :class:`ValueError`.  The keyword arguments are those of
+    :func:`run_broadcast`.
+    """
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}; expected one of {tuple(TASKS)}")
+    if audit and trace_level != "full":
+        raise ValueError(
+            "audit=True replays the delivery log and requires trace_level='full'"
+        )
+    obs = resolve_obs(obs)
+    graph, advice, trace = simulate_pair(
+        graph,
+        oracle,
+        algorithm,
+        scheduler=scheduler,
+        anonymous=anonymous,
+        wakeup=task == "wakeup",
+        max_messages=max_messages,
+        advice=advice,
+        obs=obs,
+        trace_level=trace_level,
+    )
     if audit:
         from .audit import AuditFailure, replay_audit
 
@@ -205,8 +273,8 @@ def run_broadcast(
     ``audit=True``, which replays that log.  ``REPRO_FASTPATH=0`` in the
     environment runs the reference loop instead of the fast path.
     """
-    return _run(
-        "broadcast", graph, oracle, algorithm, scheduler, anonymous, False, max_messages,
+    return run_task(
+        "broadcast", graph, oracle, algorithm, scheduler, anonymous, max_messages,
         advice, audit, obs, trace_level,
     )
 
@@ -232,7 +300,7 @@ def run_wakeup(
     mismatch, as in :func:`run_broadcast`; ``obs`` threads telemetry as in
     :func:`run_broadcast`.
     """
-    return _run(
-        "wakeup", graph, oracle, algorithm, scheduler, anonymous, True, max_messages,
+    return run_task(
+        "wakeup", graph, oracle, algorithm, scheduler, anonymous, max_messages,
         advice, audit, obs, trace_level,
     )

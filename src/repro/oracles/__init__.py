@@ -1,6 +1,8 @@
 """Concrete oracles: the paper's two constructions plus comparators."""
 
-from ..core.oracle import FullMapOracle, NullOracle, TruncatingOracle
+from typing import Callable, Dict
+
+from ..core.oracle import FullMapOracle, NullOracle, Oracle, TruncatingOracle
 from .leader_bit import LeaderBitOracle
 from .full_map import IndexedFullMapOracle, decode_indexed_map
 from .parent_pointer import ParentPointerOracle, decode_parent_port, parent_port_width
@@ -21,6 +23,8 @@ from .spanning_tree import (
 )
 
 __all__ = [
+    "ORACLE_FACTORIES",
+    "make_oracle",
     "LeaderBitOracle",
     "IndexedFullMapOracle",
     "decode_indexed_map",
@@ -44,3 +48,18 @@ __all__ = [
     "edge_contribution",
     "tree_contribution",
 ]
+
+#: Oracle name -> zero-argument factory: the named set ``repro trace
+#: --oracle`` and the daemon's requests accept — the paper's two
+#: constructions plus the two baselines.
+ORACLE_FACTORIES: Dict[str, Callable[[], Oracle]] = {
+    "light-tree": LightTreeBroadcastOracle,
+    "spanning-tree": SpanningTreeWakeupOracle,
+    "null": NullOracle,
+    "full-map": FullMapOracle,
+}
+
+
+def make_oracle(name: str) -> Oracle:
+    """A fresh oracle instance for a name in :data:`ORACLE_FACTORIES`."""
+    return ORACLE_FACTORIES[name]()

@@ -56,7 +56,8 @@ class SmokeCell:
 
 #: The grid: small enough to finish in seconds, broad enough to cross the
 #: known hazard surfaces — gossip's frozenset payloads, the randomized
-#: scheduler's seeded perturbation, and both paper tasks.
+#: scheduler's seeded perturbation, and both paper tasks (each run with its
+#: paper pair from :data:`repro.core.TASKS`).
 SMOKE_CELLS: Tuple[SmokeCell, ...] = (
     SmokeCell("broadcast-kstar-sync", "broadcast", "kstar", 24, "sync", 0),
     SmokeCell("broadcast-cycle-random", "broadcast", "cycle", 16, "random", 7),
@@ -90,16 +91,12 @@ def run_cell(name: str) -> bytes:
     (canonical encoding, one event per line) followed by a canonical-JSON
     summary of the result rows.  Two runs agree iff their blobs agree.
     """
-    from .core import NullOracle, run_broadcast, run_gossip, run_wakeup
-    from .algorithms import Flooding, SchemeB, TreeGossip, TreeWakeup
+    from .algorithms import ALGORITHM_REGISTRY, TreeGossip
+    from .core import TASKS, run_gossip, run_task
     from .obs import MemorySink, Observation
     from .obs.events import jsonable
     from .obs.sinks import encode_event
-    from .oracles import (
-        GossipTreeOracle,
-        LightTreeBroadcastOracle,
-        SpanningTreeWakeupOracle,
-    )
+    from .oracles import GossipTreeOracle, make_oracle
     from .simulator.schedulers import make_scheduler
 
     cell = _cell_by_name(name)
@@ -107,24 +104,14 @@ def run_cell(name: str) -> bytes:
     scheduler = make_scheduler(cell.scheduler, cell.seed)
     lines: List[str] = []
 
-    if cell.task == "broadcast":
+    if cell.task in TASKS:
+        oracle_name, algorithm_name = TASKS[cell.task]
         sink = MemorySink()
-        result = run_broadcast(
+        result = run_task(
+            cell.task,
             graph,
-            LightTreeBroadcastOracle(),
-            SchemeB(),
-            scheduler=scheduler,
-            obs=Observation(sink=sink),
-        )
-        lines.extend(encode_event(event) for event in sink.events)
-        summary = dict(result.trace.summary())
-        summary["success"] = result.success
-    elif cell.task == "wakeup":
-        sink = MemorySink()
-        result = run_wakeup(
-            graph,
-            SpanningTreeWakeupOracle(),
-            TreeWakeup(),
+            make_oracle(oracle_name),
+            ALGORITHM_REGISTRY[algorithm_name].cls(),
             scheduler=scheduler,
             obs=Observation(sink=sink),
         )
@@ -265,16 +252,14 @@ def format_report(ok: bool, entries: List[MatrixEntry], names: Sequence[str]) ->
 
 
 def main(
-    hash_seeds: Optional[str] = None,
+    hash_seeds: Optional[Sequence[int]] = None,
     cells: Optional[str] = None,
     run_cells: Optional[str] = None,
 ) -> int:
     """CLI entry point for ``repro sanitize`` (and its worker mode)."""
     if run_cells is not None:
         return _worker_main(run_cells.split(","))
-    seeds = (
-        tuple(int(s) for s in hash_seeds.split(",")) if hash_seeds else DEFAULT_HASH_SEEDS
-    )
+    seeds = tuple(hash_seeds) if hash_seeds else DEFAULT_HASH_SEEDS
     names = cells.split(",") if cells else cell_names()
     try:
         for name in names:

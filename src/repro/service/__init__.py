@@ -33,14 +33,7 @@ from .client import HttpServiceClient, IpcServiceClient, ServiceError
 from .core import AdviceService, ServiceConfig
 from .daemon import ready_line, serve
 from .harness import ServiceThread
-from .jobs import (
-    ORACLE_FACTORIES,
-    advice_payload,
-    build_graph,
-    execute_job,
-    make_oracle,
-    simulate_payload,
-)
+from .jobs import advice_payload, build_graph, execute_job, simulate_payload
 from .protocol import (
     JOB_KINDS,
     MAX_NODES,
@@ -65,8 +58,6 @@ __all__ = [
     "ok_envelope",
     "error_envelope",
     # jobs
-    "ORACLE_FACTORIES",
-    "make_oracle",
     "build_graph",
     "advice_payload",
     "simulate_payload",

@@ -2,8 +2,8 @@
 
 :func:`execute_job` is what a daemon worker runs *and* what "the direct
 library call" means: building the payload goes through the same
-:func:`repro.core.run_broadcast` / :func:`repro.core.run_wakeup` /
-``oracle.advise`` entry points any library user calls, with an optional
+:func:`repro.core.run_task` and ``oracle.advise`` entry points any
+library user calls, with an optional
 :class:`~repro.parallel.cache.ConstructionCache` in front of the pure
 construction steps.  The serving contract — served bytes == direct-call
 bytes — holds *because* the cache only memoizes pure functions and the
@@ -24,41 +24,23 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional
 
 from ..algorithms import ALGORITHM_REGISTRY
-from ..core.oracle import FullMapOracle, NullOracle, Oracle, advice_to_json
-from ..core.tasks import run_broadcast, run_wakeup
+from ..core.oracle import Oracle, advice_to_json
+from ..core.tasks import run_task
 from ..network.builders import FAMILY_BUILDERS
 from ..network.graph import GraphError, PortLabeledGraph
 from ..obs.observe import Observation
 from ..obs.sinks import MemorySink, encode_event
-from ..oracles import LightTreeBroadcastOracle, SpanningTreeWakeupOracle
+from ..oracles import make_oracle
 from ..parallel.cache import ConstructionCache
 from ..simulator.schedulers import make_scheduler
 from .protocol import PROTOCOL_SCHEMA, RequestError
 
 __all__ = [
-    "ORACLE_FACTORIES",
-    "make_oracle",
     "build_graph",
     "advice_payload",
     "simulate_payload",
     "execute_job",
 ]
-
-#: Request oracle name -> zero-argument factory.  The same named set the
-#: ``repro trace --oracle`` flag exposes: the paper's two constructions
-#: plus the two baselines.
-ORACLE_FACTORIES = {
-    "light-tree": LightTreeBroadcastOracle,
-    "spanning-tree": SpanningTreeWakeupOracle,
-    "null": NullOracle,
-    "full-map": FullMapOracle,
-}
-
-
-def make_oracle(name: str) -> Oracle:
-    """A fresh oracle instance for a request oracle name."""
-    return ORACLE_FACTORIES[name]()
-
 
 def build_graph(
     family: str, n: int, cache: Optional[ConstructionCache] = None
@@ -121,21 +103,22 @@ def simulate_payload(
 
     ``trace_jsonl`` is the run's structured event stream, one canonical
     JSONL line per event — byte-for-byte what a direct
-    ``run_broadcast(..., obs=Observation(JSONLSink(path)))`` call writes
-    to ``path``.  The advice fetch happens under the same ``oracle`` span
-    the library emits when it computes advice itself, which is what keeps
-    the stream identical whether the cache was cold, warm, or absent.
+    ``run_task(..., obs=Observation(JSONLSink(path)))`` call, or ``repro
+    trace --out path`` with the same names, writes to ``path``.  The
+    advice fetch happens under the same ``oracle`` span the library emits
+    when it computes advice itself, which is what keeps the stream
+    identical whether the cache was cold, warm, or absent.
     """
     graph = build_graph(params["family"], params["n"], cache)
     oracle = make_oracle(params["oracle"])
     algorithm = ALGORITHM_REGISTRY[params["algorithm"]].cls()
     scheduler = make_scheduler(params["scheduler"], params["scheduler_seed"])
-    runner = run_broadcast if params["task"] == "broadcast" else run_wakeup
     sink = MemorySink()
     obs = Observation(sink)
     with obs.span("oracle"):
         advice = _advice_for(params, graph, oracle, cache)
-    result = runner(
+    result = run_task(
+        params["task"],
         graph,
         oracle,
         algorithm,

@@ -32,9 +32,12 @@ import json
 from typing import Any, Dict, Mapping, Optional
 
 from ..algorithms import ALGORITHM_REGISTRY
+from ..core.tasks import TASKS
 from ..network.builders import FAMILY_BUILDERS
+from ..oracles import ORACLE_FACTORIES
 from ..parallel.cache import content_address
 from ..simulator.schedulers import SCHEDULER_NAMES
+from ..simulator.trace import TRACE_LEVELS
 
 __all__ = [
     "PROTOCOL_SCHEMA",
@@ -58,13 +61,6 @@ JOB_KINDS = ("advice", "simulate")
 #: daemon behind one astronomically large construction.
 MAX_NODES = 200_000
 
-#: ``--oracle``-style names accepted by requests (see
-#: :data:`repro.service.jobs.ORACLE_FACTORIES`).
-_ORACLE_NAMES = ("light-tree", "spanning-tree", "null", "full-map")
-
-_TASKS = ("broadcast", "wakeup")
-_TRACE_LEVELS = ("full", "counters")
-
 
 class RequestError(ValueError):
     """A request failed validation; ``code`` is the wire-level error tag."""
@@ -85,7 +81,9 @@ def canonical_json(value: Any) -> str:
 
 def _require_choice(data: Mapping[str, Any], field: str, choices, default=None):
     value = data.get(field, default)
-    if value not in choices:
+    # Every choice set is named by strings; checking the type first keeps
+    # an unhashable value (a JSON list or object) a typed 400.
+    if not isinstance(value, str) or value not in choices:
         raise RequestError(
             f"{field!r} must be one of {sorted(choices)}, got {value!r}"
         )
@@ -130,12 +128,11 @@ def normalize_request(data: Mapping[str, Any]) -> Dict[str, Any]:
     job = _require_choice(data, "job", JOB_KINDS)
     family = _require_choice(data, "family", FAMILY_BUILDERS, default="kstar")
     n = _require_int(data, "n", lo=1, hi=MAX_NODES)
-    task = _require_choice(data, "task", _TASKS, default="broadcast")
-    default_oracle = "light-tree" if task == "broadcast" else "spanning-tree"
-    oracle = _require_choice(data, "oracle", _ORACLE_NAMES, default=default_oracle)
+    task = _require_choice(data, "task", TASKS, default="broadcast")
+    default_oracle, default_algorithm = TASKS[task]
+    oracle = _require_choice(data, "oracle", ORACLE_FACTORIES, default=default_oracle)
     if job == "advice":
         return {"job": "advice", "family": family, "n": n, "oracle": oracle}
-    default_algorithm = "SchemeB" if task == "broadcast" else "TreeWakeup"
     algorithm = _require_choice(
         data, "algorithm", ALGORITHM_REGISTRY, default=default_algorithm
     )
@@ -144,7 +141,7 @@ def normalize_request(data: Mapping[str, Any]) -> Dict[str, Any]:
     anonymous = data.get("anonymous", False)
     if not isinstance(anonymous, bool):
         raise RequestError(f"'anonymous' must be a boolean, got {anonymous!r}")
-    trace_level = _require_choice(data, "trace_level", _TRACE_LEVELS, default="full")
+    trace_level = _require_choice(data, "trace_level", TRACE_LEVELS, default="full")
     return {
         "job": "simulate",
         "task": task,

@@ -18,8 +18,10 @@ enough for ``http.client``, ``curl``, and any load generator.  Endpoints:
 **IPC lane** (``asyncio.start_unix_server``): newline-delimited JSON, one
 request object per line, one envelope per line back.  A request may carry
 an ``"id"`` field, echoed into the response envelope, so a pipelining
-client can match answers to questions.  No HTTP framing overhead — this
-is the lane the load generator uses to measure the service floor.
+client can match answers to questions.  Without HTTP framing a cached hit
+answers faster here than over HTTP, but the load generators
+(``perfbench/loadgen.py``, ``benchmarks/bench_service.py``) drive the HTTP
+lane, so the latencies they report include that framing.
 
 Responses on both lanes are the *canonical JSON* encoding of the envelope
 (sorted keys, compact separators) — the byte-identity contract is checked

@@ -127,6 +127,12 @@ def _select(rows: Sequence[Mapping[str, Any]], where: Where, where_not: Where = 
     return [r for r in rows if _match(r, where, where_not)]
 
 
+def _on_rows(where: Where, where_not: Where = ()) -> str:
+    """The rows a column check's prediction covers: a filtered check
+    judges only the rows its ``where`` / ``where_not`` select."""
+    return "on every selected row" if where or where_not else "on every row"
+
+
 def _flag_check(
     check: Check,
     rows: Sequence[Mapping[str, Any]],
@@ -186,7 +192,7 @@ def evaluate_check(
 
     if isinstance(check, ColumnsEqual):
         selected = _select(rows, check.where)
-        predicted = f"{check.left} == {check.right} on every row"
+        predicted = f"{check.left} == {check.right} {_on_rows(check.where)}"
         if not selected:
             return CheckResult(check.claim, INCONCLUSIVE, "no rows selected", predicted)
         bad = [r for r in selected if r.get(check.left) != r.get(check.right)]
@@ -204,7 +210,7 @@ def evaluate_check(
     if isinstance(check, ColumnsBound):
         selected = _select(rows, check.where)
         factor = "" if check.factor == 1.0 else f"{check.factor} * "
-        predicted = f"{check.left} <= {factor}{check.right} on every row"
+        predicted = f"{check.left} <= {factor}{check.right} {_on_rows(check.where)}"
         if not selected:
             return CheckResult(check.claim, INCONCLUSIVE, "no rows selected", predicted)
         numeric = [
@@ -228,7 +234,9 @@ def evaluate_check(
 
     if isinstance(check, ColumnEquals):
         selected = _select(rows, check.where, check.where_not)
-        predicted = f"{check.column} == {check.value!r} on every row"
+        predicted = (
+            f"{check.column} == {check.value!r} {_on_rows(check.where, check.where_not)}"
+        )
         if not selected:
             return CheckResult(check.claim, INCONCLUSIVE, "no rows selected", predicted)
         bad = [r for r in selected if r.get(check.column) != check.value]

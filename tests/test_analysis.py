@@ -1,21 +1,21 @@
-"""Tests for the analysis harness: fits, tables, run_pair, separation."""
+"""Tests for the analysis harness: fits, tables, task dispatch, separation."""
 
 import math
 
 import pytest
 
-from repro.algorithms import Flooding
+from repro.algorithms import Flooding, SchemeB
 from repro.analysis import (
     GROWTH_MODELS,
     classify_growth,
     fit_rate,
     format_table,
     format_value,
-    run_pair,
-    task_result_row,
 )
-from repro.core import NullOracle, separation_point, separation_profile
+from repro.core import NullOracle, run_task, run_wakeup, separation_point, separation_profile
 from repro.network import complete_graph_star
+from repro.oracles import LightTreeBroadcastOracle
+from repro.simulator import WakeupViolation
 
 
 class TestFits:
@@ -88,15 +88,18 @@ class TestTables:
 
 
 class TestSweeps:
-    def test_run_pair_and_row(self, k5):
-        result = run_pair(k5, NullOracle(), Flooding(), task="wakeup")
-        row = task_result_row(result)
-        assert row["task"] == "wakeup"
-        assert row["messages"] == result.messages
+    def test_run_task_dispatches_by_name(self, k5):
+        result = run_task("wakeup", k5, NullOracle(), Flooding())
+        assert result.task == "wakeup"
+        assert result.trace.summary() == run_wakeup(k5, NullOracle(), Flooding()).trace.summary()
+        # Only the wakeup forbids Scheme B's spontaneous hellos.
+        assert run_task("broadcast", k5, LightTreeBroadcastOracle(), SchemeB()).success
+        with pytest.raises(WakeupViolation):
+            run_task("wakeup", k5, LightTreeBroadcastOracle(), SchemeB())
 
-    def test_run_pair_unknown_task(self, k5):
-        with pytest.raises(ValueError):
-            run_pair(k5, NullOracle(), Flooding(), task="gossip")
+    def test_run_task_unknown_task(self, k5):
+        with pytest.raises(ValueError, match="unknown task 'gossip'"):
+            run_task("gossip", k5, NullOracle(), Flooding())
 
 
 class TestSeparation:

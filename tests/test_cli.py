@@ -1,8 +1,14 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 class TestList:
@@ -106,6 +112,39 @@ class TestFailurePaths:
         assert main(["experiment", "E3", "--resume", "does/not/exist"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "does/not/exist" in err
+
+
+#: Input errors in each command's own arguments: a malformed comma list,
+#: a name outside its set, or a size the graph builder refuses.
+BAD_ARGVS = [
+    ["mega", "--sizes", "abc"],
+    ["mega", "--sizes", "0"],
+    ["mega", "--sizes", "1"],
+    ["mega", "--sizes", "10", "--count", "100"],
+    ["mega", "--batch-seeds", "x"],
+    ["separation", "--sizes", "abc"],
+    ["separation", "--sizes", "1"],
+    ["separation", "--family", "nope"],
+    ["report", "--only", "E99"],
+    ["trace", "--scheduler", "nope"],
+    ["sanitize", "--hash-seeds", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGVS, ids=" ".join)
+def test_input_error_exits_2_without_traceback(argv, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.path.abspath(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == []
 
 
 class TestResilientRuns:

@@ -29,9 +29,11 @@ import time
 import pytest
 
 from repro.algorithms import ALGORITHM_REGISTRY
-from repro.core import run_broadcast, run_wakeup
+from repro.cli import main as cli_main
+from repro.core import run_task
 from repro.core.oracle import advice_to_json
 from repro.obs import MemorySink, MetricsRegistry, Observation, apply_event, encode_event
+from repro.oracles import make_oracle
 from repro.parallel.cache import ConstructionCache
 from repro.service import (
     AdviceService,
@@ -43,7 +45,6 @@ from repro.service import (
     ServiceThread,
     canonical_json,
     execute_job,
-    make_oracle,
     normalize_request,
     ok_envelope,
     request_key,
@@ -91,6 +92,8 @@ def test_normalize_advice_ignores_simulation_fields():
         {"job": "simulate", "n": "8"},                        # n not an int
         {"job": "simulate", "n": True},                       # bool is not an int
         {"job": "simulate", "n": 8, "family": "moebius"},     # unknown family
+        {"job": "simulate", "n": 8, "family": ["kstar"]},     # unhashable name
+        {"job": "simulate", "n": 8, "oracle": {"null": 1}},   # unhashable name
         {"job": "simulate", "n": 8, "oracle": "psychic"},     # unknown oracle
         {"job": "simulate", "n": 8, "algorithm": "SchemeZ"},  # unknown algorithm
         {"job": "simulate", "n": 8, "scheduler": "chaotic"},  # unknown scheduler
@@ -137,9 +140,9 @@ def _direct_simulate(params):
     graph = build_graph(params["family"], params["n"])
     oracle = make_oracle(params["oracle"])
     algorithm = ALGORITHM_REGISTRY[params["algorithm"]].cls()
-    runner = run_broadcast if params["task"] == "broadcast" else run_wakeup
     sink = MemorySink()
-    result = runner(
+    result = run_task(
+        params["task"],
         graph,
         oracle,
         algorithm,
@@ -171,6 +174,32 @@ def test_simulate_payload_matches_direct_run(task, scheduler, seed):
         assert payload["result"]["rounds"] == result.rounds
         assert payload["result"]["oracle_bits"] == result.oracle_bits
     assert canonical_json(cold) == canonical_json(warm)
+
+
+@pytest.mark.parametrize(
+    "fields,flags",
+    [
+        (
+            {"task": "broadcast", "family": "kstar", "n": 16, "scheduler": "sync"},
+            ["--task", "broadcast", "--family", "kstar", "--n", "16", "--scheduler", "sync"],
+        ),
+        (
+            {"task": "wakeup", "family": "gnp_sparse", "n": 24, "scheduler": "random",
+             "scheduler_seed": 3},
+            ["--task", "wakeup", "--family", "gnp_sparse", "--n", "24",
+             "--scheduler", "random", "--seed", "3"],
+        ),
+    ],
+    ids=("broadcast-kstar-sync", "wakeup-gnp_sparse-random"),
+)
+def test_cli_trace_writes_the_simulate_jobs_stream(fields, flags, tmp_path, capsys):
+    """The two faces that build a run from names — ``repro trace`` and the
+    daemon's ``simulate`` job — write the same event stream, byte for byte."""
+    out = tmp_path / "run.jsonl"
+    assert cli_main(["trace", *flags, "--out", str(out)]) == 0
+    payload = execute_job(normalize_request({"job": "simulate", **fields}))
+    assert out.read_text() == "".join(line + "\n" for line in payload["trace_jsonl"])
+    assert f"-> {payload['result']['messages']} messages" in capsys.readouterr().out
 
 
 def test_advice_payload_matches_direct_advise():

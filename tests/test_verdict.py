@@ -24,6 +24,9 @@ from repro.verdict import (
     PROFILES,
     REFUTED,
     SCHEMA,
+    ColumnEquals,
+    ColumnsBound,
+    ColumnsEqual,
     append_research_log,
     evaluate_experiment,
     evaluate_results,
@@ -31,6 +34,7 @@ from repro.verdict import (
     report_to_dict,
     report_to_json,
 )
+from repro.verdict.evaluate import evaluate_check
 
 SEED_IDS = ("E1", "E3", "E6", "E8")
 
@@ -96,6 +100,31 @@ class TestEvaluator:
         verdict = evaluate_experiment(CRITERIA["E8"], {"rows": rows})
         assert verdict.status == INCONCLUSIVE
         assert "degraded" in verdict.note
+
+    def test_filtered_check_says_it_judged_selected_rows(self):
+        """E12's zero-message check skips the anonymous-ring rows, so its
+        rendered prediction names the selected rows, not every row."""
+        report = evaluate_results({"E12": run_experiment("E12")}, experiments=["E12"])
+        silent = next(c for c in report.verdicts[0].checks if "zero messages" in c.claim)
+        assert silent.status == CONFIRMED
+        assert silent.predicted == "1bit_msgs == 0 on every selected row"
+        assert silent.measured == "12/12 rows"
+        assert "1bit_msgs == 0 on every selected row" in render_markdown_table(report)
+
+    @pytest.mark.parametrize(
+        "check,scope",
+        [
+            (ColumnsEqual("c", left="x", right="y"), "on every row"),
+            (ColumnsEqual("c", left="x", right="y", where=(("part", "a"),)), "on every selected row"),
+            (ColumnsBound("c", left="x", right="y"), "on every row"),
+            (ColumnsBound("c", left="x", right="y", where=(("part", "a"),)), "on every selected row"),
+            (ColumnEquals("c", column="x", value=1), "on every row"),
+            (ColumnEquals("c", column="x", value=1, where_not=(("part", "b"),)), "on every selected row"),
+        ],
+    )
+    def test_column_checks_name_their_rows(self, check, scope):
+        rows = [{"part": "a", "x": 1, "y": 1}, {"part": "b", "x": 2, "y": 3}]
+        assert evaluate_check(check, rows, {}).predicted.endswith(scope)
 
 
 def tampered_e6_rows(result):
