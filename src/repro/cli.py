@@ -137,6 +137,31 @@ def _comma_list(
     return parse
 
 
+#: The largest ``PYTHONHASHSEED`` an interpreter accepts at start-up.
+_MAX_HASH_SEED = 2**32 - 1
+
+
+def _hash_seed(text: str) -> int:
+    """One ``PYTHONHASHSEED`` value: an integer from 0 to 4294967295."""
+    if not text.isdecimal() or int(text) > _MAX_HASH_SEED:
+        raise argparse.ArgumentTypeError(
+            f"invalid hash seed {text!r} (an integer from 0 to {_MAX_HASH_SEED})"
+        )
+    return int(text)
+
+
+def _out_path(text: str) -> str:
+    """An argparse ``type=`` for a file a command writes: its directory must
+    exist and it must not be a directory, so the command refuses it before
+    doing any work."""
+    directory = os.path.dirname(text)
+    if directory and not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"directory {directory!r} does not exist")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    return text
+
+
 def _family_member(family: str, n: int):
     """The ``(family, n)`` network; an unknown family is a usage error."""
     if family not in FAMILY_BUILDERS:
@@ -791,7 +816,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_quick.add_argument("n", nargs="?", type=int, default=64)
 
     p_report = sub.add_parser("report", help="write a markdown report of experiments")
-    p_report.add_argument("path", nargs="?", default="experiment_report.md")
+    p_report.add_argument("path", nargs="?", type=_out_path, default="experiment_report.md")
     p_report.add_argument(
         "--only",
         type=_comma_list(str.upper, EXPERIMENTS),
@@ -852,7 +877,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_trace.add_argument("--scheduler", choices=SCHEDULER_NAMES, default="sync")
     p_trace.add_argument("--seed", type=int, default=0, help="scheduler RNG seed")
-    p_trace.add_argument("--out", default="run.jsonl", help="JSONL output path")
+    p_trace.add_argument("--out", type=_out_path, default="run.jsonl", help="JSONL output path")
     p_trace.add_argument(
         "--audit", action="store_true", help="replay-audit the run after quiescence"
     )
@@ -913,11 +938,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_profile.add_argument("id", metavar="ID", help="experiment id (see `repro list`)")
     p_profile.add_argument(
-        "--chrome", default=None, metavar="FILE",
+        "--chrome", type=_out_path, default=None, metavar="FILE",
         help="also write a Chrome-trace JSON (chrome://tracing, ui.perfetto.dev)",
     )
     p_profile.add_argument(
-        "--flame", default=None, metavar="FILE",
+        "--flame", type=_out_path, default=None, metavar="FILE",
         help="also write collapsed-stack flamegraph text (flamegraph.pl, speedscope)",
     )
     p_profile.add_argument(
@@ -932,7 +957,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_bench.add_argument("input", help="file written by pytest --benchmark-json=...")
     p_bench.add_argument(
-        "--out", default="bench.json", help="where to write the document (default: bench.json)"
+        "--out", type=_out_path, default="bench.json",
+        help="where to write the document (default: bench.json)",
     )
 
     p_serve = sub.add_parser(
@@ -981,20 +1007,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="print the canonical repro-verdict/1 JSON instead of markdown",
     )
     p_verdict.add_argument(
-        "--json-out", default=None, metavar="FILE",
+        "--json-out", type=_out_path, default=None, metavar="FILE",
         help="also write the canonical JSON report to FILE",
     )
     p_verdict.add_argument(
-        "--md-out", default=None, metavar="FILE",
+        "--md-out", type=_out_path, default=None, metavar="FILE",
         help="also write the rendered markdown table to FILE",
     )
     p_verdict.add_argument(
-        "--log", nargs="?", const="RESEARCH_LOG.md", default=None, metavar="PATH",
+        "--log", nargs="?", type=_out_path, const="RESEARCH_LOG.md", default=None,
+        metavar="PATH",
         help="prepend one-line verdict entries to the research log "
         "(default PATH: RESEARCH_LOG.md; deterministic and idempotent)",
     )
     p_verdict.add_argument(
-        "--trace", default=None, metavar="FILE",
+        "--trace", type=_out_path, default=None, metavar="FILE",
         help="write verdict_rendered events as JSONL (readable by `repro stats`)",
     )
 
@@ -1005,10 +1032,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_sanitize.add_argument(
         "--hash-seeds",
-        type=int_list,
+        type=_comma_list(_hash_seed),
         default=None,
         metavar="S1,S2,...",
-        help="comma-separated PYTHONHASHSEED values (default: 0,1,4242)",
+        help="comma-separated PYTHONHASHSEED values, each 0..4294967295 "
+        "(default: 0,1,4242)",
     )
     p_sanitize.add_argument(
         "--cells",

@@ -11,7 +11,9 @@ This package is the library's measurement substrate.  Three layers:
   (default, near-zero overhead), ``MemorySink``, ``JSONLSink``, ``TeeSink``.
 * **Metrics** (:mod:`repro.obs.metrics`) — counters/gauges/histograms
   derived from events through one shared reducer, plus a separate
-  wall-clock ``timings`` registry fed by :meth:`Observation.span`.
+  wall-clock ``timings`` registry fed by :meth:`Observation.span`.  A
+  live fold needs a registry passed as ``Observation(metrics=...)``;
+  otherwise :func:`replay_metrics` rebuilds it from the saved JSONL.
 
 Two derived layers sit on top:
 
@@ -26,12 +28,13 @@ Two derived layers sit on top:
 
 Usage::
 
-    from repro.obs import Observation, JSONLSink
+    from repro.obs import JSONLSink, MetricsRegistry, Observation
 
-    with Observation(JSONLSink("run.jsonl")) as obs:
+    with Observation(JSONLSink("run.jsonl"), metrics=MetricsRegistry()) as obs:
         result = run_broadcast(graph, oracle, algorithm, obs=obs)
     print(obs.metrics.snapshot()["messages_sent"])
     print(obs.timings.snapshot())          # wall-time per phase
+    # or, with no metrics= passed: replay_metrics(read_jsonl("run.jsonl"))
 
 ``repro trace`` / ``repro stats`` are the CLI faces of this package, and
 :mod:`repro.obs.bench` (``repro bench-export``) distills pytest-benchmark

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Any, ClassVar, Dict, Optional, Tuple, Type
 
 __all__ = [
@@ -54,6 +55,10 @@ __all__ = [
 ]
 
 _SCALARS = (str, int, float, bool, type(None))
+#: Exact types :meth:`Event.to_dict` copies without calling :func:`jsonable`
+#: (which returns them unchanged).  Subclasses such as ``numpy.float64``
+#: are not in it and still go through :func:`jsonable`.
+_PLAIN = frozenset(_SCALARS)
 
 
 def jsonable(value: Any) -> Any:
@@ -93,9 +98,17 @@ class Event:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready dict, ``{"event": kind, ...fields...}``."""
         out: Dict[str, Any] = {"event": self.kind}
-        for f in fields(self):
-            out[f.name] = jsonable(getattr(self, f.name))
+        for name in _field_names(type(self)):
+            value = getattr(self, name)
+            out[name] = value if type(value) in _PLAIN else jsonable(value)
         return out
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls: Type[Event]) -> Tuple[str, ...]:
+    """``cls``'s dataclass field names, in declaration order (computed once
+    per class: :func:`dataclasses.fields` is too slow for every event)."""
+    return tuple(f.name for f in fields(cls))
 
 
 @dataclass(frozen=True)

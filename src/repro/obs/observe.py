@@ -3,9 +3,12 @@
 An :class:`Observation` bundles:
 
 * a sink (the structured event stream — see :mod:`repro.obs.sinks`);
-* ``metrics`` — a :class:`MetricsRegistry` populated *only* through the
+* ``metrics`` — the :class:`MetricsRegistry` the caller passed as
+  ``metrics=``, or ``None``.  Events are folded into it *only* through the
   :func:`repro.obs.metrics.apply_event` reducer, so it is a pure function
-  of the event stream and replays identically from a saved JSONL file;
+  of the event stream; without one, nothing is folded live, and
+  :func:`repro.obs.export.replay_metrics` rebuilds the same registry from
+  the saved JSONL file;
 * ``timings`` — a second registry holding wall-clock span durations
   (seconds, via ``time.perf_counter``).  Timings are deliberately kept out
   of both the event stream and ``metrics``: they are host-dependent, and
@@ -37,12 +40,15 @@ __all__ = ["Observation", "NULL_OBSERVATION", "resolve_obs"]
 
 
 class Observation:
-    """One sink + one event-derived metrics registry + one timings registry
-    (+ optionally one nested-span profiler).
+    """A sink, a timings registry, and optionally metrics and a profiler.
 
     ``enabled`` is True when there is anywhere for *events* to go: a
-    non-null sink, or an explicitly supplied metrics registry (metrics
+    non-null sink, or a metrics registry the caller passed (metrics
     without an event file is a perfectly good way to watch a run).
+    Events are folded into ``metrics`` only when a registry was passed;
+    with a sink alone ``metrics`` is ``None``, and an event costs the
+    sink's work and nothing more.
+
     Attaching a ``profile`` (:class:`repro.obs.Profiler`) deliberately
     does **not** enable the event stream: a profile-only Observation keeps
     the hot paths dark — no event construction, no metric folds — while
@@ -59,19 +65,20 @@ class Observation:
         profile: Optional[Profiler] = None,
     ) -> None:
         self.sink: EventSink = sink if sink is not None else NullSink()
-        explicit_metrics = metrics is not None
-        self.metrics: MetricsRegistry = metrics if explicit_metrics else MetricsRegistry()
+        self.metrics = metrics
         self.timings = MetricsRegistry()
         self.profile = profile
-        self.enabled = bool(self.sink.enabled or explicit_metrics)
+        self.enabled = bool(self.sink.enabled or metrics is not None)
 
     def emit(self, event: Event) -> None:
-        """Sink the event and fold it into ``metrics`` (no-op when disabled)."""
+        """Sink the event and fold it into ``metrics`` when one was passed
+        (no-op when disabled)."""
         if not self.enabled:
             return
         if self.sink.enabled:
             self.sink.emit(event)
-        apply_event(self.metrics, event)
+        if self.metrics is not None:
+            apply_event(self.metrics, event)
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:

@@ -25,9 +25,14 @@ from .events import Event
 __all__ = ["EventSink", "NullSink", "MemorySink", "JSONLSink", "TeeSink", "encode_event"]
 
 
+#: One encoder for every event: ``json.dumps`` with these keywords builds
+#: a new one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def encode_event(event: Event) -> str:
     """The canonical JSONL encoding: compact separators, sorted keys."""
-    return json.dumps(event.to_dict(), sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(event.to_dict())
 
 
 @runtime_checkable

@@ -387,6 +387,6 @@ class AdviceService:
             "max_pending": self.config.max_pending,
             "cache": {**self.cache.stats.as_dict(), "entries": len(self.cache)},
         }
-        if self.obs.enabled:
+        if self.obs.metrics is not None:
             out["metrics"] = self.obs.metrics.snapshot()
         return out

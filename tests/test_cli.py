@@ -115,7 +115,10 @@ class TestFailurePaths:
 
 
 #: Input errors in each command's own arguments: a malformed comma list,
-#: a name outside its set, or a size the graph builder refuses.
+#: a name outside its set, a size the graph builder refuses, a hash seed
+#: outside 0..2**32 - 1, or an output path that names a directory or
+#: whose directory does not exist (the test runs in an empty directory and
+#: checks it stays empty).
 BAD_ARGVS = [
     ["mega", "--sizes", "abc"],
     ["mega", "--sizes", "0"],
@@ -128,6 +131,13 @@ BAD_ARGVS = [
     ["report", "--only", "E99"],
     ["trace", "--scheduler", "nope"],
     ["sanitize", "--hash-seeds", "x"],
+    ["sanitize", "--hash-seeds", "-1"],
+    ["sanitize", "--hash-seeds", "4294967296"],
+    ["trace", "--out", "missing/dir/x.jsonl"],
+    ["trace", "--out", "."],
+    ["report", "missing/dir/r.md", "--only", "E8"],
+    ["profile", "E8", "--flame", "missing/dir/f.txt"],
+    ["verdict", "E8", "--json-out", "missing/dir/v.json"],
 ]
 
 

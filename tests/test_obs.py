@@ -3,11 +3,14 @@ determinism of the JSONL stream, and the export/replay round trip."""
 
 import io
 import json
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from repro.algorithms import Flooding, SchemeB, TreeWakeup
 from repro.core import run_broadcast, run_wakeup
+from repro.encoding import BitString
 from repro.network import complete_graph_star, path_graph
 from repro.obs import (
     EVENT_KINDS,
@@ -80,6 +83,54 @@ class TestEvents:
         text = encode_event(RoundStarted(round=1))
         assert text == '{"event":"round_started","round":1}'
         assert json.loads(text) == {"event": "round_started", "round": 1}
+
+
+#: One value per :func:`jsonable` branch (and the plain scalars), placed in
+#: every field of every event kind by the encoder's differential test.
+ODD_VALUES = (
+    {"rumor-b", "rumor-a", "rumor-c"},  # a set of strings: sorted list
+    frozenset({"y", "x"}),  # a frozenset of strings: sorted list
+    ((1, (2, "z")), (3,)),  # nested tuples: nested lists
+    None,
+    BitString("1011"),  # no JSON form: its repr
+    np.float64(0.1),  # a float subclass
+    {3: "c", 1: ("a", 2)},  # int keys: string keys
+    [4, {"k": frozenset({"q", "p"})}],  # a list holding a dict holding a set
+    "plain",
+    7,
+    2.5,
+    True,
+)
+
+
+def _reference_dict(event):
+    """The encoding rule stated plainly: every dataclass field, through
+    :func:`jsonable`, after the kind."""
+    out = {"event": event.kind}
+    for f in fields(event):
+        out[f.name] = jsonable(getattr(event, f.name))
+    return out
+
+
+class TestEncoderDifferential:
+    """``Event.to_dict`` and ``encode_event`` skip work for plain scalars;
+    their output must equal the plain rule's for every kind and value."""
+
+    @pytest.mark.parametrize("kind", sorted(EVENT_KINDS))
+    def test_every_kind_and_value_matches_the_reference(self, kind):
+        cls = EVENT_KINDS[kind]
+        names = [f.name for f in fields(cls)]
+        size = len(ODD_VALUES)
+        # Rotating the values puts each of them in each field once.
+        for offset in range(size):
+            event = cls(
+                **{name: ODD_VALUES[(offset + i) % size] for i, name in enumerate(names)}
+            )
+            reference = _reference_dict(event)
+            assert event.to_dict() == reference
+            assert encode_event(event) == json.dumps(
+                reference, sort_keys=True, separators=(",", ":")
+            )
 
 
 class TestSinks:
@@ -227,14 +278,14 @@ class TestObservation:
         obs = Observation()
         assert obs.enabled is False
         obs.emit(RoundStarted(round=1))  # swallowed
-        assert len(obs.metrics) == 0
+        assert obs.metrics is None
 
     def test_resolve_passes_real_observations_through(self):
         obs = Observation(MemorySink())
         assert resolve_obs(obs) is obs
 
     def test_emit_feeds_sink_and_metrics(self):
-        obs = Observation(MemorySink())
+        obs = Observation(MemorySink(), metrics=MetricsRegistry())
         assert obs.enabled
         obs.emit(RoundStarted(round=1))
         assert len(obs.sink.events) == 1
@@ -292,7 +343,7 @@ class TestEngineTelemetry:
         assert run_end.informed == result.informed
 
     def test_metrics_agree_with_the_task_result(self):
-        obs = Observation(MemorySink())
+        obs = Observation(MemorySink(), metrics=MetricsRegistry())
         result = run_broadcast(
             complete_graph_star(8), LightTreeBroadcastOracle(), SchemeB(), obs=obs
         )
@@ -320,7 +371,7 @@ class TestEngineTelemetry:
         assert "walltime_s.simulate" in obs.timings.names()
 
     def test_limit_hit_is_reported(self):
-        obs = Observation(MemorySink())
+        obs = Observation(MemorySink(), metrics=MetricsRegistry())
         result = run_broadcast(
             complete_graph_star(8), NullOracle(), Flooding(), max_messages=5, obs=obs
         )
@@ -377,7 +428,7 @@ class TestExportRoundTrip:
 
     def test_replay_reproduces_live_metrics(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        with Observation(JSONLSink(str(path))) as obs:
+        with Observation(JSONLSink(str(path)), metrics=MetricsRegistry()) as obs:
             run_broadcast(
                 complete_graph_star(12), LightTreeBroadcastOracle(), SchemeB(), obs=obs
             )
@@ -533,7 +584,7 @@ class TestAdversaryTelemetry:
     def test_probe_stream_shows_the_halving(self):
         from repro.lowerbounds import adversary_demonstration
 
-        obs = Observation(MemorySink())
+        obs = Observation(MemorySink(), metrics=MetricsRegistry())
         results = adversary_demonstration(4, 2, obs=obs)
         assert all(r.certified for r in results)
         probes = [ev for ev in obs.sink.events if ev.kind == "adversary_probe"]

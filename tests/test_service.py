@@ -176,6 +176,28 @@ def test_simulate_payload_matches_direct_run(task, scheduler, seed):
     assert canonical_json(cold) == canonical_json(warm)
 
 
+def test_served_compute_folds_no_metrics(monkeypatch):
+    """A ``simulate`` job observes its run through a sink alone: no event is
+    folded into a metrics registry, and the payload is unchanged."""
+    requests = [
+        normalize_request({"job": "simulate", "family": "kstar", "n": 16, "scheduler": "sync"}),
+        normalize_request(
+            {"job": "simulate", "task": "wakeup", "family": "gnp_sparse", "n": 24,
+             "scheduler": "random", "scheduler_seed": 3}
+        ),
+    ]
+    unpatched = [execute_job(params) for params in requests]
+    assert all(payload["trace_jsonl"] for payload in unpatched)
+
+    def fold(metrics, event):
+        raise AssertionError(f"{event.kind} folded into a metrics registry")
+
+    monkeypatch.setattr("repro.obs.observe.apply_event", fold)
+    assert Observation(MemorySink()).metrics is None
+    for params, expected in zip(requests, unpatched):
+        assert canonical_json(execute_job(params)) == canonical_json(expected)
+
+
 @pytest.mark.parametrize(
     "fields,flags",
     [
