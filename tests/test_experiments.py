@@ -189,9 +189,17 @@ class TestE9:
         assert bits == sorted(bits)
 
 
+def rows_digest(result) -> str:
+    """sha256 of an experiment's rows as canonical JSON."""
+    blob = json.dumps(jsonable(result.rows), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 class TestE10:
     #: sha256 of the canonical-JSON rows below.
     ROWS_DIGEST = "b0ba4ed7ed0ee1b3c273aaa48cf335ffe05ef1b2616c4cd8b25e921ef83b2027"
+    #: sha256 of the canonical-JSON rows of the default grid.
+    DEFAULT_ROWS_DIGEST = "12b39963f4ade017a3038e93eec06b64927783e1c528cdfa01860ae1aee36b6d"
 
     def test_gossip_shapes(self):
         r = run_experiment("E10", sizes=(8, 16), families=("complete", "random_tree"))
@@ -201,8 +209,10 @@ class TestE10:
 
     def test_rows_digest_is_pinned(self):
         r = run_experiment("E10", sizes=(8, 16), families=("complete", "random_tree"))
-        blob = json.dumps(jsonable(r.rows), sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(blob.encode()).hexdigest() == self.ROWS_DIGEST
+        assert rows_digest(r) == self.ROWS_DIGEST
+
+    def test_default_rows_digest_is_pinned(self):
+        assert rows_digest(run_experiment("E10")) == self.DEFAULT_ROWS_DIGEST
 
 
 class TestE11:
@@ -232,6 +242,12 @@ class TestE13:
         assert all(row["advised_ok"] and row["dfs_ok"] for row in r.rows)
         assert all(row["advised_moves"] == row["2(n-1)"] for row in r.rows)
         assert all(row["rotor_covered"] for row in r.rows)
+
+    #: sha256 of the canonical-JSON rows of the default grid.
+    DEFAULT_ROWS_DIGEST = "12618754f1410a2191fbfe69162ea1b74ef5a3615e1babd65c33b16fa7962af9"
+
+    def test_default_rows_digest_is_pinned(self):
+        assert rows_digest(run_experiment("E13")) == self.DEFAULT_ROWS_DIGEST
 
 
 class TestE14:
