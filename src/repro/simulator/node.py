@@ -10,6 +10,7 @@ model offers: sending a message through a local port.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Hashable, List, Optional, Protocol, runtime_checkable
 
@@ -65,7 +66,19 @@ class NodeContext:
         return self._has_output
 
     def send(self, payload: Payload, port: int) -> None:
-        """Queue ``payload`` for transmission through local ``port``."""
+        """Queue ``payload`` for transmission through local ``port``.
+
+        ``port`` must be an integer (anything :func:`operator.index`
+        accepts) in ``range(degree)``; any other value raises
+        :class:`ValueError`.
+        """
+        if type(port) is not int:
+            try:
+                port = operator.index(port)
+            except TypeError:
+                raise ValueError(
+                    f"port {port!r} is not an integer, at node {self.node_id!r}"
+                ) from None
         if not 0 <= port < self.degree:
             raise ValueError(
                 f"port {port} out of range for degree {self.degree} at node {self.node_id!r}"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.encoding import BitString
-from repro.network import PortLabeledGraph, path_graph
+from repro.network import PortLabeledGraph, complete_graph_star, path_graph
 from repro.simulator import (
     SCHEDULER_NAMES,
     FIFOLinkScheduler,
@@ -136,6 +136,45 @@ class TestEngineBasics:
 
         with pytest.raises(ValueError):
             Simulation(path4, processes_for(path4, Bad)).run()
+
+    @pytest.mark.parametrize("fastpath", (True, False), ids=("fastpath", "reference"))
+    @pytest.mark.parametrize("port", (1.0, 1.5, "1"))
+    def test_send_port_not_an_integer(self, monkeypatch, port, fastpath):
+        # 1.0 passes the range check; both loops must refuse it alike
+        monkeypatch.setenv("REPRO_FASTPATH", "1" if fastpath else "0")
+        graph = complete_graph_star(5)
+
+        class Floaty:
+            def on_init(self, ctx):
+                if ctx.is_source:
+                    ctx.send("M", port)
+
+            def on_receive(self, ctx, payload, port):
+                pass
+
+        with pytest.raises(ValueError, match="not an integer"):
+            Simulation(graph, processes_for(graph, Floaty)).run()
+
+    @pytest.mark.parametrize("fastpath", (True, False), ids=("fastpath", "reference"))
+    def test_send_port_index_type_is_an_int(self, monkeypatch, fastpath):
+        monkeypatch.setenv("REPRO_FASTPATH", "1" if fastpath else "0")
+        graph = complete_graph_star(5)
+
+        class Port:
+            def __index__(self):
+                return 1
+
+        class Indexed:
+            def on_init(self, ctx):
+                if ctx.is_source:
+                    ctx.send("M", Port())
+
+            def on_receive(self, ctx, payload, port):
+                pass
+
+        trace = Simulation(graph, processes_for(graph, Indexed)).run()
+        (record,) = trace.deliveries
+        assert type(record.send_port) is int and record.send_port == 1
 
 
 class TestInformedSemantics:
