@@ -118,8 +118,11 @@ def experiment_e10_gossip(
     rows: List[Dict[str, Any]] = []
     for family, _, graph in _family_graphs(families, sizes):
         nn = graph.num_nodes
-        tree = run_gossip(graph, GossipTreeOracle(), TreeGossip())
-        flood = run_gossip(graph, NullOracle(), FloodGossip())
+        # The rows read counts only; the check runs during the run.
+        tree = run_gossip(
+            graph, GossipTreeOracle(), TreeGossip(), trace_level="counters"
+        )
+        flood = run_gossip(graph, NullOracle(), FloodGossip(), trace_level="counters")
         rows.append(
             {
                 "family": family,

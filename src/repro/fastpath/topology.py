@@ -27,11 +27,13 @@ returns frozen graphs, so a cached graph carries its compiled topology.
 
 The engines are not the only readers.  Claim 3.1's light tree
 (:func:`repro.oracles.light_spanning_tree`) reads each edge weight as
-``min(p, arrival_at[offsets[i] + p])``, and the BFS/DFS/random trees of
+``min(p, arrival_at[offsets[i] + p])``, the BFS/DFS/random trees of
 :func:`repro.oracles.build_spanning_tree` read each node's neighbours in
-port order from ``neighbor_at``.  :func:`compile_topology` reads the
-graph's two port maps row by row; outside ``network/graph.py`` it is the
-only code that does.
+port order from ``neighbor_at``, and the mobile agent's walk
+(:func:`repro.agent.run_exploration`) reads each move's degree,
+neighbour and arrival port from ``degrees``, ``neighbor_at`` and
+``arrival_at``.  :func:`compile_topology` reads the graph's two port maps
+row by row; outside ``network/graph.py`` it is the only code that does.
 """
 
 from __future__ import annotations

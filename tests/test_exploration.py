@@ -17,6 +17,7 @@ from repro.agent import (
 from repro.core import NullOracle
 from repro.encoding import BitString
 from repro.network import (
+    FAMILY_BUILDERS,
     complete_graph_star,
     cycle_graph,
     grid_graph,
@@ -157,3 +158,191 @@ class TestRegimeOrdering:
         assert advised.moves <= dfs.moves
         assert advised.oracle_bits > 0
         assert dfs.oracle_bits == 0
+
+
+# ----------------------------------------------------------------------
+# The compiled walk against the graph-API walk it replaced.
+# ----------------------------------------------------------------------
+
+
+def graph_api_walk(
+    graph, oracle, explorer, start=None, anonymous=False, max_moves=None, advice=None
+):
+    """The reference walk: every move asks the graph for degree, neighbour
+    and arrival port, and the advice map for the node's string."""
+    if not graph.frozen:
+        graph = graph.copy().freeze()
+    if advice is None:
+        advice = oracle.advise(graph)
+    position = start if start is not None else graph.source
+    if not graph.has_node(position):
+        raise ValueError(f"start node {position!r} is not in the graph")
+    if max_moves is None:
+        max_moves = 8 * graph.num_edges + 4 * graph.num_nodes + 16
+    visited = {position}
+    trail = [position]
+    entry_port = None
+    moves = 0
+    halted = False
+    while moves < max_moves:
+        view = AgentView(
+            advice=advice[position],
+            degree=graph.degree(position),
+            entry_port=entry_port,
+            node_label=None if anonymous else position,
+        )
+        port = explorer.choose_port(view)
+        if port is None:
+            halted = True
+            break
+        if not 0 <= port < graph.degree(position):
+            raise ValueError(
+                f"explorer chose port {port} at node {position!r} of degree "
+                f"{graph.degree(position)}"
+            )
+        neighbor = graph.neighbor_via(position, port)
+        entry_port = graph.port(neighbor, position)
+        position = neighbor
+        visited.add(position)
+        trail.append(position)
+        moves += 1
+    return ExplorationResult(
+        graph_nodes=graph.num_nodes,
+        graph_edges=graph.num_edges,
+        oracle_name=oracle.name,
+        explorer_name=getattr(explorer, "name", type(explorer).__name__),
+        oracle_bits=advice.total_bits(),
+        moves=moves,
+        visited=len(visited),
+        halted=halted,
+        trail=trail,
+    )
+
+
+#: Fresh (oracle, explorer) pairs; DFS and rotor carry memory per run.
+EXPLORERS = {
+    "advised": lambda g: (GossipTreeOracle(), AdvisedTreeExplorer()),
+    "dfs": lambda g: (NullOracle(), DFSExplorer()),
+    "rotor": lambda g: (NullOracle(), RotorRouterExplorer(budget=3 * g.num_edges)),
+}
+
+WALK_GRAPHS = {
+    "complete": lambda: FAMILY_BUILDERS["complete"](9),
+    "gnp_sparse": lambda: FAMILY_BUILDERS["gnp_sparse"](14),
+    "grid": lambda: FAMILY_BUILDERS["grid"](12),  # tuple labels
+}
+
+
+def both_walks(make_graph, name, **kwargs):
+    """The outcome of each walk: its result, or its error's type and text."""
+    outcomes = []
+    for walk in (graph_api_walk, run_exploration):
+        graph = make_graph()
+        oracle, explorer = EXPLORERS[name](graph)
+        try:
+            outcomes.append(walk(graph, oracle, explorer, **kwargs))
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+class TestCompiledWalkMatchesGraphWalk:
+    @pytest.mark.parametrize("family", sorted(WALK_GRAPHS))
+    @pytest.mark.parametrize("name", sorted(EXPLORERS))
+    def test_default_walk(self, name, family):
+        reference, compiled = both_walks(WALK_GRAPHS[family], name)
+        assert isinstance(compiled, ExplorationResult)
+        assert compiled == reference
+
+    @pytest.mark.parametrize("name", sorted(EXPLORERS))
+    def test_anonymous(self, name):
+        reference, compiled = both_walks(WALK_GRAPHS["grid"], name, anonymous=True)
+        assert compiled == reference
+        # only the advised agent does without labels
+        assert isinstance(compiled, ExplorationResult) is (name == "advised")
+
+    @pytest.mark.parametrize("family", sorted(WALK_GRAPHS))
+    @pytest.mark.parametrize("name", sorted(EXPLORERS))
+    def test_explicit_start(self, name, family):
+        graph = WALK_GRAPHS[family]()
+        start = list(graph.nodes())[-1]
+        reference, compiled = both_walks(WALK_GRAPHS[family], name, start=start)
+        assert compiled == reference
+        assert compiled.trail[0] == start
+
+    @pytest.mark.parametrize("cut", (0, 1, 7))
+    @pytest.mark.parametrize("name", sorted(EXPLORERS))
+    def test_move_cutoff(self, name, cut):
+        reference, compiled = both_walks(WALK_GRAPHS["grid"], name, max_moves=cut)
+        assert compiled == reference
+        assert compiled.moves == cut and not compiled.halted
+
+    @pytest.mark.parametrize("name", sorted(EXPLORERS))
+    def test_unfrozen_input(self, name):
+        def unfrozen():
+            return WALK_GRAPHS["gnp_sparse"]().copy()
+
+        assert not unfrozen().frozen
+        reference, compiled = both_walks(unfrozen, name)
+        assert compiled == reference
+
+    def test_bad_start_has_the_same_error(self):
+        reference, compiled = both_walks(WALK_GRAPHS["grid"], "dfs", start=(9, 9))
+        assert compiled == reference
+        assert compiled == (ValueError, "start node (9, 9) is not in the graph")
+
+    @pytest.mark.parametrize("port", (-1, 99))
+    def test_bad_port_has_the_same_error(self, port):
+        class Fixed:
+            def choose_port(self, view):
+                return port
+
+        texts = []
+        for walk in (graph_api_walk, run_exploration):
+            with pytest.raises(ValueError) as info:
+                walk(WALK_GRAPHS["grid"](), NullOracle(), Fixed())
+            texts.append(str(info.value))
+        assert texts[0] == texts[1]
+        assert f"explorer chose port {port} at node (0, 0)" in texts[1]
+
+
+class TestPortType:
+    """A port the explorer chooses must be an integer."""
+
+    @pytest.mark.parametrize("port", (1.0, 1.5, "1"))
+    def test_non_integer_port_is_refused(self, k5, port):
+        class Chooser:
+            def choose_port(self, view):
+                return port
+
+        with pytest.raises(ValueError, match="not an integer"):
+            run_exploration(k5, NullOracle(), Chooser())
+
+    def test_index_types_walk_like_ints(self, k5):
+        class Index:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        def spinner(wrap):
+            class Spinner:
+                def choose_port(self, view):
+                    return wrap(view.entry_port or 0)
+
+            return Spinner()
+
+        plain = run_exploration(k5, NullOracle(), spinner(int), max_moves=9)
+        wrapped = run_exploration(k5, NullOracle(), spinner(Index), max_moves=9)
+        assert wrapped == plain
+
+
+class TestAgentView:
+    def test_named_tuple_fields_and_keywords(self):
+        view = AgentView(advice=BitString("1"), degree=2, entry_port=None, node_label=(0, 1))
+        assert view._fields == ("advice", "degree", "entry_port", "node_label")
+        assert view == (BitString("1"), 2, None, (0, 1))
+        assert view.node_label == (0, 1)
+        with pytest.raises(AttributeError):
+            view.degree = 3
