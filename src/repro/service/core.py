@@ -5,14 +5,16 @@ format (:mod:`repro.service.server` owns the sockets).  One request flows
 through four gates, cheapest first:
 
 1. **Drain gate** — a draining service refuses new work outright.
-2. **Response cache** — a bounded LRU of complete payloads keyed by
+2. **Response cache** — a bounded LRU of encoded ok envelopes keyed by
    :func:`~repro.service.protocol.request_key`.  Since payloads are pure
    functions of the canonical request, a hit is *the* answer, and the
    envelope carries no cache metadata — cached and computed responses are
-   byte-identical.
+   byte-identical.  Each envelope is encoded once, when its job's payload
+   comes back; a hit sends those stored bytes and encodes nothing.
 3. **Single-flight coalescing** — an identical request already in flight
-   means this one just awaits the same future: N concurrent identical
-   requests cost one construction.
+   means this one just awaits the same future, which resolves to the
+   leader's encoded envelope: N concurrent identical requests cost one
+   construction and one encode.
 4. **Admission** — at most ``max_pending`` *distinct* jobs compute at
    once; beyond that the service rejects with ``overloaded`` and a
    ``Retry-After`` hint rather than queueing without bound.  Rejection is
@@ -21,6 +23,10 @@ through four gates, cheapest first:
 Admitted jobs run off the event loop on one job thread, which owns the
 daemon's in-memory :class:`~repro.parallel.cache.ConstructionCache` (one
 thread, so no locking).
+
+:meth:`AdviceService.handle_request` answers with the response's bytes:
+ok envelopes from the LRU or the one encode of a compute, error envelopes
+encoded where they are made.  The wire lanes only frame those bytes.
 
 Telemetry goes through the standard :class:`~repro.obs.Observation`
 machinery as the daemon's *access log*: ``service_*`` events fold into
@@ -51,6 +57,7 @@ from .jobs import execute_job
 from .protocol import (
     PROTOCOL_SCHEMA,
     RequestError,
+    canonical_json,
     error_envelope,
     normalize_request,
     ok_envelope,
@@ -59,8 +66,14 @@ from .protocol import (
 
 __all__ = ["ServiceConfig", "AdviceService"]
 
-#: (envelope, HTTP status, extra headers) — what one handled request yields.
-Response = Tuple[Dict[str, Any], int, Dict[str, str]]
+#: (envelope bytes, HTTP status, extra headers) — what one handled request
+#: yields.
+Response = Tuple[bytes, int, Dict[str, str]]
+
+
+def _encode(envelope: Mapping[str, Any]) -> bytes:
+    """An envelope's wire bytes: its canonical JSON, UTF-8 encoded."""
+    return canonical_json(envelope).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -109,10 +122,10 @@ class AdviceService:
         self.config = config
         self.obs = resolve_obs(obs)
         self.cache = ConstructionCache()
-        # Response LRU: key -> complete payload dict.
-        self._responses: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        # Single-flight map: key -> future resolving to the payload.
-        self._inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
+        # Response LRU: key -> the ok envelope's encoded bytes.
+        self._responses: "OrderedDict[str, bytes]" = OrderedDict()
+        # Single-flight map: key -> future resolving to those bytes.
+        self._inflight: Dict[str, "asyncio.Future[bytes]"] = {}
         self._pending = 0
         self._draining = False
         self.served = 0
@@ -250,7 +263,7 @@ class AdviceService:
                 )
             )
             return (
-                error_envelope("draining", "service is draining; not accepting work"),
+                _encode(error_envelope("draining", "service is draining; not accepting work")),
                 503,
                 {},
             )
@@ -265,7 +278,7 @@ class AdviceService:
                     source="invalid",
                 )
             )
-            return error_envelope(exc.code, str(exc)), 400, {}
+            return _encode(error_envelope(exc.code, str(exc))), 400, {}
         key = request_key(params)
         job = params["job"]
 
@@ -278,10 +291,10 @@ class AdviceService:
         if inflight is not None:
             self._emit_request(job, key, lane)
             try:
-                payload = await asyncio.shield(inflight)
+                body = await asyncio.shield(inflight)
             except Exception as exc:  # the leader's job failed; we share its fate
                 return self._failed(job, key, exc)
-            return self._ok(job, key, payload, "coalesced")
+            return self._ok(job, key, body, "coalesced")
 
         if self._pending >= self.config.max_pending:
             self.rejected += 1
@@ -300,31 +313,35 @@ class AdviceService:
                 )
             )
             return (
-                error_envelope(
-                    "overloaded",
-                    f"{self._pending} jobs in flight (max {self.config.max_pending})",
-                    retry_after_s=retry,
+                _encode(
+                    error_envelope(
+                        "overloaded",
+                        f"{self._pending} jobs in flight (max {self.config.max_pending})",
+                        retry_after_s=retry,
+                    )
                 ),
                 429,
                 {"Retry-After": f"{retry:g}"},
             )
 
         loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Dict[str, Any]]" = loop.create_future()
+        future: "asyncio.Future[bytes]" = loop.create_future()
         self._inflight[key] = future
         self._pending += 1
         self._emit_request(job, key, lane)
         try:
             payload = await loop.run_in_executor(self._executor, self._job_fn, dict(params))
+            # The one encode this key's ok envelope gets while it stays cached.
+            body = _encode(ok_envelope(key, payload))
         except Exception as exc:
             future.set_exception(exc)
             # Coalesced waiters consume it; nobody else should warn.
             future.exception()
             return self._failed(job, key, exc)
         else:
-            self._response_put(key, payload)
-            future.set_result(payload)
-            return self._ok(job, key, payload, "computed")
+            self._response_put(key, body)
+            future.set_result(body)
+            return self._ok(job, key, body, "computed")
         finally:
             self._pending -= 1
             self._inflight.pop(key, None)
@@ -337,12 +354,12 @@ class AdviceService:
             ServiceRequestReceived(job=job, key=key, lane=lane, pending=self._pending)
         )
 
-    def _ok(self, job: str, key: str, payload: Dict[str, Any], source: str) -> Response:
+    def _ok(self, job: str, key: str, body: bytes, source: str) -> Response:
         self.served += 1
         self.obs.emit(
             ServiceResponseSent(job=job, key=key, status="ok", source=source)
         )
-        return ok_envelope(key, payload), 200, {}
+        return body, 200, {}
 
     def _failed(self, job: str, key: str, exc: Exception) -> Response:
         """A job's error: a typed 400 for a :class:`RequestError`, else 500."""
@@ -350,26 +367,26 @@ class AdviceService:
             self.obs.emit(
                 ServiceResponseSent(job=job, key=key, status=exc.code, source="invalid")
             )
-            return error_envelope(exc.code, str(exc)), 400, {}
+            return _encode(error_envelope(exc.code, str(exc))), 400, {}
         self.obs.emit(
             ServiceResponseSent(job=job, key=key, status="internal", source="failed")
         )
         return (
-            error_envelope("internal", f"{type(exc).__name__}: {exc}"),
+            _encode(error_envelope("internal", f"{type(exc).__name__}: {exc}")),
             500,
             {},
         )
 
-    def _response_get(self, key: str) -> Optional[Dict[str, Any]]:
-        payload = self._responses.get(key)
-        if payload is not None:
+    def _response_get(self, key: str) -> Optional[bytes]:
+        body = self._responses.get(key)
+        if body is not None:
             self._responses.move_to_end(key)
-        return payload
+        return body
 
-    def _response_put(self, key: str, payload: Dict[str, Any]) -> None:
+    def _response_put(self, key: str, body: bytes) -> None:
         if self.config.response_entries == 0:
             return
-        self._responses[key] = payload
+        self._responses[key] = body
         self._responses.move_to_end(key)
         while len(self._responses) > self.config.response_entries:
             self._responses.popitem(last=False)

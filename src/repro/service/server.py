@@ -25,7 +25,11 @@ lane, so the latencies they report include that framing.
 
 Responses on both lanes are the *canonical JSON* encoding of the envelope
 (sorted keys, compact separators) — the byte-identity contract is checked
-against exactly these bytes.
+against exactly these bytes.  A job's envelope arrives from
+:meth:`AdviceService.handle_request` already encoded (a response-cache hit
+is the stored bytes), so the lanes only frame it: HTTP adds its head, IPC
+its newline.  The lanes encode only their own envelopes (``/healthz``,
+``/stats``, malformed requests) and an echoed ``"id"``.
 """
 
 from __future__ import annotations
@@ -77,34 +81,67 @@ def _content_length(headers: Dict[str, str]) -> Optional[int]:
     return int(raw) if len(raw) <= 16 else _MAX_BODY + 1
 
 
+def _encode(envelope: Dict[str, Any]) -> bytes:
+    """One of the lanes' own envelopes, as its canonical JSON bytes."""
+    return canonical_json(envelope).encode("utf-8")
+
+
+def _bad_request(message: str) -> bytes:
+    return _encode(error_envelope("bad_request", message))
+
+
+def _with_id(body: bytes, request_id: Any) -> bytes:
+    """``body`` with the request's ``"id"`` echoed, as canonical JSON.
+
+    Keys are sorted, so an envelope whose first key is ``"key"`` (every ok
+    envelope) has no key before ``"id"``: the id goes in front without
+    decoding the body, which may be a cached envelope of many KB.  An error
+    envelope starts with ``"error"``, which sorts before ``"id"``; it is
+    small, so it is decoded and encoded again with the id.
+    """
+    if body.startswith(b'{"key":'):
+        return b'{"id":' + canonical_json(request_id).encode("utf-8") + b"," + body[1:]
+    return _encode({**json.loads(body), "id": request_id})
+
+
+def _wants_close(headers: Dict[str, str]) -> bool:
+    """Whether the ``Connection`` header lists the ``close`` option.
+
+    Connection options are comma-separated, case-insensitive tokens
+    (RFC 9110, section 7.6.1).
+    """
+    tokens = headers.get("connection", "").split(",")
+    return any(token.strip().lower() == "close" for token in tokens)
+
+
 async def _route(
     service: "AdviceService", method: str, path: str, body: bytes
-) -> Tuple[Dict[str, Any], int, Dict[str, str]]:
+) -> Tuple[bytes, int, Dict[str, str]]:
     if path == "/healthz":
         if method != "GET":
-            return error_envelope("bad_request", "healthz is GET-only"), 405, {}
-        return {"ok": True, "status": "draining" if service.draining else "serving"}, 200, {}
+            return _bad_request("healthz is GET-only"), 405, {}
+        status = "draining" if service.draining else "serving"
+        return _encode({"ok": True, "status": status}), 200, {}
     if path == "/stats":
         if method != "GET":
-            return error_envelope("bad_request", "stats is GET-only"), 405, {}
-        return service.stats_snapshot(), 200, {}
+            return _bad_request("stats is GET-only"), 405, {}
+        return _encode(service.stats_snapshot()), 200, {}
     if path in ("/v1/jobs", "/v1/advice", "/v1/simulate"):
         if method != "POST":
-            return error_envelope("bad_request", f"{path} is POST-only"), 405, {}
+            return _bad_request(f"{path} is POST-only"), 405, {}
         data, ok = _parse_body(body)
         if not ok:
-            return error_envelope("bad_request", "request body is not valid JSON"), 400, {}
+            return _bad_request("request body is not valid JSON"), 400, {}
         if path != "/v1/jobs" and isinstance(data, dict):
             data = dict(data)
             data.setdefault("job", path.rsplit("/", 1)[1])
         return await service.handle_request(data, lane="http")
-    return error_envelope("bad_request", f"no such endpoint: {path}"), 404, {}
+    return _bad_request(f"no such endpoint: {path}"), 404, {}
 
 
 def _http_response(
-    status: int, envelope: Dict[str, Any], headers: Dict[str, str], close: bool
+    status: int, body: bytes, headers: Dict[str, str], close: bool
 ) -> bytes:
-    body = canonical_json(envelope).encode("utf-8")
     lines = [
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
         "Content-Type: application/json",
@@ -163,19 +200,15 @@ async def _handle_http(
                     if length is None
                     else f"body exceeds {_MAX_BODY} bytes"
                 )
-                writer.write(
-                    _http_response(
-                        400, error_envelope("bad_request", message), {}, close=True
-                    )
-                )
+                writer.write(_http_response(400, _bad_request(message), {}, close=True))
                 await writer.drain()
                 break
             body = await reader.readexactly(length) if length else b""
             service.request_started()
             try:
-                envelope, status, extra = await _route(service, method, path, body)
-                close = service.draining or headers.get("connection") == "close"
-                writer.write(_http_response(status, envelope, extra, close))
+                reply, status, extra = await _route(service, method, path, body)
+                close = service.draining or _wants_close(headers)
+                writer.write(_http_response(status, reply, extra, close))
                 await writer.drain()
             finally:
                 service.request_finished()
@@ -212,16 +245,14 @@ async def _handle_ipc(
             service.request_started()
             try:
                 if not ok:
-                    envelope = error_envelope(
-                        "bad_request", "request line is not valid JSON"
-                    )
+                    reply = _bad_request("request line is not valid JSON")
                 else:
-                    envelope, _status, _extra = await service.handle_request(
+                    reply, _status, _extra = await service.handle_request(
                         data, lane="ipc"
                     )
                     if isinstance(data, dict) and "id" in data:
-                        envelope = {**envelope, "id": data["id"]}
-                writer.write(canonical_json(envelope).encode("utf-8") + b"\n")
+                        reply = _with_id(reply, data["id"])
+                writer.write(reply + b"\n")
                 await writer.drain()
             finally:
                 service.request_finished()
