@@ -22,7 +22,6 @@ MODULES = [
     "repro.lowerbounds",
     "repro.lint",
     "repro.obs",
-    "repro.parallel",
     "repro.service",
     "repro.runner",
     "repro.analysis",

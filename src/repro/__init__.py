@@ -86,7 +86,6 @@ from .oracles import (
     SpanningTreeWakeupOracle,
     light_spanning_tree,
 )
-from .parallel import ConstructionCache
 from .runner import (
     RetryPolicy,
     resilient_run_experiments,
@@ -164,8 +163,6 @@ __all__ = [
     "Simulation",
     "WakeupViolation",
     "make_scheduler",
-    # parallel
-    "ConstructionCache",
     # runner (fault tolerance)
     "RetryPolicy",
     "resilient_run_experiments",

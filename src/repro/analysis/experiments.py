@@ -91,16 +91,8 @@ DEFAULT_SIZES = (16, 32, 64, 128, 256)
 DEFAULT_FAMILIES = ("path", "cycle", "random_tree", "gnp_sparse", "gnp_dense", "complete")
 
 
-def _family_graph(family: str, n: int, cache=None):
-    """Build one family member, through the construction cache when given."""
-    builder = FAMILY_BUILDERS[family]
-    if cache is None:
-        return builder(n)
-    return cache.graph(family, n, builder=lambda: builder(n))
-
-
 def _family_graphs(
-    families: Sequence[str], sizes: Sequence[int], cache=None
+    families: Sequence[str], sizes: Sequence[int]
 ) -> Iterator[Tuple[str, int, PortLabeledGraph]]:
     """Yield ``(family, n, graph)`` over the grid, families outermost.
 
@@ -110,17 +102,10 @@ def _family_graphs(
     for family in families:
         for n in sizes:
             try:
-                graph = _family_graph(family, n, cache)
+                graph = FAMILY_BUILDERS[family](n)
             except GraphError:
                 continue
             yield family, n, graph
-
-
-def _cached_advice(cache, family: str, n: int, oracle, graph):
-    """Memoized advice when a cache is active, else ``None`` (compute live)."""
-    if cache is None:
-        return None
-    return cache.advice(family, n, oracle, graph)
 
 
 # ----------------------------------------------------------------------
@@ -129,17 +114,14 @@ def _cached_advice(cache, family: str, n: int, oracle, graph):
 def experiment_e1_wakeup_upper(
     sizes: Sequence[int] = DEFAULT_SIZES,
     families: Sequence[str] = DEFAULT_FAMILIES,
-    cache=None,
     obs=None,
 ) -> ExperimentResult:
     """Oracle size ``n log n + o(n log n)``; exactly ``n - 1`` messages."""
     obs = resolve_obs(obs)
     rows: List[Dict[str, Any]] = []
-    for family, n, graph in _family_graphs(families, sizes, cache):
-        oracle = SpanningTreeWakeupOracle()
-        advice = _cached_advice(cache, family, n, oracle, graph)
+    for family, n, graph in _family_graphs(families, sizes):
         with obs.wallspan(f"cell/{family}/{n}"):
-            result = run_wakeup(graph, oracle, TreeWakeup(), advice=advice, obs=obs)
+            result = run_wakeup(graph, SpanningTreeWakeupOracle(), TreeWakeup(), obs=obs)
         nn = graph.num_nodes
         rows.append(
             {
@@ -173,7 +155,6 @@ def experiment_e2_wakeup_lower(
     gadget_sizes: Sequence[int] = (8, 16, 32, 64),
     counting_exponents: Sequence[int] = (10, 16, 22, 28, 34),
     alphas: Sequence[float] = (0.2, 1.0 / 3.0, 0.49),
-    cache=None,
 ) -> ExperimentResult:
     """Adversary runs, gadget measurements, and the exact counting curves."""
     rows: List[Dict[str, Any]] = []
@@ -195,7 +176,7 @@ def experiment_e2_wakeup_lower(
         )
     # (b) the hard family: upper bound tight on it, baselines quadratic.
     for n in gadget_sizes:
-        row = gadget_wakeup_upper(n, seed=n, cache=cache)
+        row = gadget_wakeup_upper(n, seed=n)
         # "N" is a hidden series field (not in the printed columns): it lets
         # measured_series() expose the oracle-bits-vs-N curve for verdicts.
         rows.append(
@@ -208,7 +189,7 @@ def experiment_e2_wakeup_lower(
                 "N": row.gadget_nodes,
             }
         )
-        zero = zero_advice_cost(n, seed=n, cache=cache)
+        zero = zero_advice_cost(n, seed=n)
         rows.append(
             {
                 "part": "zero-advice",
@@ -220,7 +201,7 @@ def experiment_e2_wakeup_lower(
         )
     # (c) truncation: the concrete optimal algorithm degrades below full advice.
     for fraction in (0.25, 0.5, 0.75, 1.0):
-        t = truncated_oracle_outcome(32, fraction, seed=5, cache=cache)
+        t = truncated_oracle_outcome(32, fraction, seed=5)
         rows.append(
             {
                 "part": "truncation",
@@ -265,13 +246,12 @@ def experiment_e2_wakeup_lower(
 def experiment_e3_light_tree(
     sizes: Sequence[int] = DEFAULT_SIZES,
     families: Sequence[str] = DEFAULT_FAMILIES,
-    cache=None,
     obs=None,
 ) -> ExperimentResult:
     """``sum #2(w(e)) <= 4n`` for the constructed tree, vs naive trees."""
     obs = resolve_obs(obs)
     rows: List[Dict[str, Any]] = []
-    for family, n, graph in _family_graphs(families, sizes, cache):
+    for family, n, graph in _family_graphs(families, sizes):
         nn = graph.num_nodes
         with obs.wallspan(f"cell/{family}/{n}"):
             light = tree_contribution(graph, light_spanning_tree(graph))
@@ -311,18 +291,15 @@ def experiment_e3_light_tree(
 def experiment_e4_broadcast_upper(
     sizes: Sequence[int] = DEFAULT_SIZES,
     families: Sequence[str] = DEFAULT_FAMILIES,
-    cache=None,
     obs=None,
 ) -> ExperimentResult:
     """Oracle ``<= 8n`` bits; Scheme B ``<= 2(n-1)`` messages, all schedulers."""
     obs = resolve_obs(obs)
     rows: List[Dict[str, Any]] = []
-    for family, n, graph in _family_graphs(families, sizes, cache):
+    for family, n, graph in _family_graphs(families, sizes):
         nn = graph.num_nodes
-        oracle = LightTreeBroadcastOracle()
-        advice = _cached_advice(cache, family, n, oracle, graph)
         with obs.wallspan(f"cell/{family}/{n}"):
-            result = run_broadcast(graph, oracle, SchemeB(), advice=advice, obs=obs)
+            result = run_broadcast(graph, LightTreeBroadcastOracle(), SchemeB(), obs=obs)
         hello = result.trace.messages_with_payload(HELLO_MESSAGE)
         msg = result.trace.messages_with_payload(SOURCE_MESSAGE)
         rows.append(
@@ -357,7 +334,6 @@ def experiment_e5_broadcast_lower(
     n: int = 32,
     k: int = 4,
     counting_pairs: Sequence = ((2**16, 2), (2**16, 4), (2**20, 4), (2**24, 4)),
-    cache=None,
 ) -> ExperimentResult:
     """Clique classification, adversarial gadget, and the Eq. 6-7 curves."""
     rows: List[Dict[str, Any]] = []
@@ -373,9 +349,7 @@ def experiment_e5_broadcast_lower(
                 "ok": True,
             }
         )
-    full = gadget_broadcast_outcome(
-        SchemeB(), LightTreeBroadcastOracle(), n, k, seed=1, cache=cache
-    )
+    full = gadget_broadcast_outcome(SchemeB(), LightTreeBroadcastOracle(), n, k, seed=1)
     rows.append(
         {
             "part": "gadget",
@@ -386,8 +360,7 @@ def experiment_e5_broadcast_lower(
         }
     )
     capped = gadget_broadcast_outcome(
-        SchemeB(), LightTreeBroadcastOracle(), n, k, seed=1, budget=n // (2 * k),
-        cache=cache,
+        SchemeB(), LightTreeBroadcastOracle(), n, k, seed=1, budget=n // (2 * k)
     )
     rows.append(
         {
@@ -398,9 +371,7 @@ def experiment_e5_broadcast_lower(
             "ok": not capped.success,
         }
     )
-    chatter = gadget_broadcast_outcome(
-        ChatterFlood(), NullOracle(), n, k, seed=1, cache=cache
-    )
+    chatter = gadget_broadcast_outcome(ChatterFlood(), NullOracle(), n, k, seed=1)
     rows.append(
         {
             "part": "gadget",
@@ -505,19 +476,16 @@ def experiment_e7_robustness(
     n: int = 64,
     families: Sequence[str] = ("gnp_sparse", "complete", "random_tree"),
     schedulers: Sequence[str] = ("sync", "fifo", "random", "delay-hello", "hurry-hello"),
-    cache=None,
     obs=None,
 ) -> ExperimentResult:
     """Async + anonymous + bounded messages: both upper bounds unaffected."""
     obs = resolve_obs(obs)
     rows: List[Dict[str, Any]] = []
     for family in families:
-        graph = _family_graph(family, n, cache)
+        graph = FAMILY_BUILDERS[family](n)
         nn = graph.num_nodes
         wake_oracle = SpanningTreeWakeupOracle()
         bcast_oracle = LightTreeBroadcastOracle()
-        wake_advice = _cached_advice(cache, family, n, wake_oracle, graph)
-        bcast_advice = _cached_advice(cache, family, n, bcast_oracle, graph)
         for sched in schedulers:
             for anonymous in (False, True):
                 with obs.wallspan(f"cell/{family}/{sched}/anon={anonymous}"):
@@ -527,7 +495,6 @@ def experiment_e7_robustness(
                         TreeWakeup(),
                         scheduler=make_scheduler(sched, seed=13),
                         anonymous=anonymous,
-                        advice=wake_advice,
                         obs=obs,
                     )
                     b = run_broadcast(
@@ -536,7 +503,6 @@ def experiment_e7_robustness(
                         SchemeB(),
                         scheduler=make_scheduler(sched, seed=13),
                         anonymous=anonymous,
-                        advice=bcast_advice,
                         obs=obs,
                     )
                 rows.append(
@@ -790,16 +756,13 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
 EXPERIMENTS.update(_extension_registry())
 
 
-def run_experiment(experiment_id: str, cache=None, obs=None, **kwargs) -> ExperimentResult:
+def run_experiment(experiment_id: str, obs=None, **kwargs) -> ExperimentResult:
     """Run one experiment from the registry by id (``E1`` .. ``E15``).
 
-    ``cache`` — an optional :class:`repro.parallel.ConstructionCache` —
-    is forwarded to experiments that declare a ``cache`` parameter (the
-    graph-building ones); experiments that are pure numerics simply never
-    receive it.  ``obs`` — an optional :class:`repro.obs.Observation` —
-    is forwarded the same way to experiments that declare an ``obs``
-    parameter (the sweep-style ones, which open a ``wallspan`` per cell
-    and thread the handle into their task runs); attach a
+    ``obs`` — an optional :class:`repro.obs.Observation` — is forwarded
+    to experiments that declare an ``obs`` parameter (the sweep-style
+    ones, which open a ``wallspan`` per cell and thread the handle into
+    their task runs); experiments without one never receive it.  Attach a
     :class:`repro.obs.Profiler` to get the per-phase cost breakdown that
     ``repro profile`` prints.
     """
@@ -809,9 +772,6 @@ def run_experiment(experiment_id: str, cache=None, obs=None, **kwargs) -> Experi
         raise ValueError(
             f"unknown experiment {experiment_id!r}; have {sorted(EXPERIMENTS)}"
         ) from None
-    parameters = inspect.signature(fn).parameters
-    if cache is not None and "cache" in parameters:
-        kwargs["cache"] = cache
-    if obs is not None and "obs" in parameters:
+    if obs is not None and "obs" in inspect.signature(fn).parameters:
         kwargs["obs"] = obs
     return fn(**kwargs)

@@ -6,12 +6,10 @@ Commands
     Run experiments from the registry and print their tables and findings.
     ``--workers N`` fans the experiments over a process pool with a
     deterministic, serial-identical merge (default ``$REPRO_WORKERS``,
-    else 1 = in-process); ``--cache`` shares built graphs and oracle
-    advice in memory across the run's experiments (one cache per worker
-    under ``--workers N``).
+    else 1 = in-process).
 ``all``
     Run every experiment (E1-E15) at default sizes; accepts the same
-    ``--workers`` / ``--cache`` flags.
+    ``--workers`` flag.
 
     Both commands also take the fault-tolerance flags ``--timeout S``,
     ``--retries N``, ``--run-dir DIR`` and ``--resume DIR`` (see
@@ -85,8 +83,8 @@ Commands
     The long-running advice-serving daemon (see :mod:`repro.service` and
     ``docs/SERVICE.md``): advice-construction and simulation jobs over
     localhost HTTP plus an optional Unix-socket IPC lane, answered
-    byte-identically to the direct library calls from an in-memory
-    content-addressed construction cache, with single-flight request
+    byte-identically to the direct library calls, with a response cache,
+    an in-memory memo of built graphs and advice, single-flight request
     coalescing and bounded-queue backpressure.  SIGTERM drains
     gracefully: in-flight jobs finish, new ones are refused, exit 0.
 
@@ -172,14 +170,12 @@ def _family_member(family: str, n: int):
 def _cmd_experiment(
     ids: List[str],
     workers: Optional[int] = None,
-    use_cache: bool = False,
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
     run_dir: Optional[str] = None,
     resume: Optional[str] = None,
     progress: bool = False,
 ) -> int:
-    from .parallel import ConstructionCache
     from .runner import (
         DEFAULT_RETRIES,
         ProgressReporter,
@@ -188,7 +184,6 @@ def _cmd_experiment(
         resolve_workers,
     )
 
-    cache = ConstructionCache() if use_cache else None
     try:
         workers = resolve_workers(workers)
     except ValueError as exc:
@@ -226,13 +221,12 @@ def _cmd_experiment(
                 else None
             )
             report = resilient_run_experiments(
-                ids, workers=workers, cache=cache, policy=policy, run_dir=run_dir,
-                progress=reporter,
+                ids, workers=workers, policy=policy, run_dir=run_dir, progress=reporter,
             )
             ordered = [report.results[eid] for eid in ids]
             stats = report.stats
         else:
-            ordered = [run_experiment(eid, cache=cache) for eid in ids]
+            ordered = [run_experiment(eid) for eid in ids]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -243,14 +237,6 @@ def _cmd_experiment(
         bad = [r for r in result.rows if r.get("ok") is False or r.get("success") is False]
         if bad:
             status = 1
-    if cache is not None:
-        if stats is not None:
-            # The parent cache never served a lookup: each pool worker
-            # built its own from the parent's spec.
-            print("construction cache: one per worker (per-worker stats not aggregated)")
-        else:
-            s = cache.stats
-            print(f"construction cache: {s.hits} hit(s), {s.misses} miss(es)")
     if stats is not None:
         print(stats.summary_line())
         if stats.failed:
@@ -578,22 +564,19 @@ def _cmd_profile(
     experiment_id: str,
     chrome_out: Optional[str],
     flame_out: Optional[str],
-    use_cache: bool,
 ) -> int:
     """Run one experiment with a profiler attached and print the per-phase
     cost table (self/cumulative seconds, fully nested)."""
     from .analysis.tables import format_table
     from .obs import Observation, Profiler, chrome_trace_json, collapsed_stacks
-    from .parallel import ConstructionCache
 
-    cache = ConstructionCache() if use_cache else None
     profiler = Profiler()
     # Profile-only Observation: no sink, no metrics, so the hot paths stay
     # dark (enabled=False) and the numbers reflect an unobserved run.
     obs = Observation(profile=profiler)
     try:
         with profiler.span(experiment_id.upper()):
-            result = run_experiment(experiment_id, cache=cache, obs=obs)
+            result = run_experiment(experiment_id, obs=obs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -763,13 +746,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             type=int,
             default=None,
             help="process-pool width (default: $REPRO_WORKERS, else 1 = in-process)",
-        )
-        p.add_argument(
-            "--cache",
-            action=argparse.BooleanOptionalAction,
-            default=False,
-            help="share built graphs/advice in memory across the run's "
-            "experiments (one cache per worker); --no-cache is the default",
         )
         p.add_argument(
             "--timeout",
@@ -945,12 +921,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--flame", type=_out_path, default=None, metavar="FILE",
         help="also write collapsed-stack flamegraph text (flamegraph.pl, speedscope)",
     )
-    p_profile.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="memoize built graphs/advice in memory during the run",
-    )
 
     p_bench = sub.add_parser(
         "bench-export", help="distill pytest-benchmark JSON into a repro-bench/1 document"
@@ -1061,13 +1031,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _run_command(args: argparse.Namespace) -> int:
     if args.command in ("experiment", "exp"):
         return _cmd_experiment(
-            args.ids, args.workers, args.cache,
-            args.timeout, args.retries, args.run_dir, args.resume, args.progress,
+            args.ids, args.workers, args.timeout, args.retries, args.run_dir,
+            args.resume, args.progress,
         )
     if args.command == "all":
         return _cmd_experiment(
-            sorted(EXPERIMENTS), args.workers, args.cache,
-            args.timeout, args.retries, args.run_dir, args.resume, args.progress,
+            sorted(EXPERIMENTS), args.workers, args.timeout, args.retries, args.run_dir,
+            args.resume, args.progress,
         )
     if args.command == "list":
         return _cmd_list()
@@ -1102,7 +1072,7 @@ def _run_command(args: argparse.Namespace) -> int:
     if args.command == "stats":
         return _cmd_stats(args.paths)
     if args.command == "profile":
-        return _cmd_profile(args.id, args.chrome, args.flame, args.cache)
+        return _cmd_profile(args.id, args.chrome, args.flame)
     if args.command == "bench-export":
         return _cmd_bench_export(args.input, args.out)
     if args.command == "serve":

@@ -21,9 +21,10 @@ that is by far the most expensive to recompute per message.
 
 Compilation happens once, at :meth:`PortLabeledGraph.freeze` time, and
 the result is cached on the graph itself (``graph._compiled``); a frozen
-graph cannot change, so the cache never goes stale.  Sweep drivers get
-the tables for free: :meth:`repro.parallel.cache.ConstructionCache.graph`
-returns frozen graphs, so a cached graph carries its compiled topology.
+graph cannot change, so the cache never goes stale.  The serving
+daemon's memo (:meth:`repro.service.jobs.ConstructionCache.graph`) hands
+out frozen graphs, so a graph it serves again carries its compiled
+topology.
 
 The engines are not the only readers.  Claim 3.1's light tree
 (:func:`repro.oracles.light_spanning_tree`) reads each edge weight as

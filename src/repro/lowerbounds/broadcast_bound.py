@@ -153,30 +153,19 @@ def choose_adversarial_c(
 
 
 def adversarial_gadget(
-    algorithm: Algorithm, n: int, k: int, seed: int = 0, cache=None
+    algorithm: Algorithm, n: int, k: int, seed: int = 0
 ) -> Tuple[PortLabeledGraph, List[CliqueClassification]]:
     """A random-``S``, adversarial-``C*`` member of ``G_{n,k}`` for the
     given algorithm.
 
-    The gadget depends on the *algorithm* (the adversary hides each
-    ``f_i`` where that algorithm's classification is weakest), so the
-    cache key includes the algorithm name alongside ``(n, k, seed)``.
+    The gadget depends on the *algorithm*: the adversary hides each
+    ``f_i`` where that algorithm's classification is weakest.
     """
     classifications = choose_adversarial_c(algorithm, n, k)
-
-    def build() -> PortLabeledGraph:
-        rng = random.Random(seed)
-        edge_tuple = sample_edge_tuple(n, n // k, rng)
-        return clique_substitution(
-            n, k, edge_tuple, [c.hidden_edge for c in classifications]
-        )
-
-    if cache is None:
-        graph = build()
-    else:
-        graph = cache.graph(
-            f"gadget_broadcast|{algorithm.name}|k={k}", n, seed=seed, builder=build
-        )
+    edge_tuple = sample_edge_tuple(n, n // k, random.Random(seed))
+    graph = clique_substitution(
+        n, k, edge_tuple, [c.hidden_edge for c in classifications]
+    )
     return graph, classifications
 
 
@@ -188,17 +177,15 @@ def gadget_broadcast_outcome(
     seed: int = 0,
     budget: Optional[int] = None,
     obs=None,
-    cache=None,
 ) -> TaskResult:
     """Run (oracle, algorithm) on the algorithm's own adversarial gadget.
 
     ``budget`` caps the oracle via :class:`TruncatingOracle` — set it to
     ``n // (2 * k)`` to stand at the paper's ``o(n)`` operating point.
     ``obs`` (an :class:`repro.obs.Observation`) captures the run's
-    telemetry, quadratic blowups and limit hits included; ``cache`` (a
-    :class:`repro.parallel.ConstructionCache`) memoizes the gadget build.
+    telemetry, quadratic blowups and limit hits included.
     """
-    graph, __ = adversarial_gadget(algorithm, n, k, seed, cache=cache)
+    graph, __ = adversarial_gadget(algorithm, n, k, seed)
     effective = oracle if budget is None else TruncatingOracle(oracle, budget)
     return run_broadcast(graph, effective, algorithm, max_messages=10**7, obs=obs)
 

@@ -76,26 +76,15 @@ class GadgetWakeupRow:
         return self.oracle_bits / (big_n * math.log2(big_n))
 
 
-def _gadget_graph(n: int, seed: int, cache=None):
-    """A random ``G_{n,S}`` member, optionally through a construction cache.
-
-    The cache key carries the builder seed: distinct seeds are distinct
-    gadgets, and a cached gadget is bit-identical to a fresh build because
-    the edge tuple is a pure function of ``(n, seed)``.
-    """
-
-    def build():
-        rng = random.Random(seed)
-        return subdivision_family_graph(n, sample_edge_tuple(n, n, rng))
-
-    if cache is None:
-        return build()
-    return cache.graph("gadget_wakeup", n, seed=seed, builder=build)
+def _gadget_graph(n: int, seed: int):
+    """A random ``G_{n,S}`` member: the edge tuple is a pure function of
+    ``(n, seed)``, so one seed always gives the same gadget."""
+    return subdivision_family_graph(n, sample_edge_tuple(n, n, random.Random(seed)))
 
 
-def gadget_wakeup_upper(n: int, seed: int = 0, obs=None, cache=None) -> GadgetWakeupRow:
+def gadget_wakeup_upper(n: int, seed: int = 0, obs=None) -> GadgetWakeupRow:
     """Run the Theorem 2.1 pair on a random ``G_{n,S}`` (telemetry via ``obs``)."""
-    graph = _gadget_graph(n, seed, cache)
+    graph = _gadget_graph(n, seed)
     # Counters mode: the row reads messages/success only, so the run skips
     # the per-delivery log (the gadgets are the hot path of this module).
     result = run_wakeup(
@@ -124,9 +113,7 @@ class TruncationRow:
     success: bool
 
 
-def truncated_oracle_outcome(
-    n: int, fraction: float, seed: int = 0, cache=None
-) -> TruncationRow:
+def truncated_oracle_outcome(n: int, fraction: float, seed: int = 0) -> TruncationRow:
     """Cap the Theorem 2.1 oracle at ``fraction`` of its size on ``G_{n,S}``.
 
     This does not *prove* anything (the theorem quantifies over all
@@ -134,7 +121,7 @@ def truncated_oracle_outcome(
     this concrete optimal-size algorithm: missing advice bits mean unreached
     nodes, because the tree structure is literally the information.
     """
-    graph = _gadget_graph(n, seed, cache)
+    graph = _gadget_graph(n, seed)
     full_oracle = SpanningTreeWakeupOracle()
     full_bits = full_oracle.size_on(graph)
     budget = int(full_bits * fraction)
@@ -153,13 +140,13 @@ def truncated_oracle_outcome(
     )
 
 
-def zero_advice_cost(n: int, seed: int = 0, cache=None) -> dict:
+def zero_advice_cost(n: int, seed: int = 0) -> dict:
     """Messages paid by the zero-advice wakeup baselines on ``G_{n,S}``.
 
     Both are ``Theta(m) = Theta(n^2)`` on the gadgets — the quadratic price
     of having no information, against ``N - 1`` with full advice.
     """
-    graph = _gadget_graph(n, seed, cache)
+    graph = _gadget_graph(n, seed)
     flood = run_wakeup(
         graph, NullOracle(), Flooding(), max_messages=10**7, trace_level="counters"
     )

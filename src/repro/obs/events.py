@@ -381,11 +381,11 @@ class ServiceDrained(Event):
 
 @dataclass(frozen=True)
 class ConstructionCacheStats(Event):
-    """A point-in-time snapshot of a :class:`ConstructionCache`'s counters.
+    """A point-in-time snapshot of the serving daemon's construction memo.
 
-    Emitted by cache owners (the serving daemon, at drain) so saved
-    streams replay cache effectiveness through the same
-    :func:`repro.obs.metrics.apply_event` reducer ``repro stats`` uses.
+    The counters of :class:`repro.service.jobs.ConstructionCache`, emitted
+    at drain so saved streams replay the memo's effectiveness through the
+    same :func:`repro.obs.metrics.apply_event` reducer ``repro stats`` uses.
     """
 
     kind: ClassVar[str] = "cache_stats"

@@ -41,7 +41,10 @@ and flows through a separate runner Observation instead, which
 from __future__ import annotations
 
 import json
+import multiprocessing
+import multiprocessing.connection
 import os
+import threading
 import time
 import warnings
 from collections import deque
@@ -53,7 +56,6 @@ from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 from ..obs.events import CellAttemptFailed, CellFailed, CellResumed, CellRetried, jsonable
 from ..obs.observe import Observation, resolve_obs
 from ..obs.sinks import JSONLSink
-from ..parallel.cache import CacheSpec, ConstructionCache, init_worker_cache, worker_cache
 from .journal import JOURNAL_NAME, JournalEntry, RunJournal, cell_key, load_journal
 from .progress import ProgressReporter
 from .retry import RetryPolicy
@@ -175,21 +177,37 @@ class RunReport:
 # ----------------------------------------------------------------------
 # Pool hosting
 # ----------------------------------------------------------------------
+def init_worker() -> None:
+    """Pool initializer: end this worker as soon as its parent process dies.
+
+    A SIGKILLed parent cannot shut its pool down, and the worker would
+    otherwise wait on the call queue forever.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with_parent, args=(parent.sentinel,), daemon=True
+        ).start()
+
+
+def _exit_with_parent(sentinel: int) -> None:
+    """Block until the parent's sentinel fires, then end this process."""
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
+
+
 class _PoolHost:
     """A recyclable process pool: crashes and hangs are cured by
     terminating every worker and starting fresh."""
 
-    def __init__(self, workers: int, cache_spec: Optional[CacheSpec]) -> None:
+    def __init__(self, workers: int) -> None:
         self.workers = workers
-        self.cache_spec = cache_spec
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=init_worker_cache,
-                initargs=(self.cache_spec,),
+                max_workers=self.workers, initializer=init_worker
             )
         return self._pool.submit(fn, *args)
 
@@ -235,7 +253,6 @@ def execute_units(
     journal: Optional[RunJournal] = None,
     journaled: Optional[Dict[str, JournalEntry]] = None,
     runner_obs: Optional[Observation] = None,
-    cache_spec: Optional[CacheSpec] = None,
     progress: Optional["ProgressReporter"] = None,
 ) -> Tuple[Dict[str, CellOutcome], RunStats]:
     """Run every unit to a settled outcome, fault-tolerantly.
@@ -287,7 +304,7 @@ def execute_units(
     max_recycles = len(pending) * policy.max_attempts + 8
 
     # Never wider than the work: a worker with no unit to run is a wasted fork.
-    pool = _PoolHost(min(workers, len(pending)), cache_spec)
+    pool = _PoolHost(min(workers, len(pending)))
     in_flight: Dict[Future, _Flight] = {}
 
     def settle_failed(flight: _Flight, error: str, detail: str) -> None:
@@ -614,15 +631,12 @@ def serialized_experiment_task(experiment_id: str, kwargs: Dict[str, Any]) -> Di
     JSON-canonical dict the journal stores."""
     from ..analysis.experiments import run_experiment
 
-    return experiment_result_to_dict(
-        run_experiment(experiment_id, cache=worker_cache(), **kwargs)
-    )
+    return experiment_result_to_dict(run_experiment(experiment_id, **kwargs))
 
 
 def resilient_run_experiments(
     ids: Sequence[str],
     workers: Optional[int] = None,
-    cache: Optional[ConstructionCache] = None,
     kwargs_by_id: Optional[Dict[str, Dict[str, Any]]] = None,
     policy: Optional[RetryPolicy] = None,
     run_dir: Optional[str] = None,
@@ -686,7 +700,6 @@ def resilient_run_experiments(
             journal=journal,
             journaled=journaled,
             runner_obs=runner_obs,
-            cache_spec=cache.spec() if cache is not None else None,
             progress=progress,
         )
     stats.corrupt_journal_lines = corrupt

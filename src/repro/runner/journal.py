@@ -9,8 +9,7 @@ reads the journal back, skips every ``done`` unit, and replays its stored
 row verbatim, which is what keeps a resumed run's ``results.json``
 byte-identical to an uninterrupted one.
 
-Entries are keyed by the same content-address scheme as the construction
-cache (:func:`repro.parallel.cache.content_address`):
+Entries are keyed by a content address (:func:`content_address`):
 ``sha256(schema|experiment|cell|seed)``.  Anything that changes what a
 unit computes — a different experiment, keyword arguments, or seed — must
 change the key, so resuming with different parameters simply misses the
@@ -29,13 +28,12 @@ chance.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
-
-from ..parallel.cache import content_address
 
 __all__ = [
     "JOURNAL_SCHEMA",
@@ -43,6 +41,7 @@ __all__ = [
     "JournalEntry",
     "RunJournal",
     "cell_key",
+    "content_address",
     "load_journal",
 ]
 
@@ -52,6 +51,18 @@ JOURNAL_SCHEMA = "repro-runner/1"
 
 #: The journal's file name inside a run directory.
 JOURNAL_NAME = "journal.jsonl"
+
+
+def content_address(schema: str, *parts: Any) -> str:
+    """SHA-256 of ``schema|part|part|...`` — the canonical content key.
+
+    Shared by the run journal (:func:`cell_key`) and the serving daemon's
+    request keys (:func:`repro.service.protocol.request_key`): any store
+    keyed this way is invalidated simply by changing what goes into the
+    key (schema bump, different seed, different request field, ...).
+    """
+    raw = "|".join([schema, *(str(part) for part in parts)])
+    return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
 
 def cell_key(experiment: str, cell: str, seed: Any) -> str:

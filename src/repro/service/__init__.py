@@ -3,16 +3,18 @@
 The paper's measurements rebuild the same family members and advice maps
 constantly; this package turns that redundancy into a *service*: a
 long-running asyncio daemon (``repro serve``) that answers
-advice-construction and simulation jobs from an in-memory
-content-addressed :class:`~repro.parallel.cache.ConstructionCache`,
-byte-identically to the direct library calls.
+advice-construction and simulation jobs from a response cache and an
+in-memory memo of built graphs and advice
+(:class:`~repro.service.jobs.ConstructionCache`), byte-identically to
+the direct library calls.
 
 Layers, bottom-up:
 
 * :mod:`~repro.service.protocol` — request validation, canonical JSON,
   content-addressed request keys, response envelopes;
 * :mod:`~repro.service.jobs` — the job bodies (the single code path
-  shared by the daemon's job thread and "direct" library use);
+  shared by the daemon's job thread and "direct" library use) and the
+  construction memo the job thread keeps;
 * :mod:`~repro.service.core` — :class:`AdviceService`: response LRU,
   single-flight coalescing, bounded admission with 429-style
   backpressure, graceful drain;

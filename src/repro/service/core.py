@@ -21,8 +21,9 @@ through four gates, cheapest first:
    deliberately cheap: no job state is created for refused work.
 
 Admitted jobs run off the event loop on one job thread, which owns the
-daemon's in-memory :class:`~repro.parallel.cache.ConstructionCache` (one
-thread, so no locking).
+daemon's memo of built graphs and advice,
+:class:`~repro.service.jobs.ConstructionCache` (one thread, so no
+locking).
 
 :meth:`AdviceService.handle_request` answers with the response's bytes:
 ok envelopes from the LRU or the one encode of a compute, error envelopes
@@ -52,8 +53,7 @@ from ..obs.events import (
     ServiceStarted,
 )
 from ..obs.observe import Observation, resolve_obs
-from ..parallel.cache import ConstructionCache
-from .jobs import execute_job
+from .jobs import ConstructionCache, execute_job
 from .protocol import (
     PROTOCOL_SCHEMA,
     RequestError,
@@ -159,7 +159,7 @@ class AdviceService:
         self._idle_event = asyncio.Event()
         self._idle_event.set()
         # One thread: jobs run strictly serially off the event loop, so the
-        # daemon's ConstructionCache needs no locking.
+        # construction memo needs no locking.
         self._executor = ThreadPoolExecutor(max_workers=1)
         from .server import start_http_server, start_ipc_server
 

@@ -13,7 +13,7 @@ A request is a flat JSON object naming a **job** and its parameters:
 producing the *canonical parameter dict*: a fixed key set in which two
 requests that mean the same thing are equal.  :func:`request_key` hashes
 that canonical form through the library's shared
-:func:`~repro.parallel.cache.content_address` scheme — the identity used
+:func:`~repro.runner.journal.content_address` scheme — the identity used
 for response caching and single-flight coalescing, and the reason
 ``{"n": 64}`` and ``{"n": 64, "scheduler": "sync"}`` hit the same cache
 line.
@@ -35,7 +35,7 @@ from ..algorithms import ALGORITHM_REGISTRY
 from ..core.tasks import TASKS
 from ..network.builders import FAMILY_BUILDERS
 from ..oracles import ORACLE_FACTORIES
-from ..parallel.cache import content_address
+from ..runner.journal import content_address
 from ..simulator.schedulers import SCHEDULER_NAMES
 from ..simulator.trace import TRACE_LEVELS
 
@@ -160,8 +160,8 @@ def request_key(params: Mapping[str, Any]) -> str:
     """The content address of a *normalized* request.
 
     One hash for response caching, single-flight coalescing, and the
-    access log — the same SHA-256 scheme the construction cache and the
-    run journal use, with the protocol schema as the version salt.
+    access log — the same SHA-256 scheme the run journal uses, with the
+    protocol schema as the version salt.
     """
     return content_address(PROTOCOL_SCHEMA, canonical_json(dict(params)))
 

@@ -7,7 +7,10 @@ adds no dependencies to the library.
 
 **HTTP lane** (``asyncio.start_server``): a deliberately minimal HTTP/1.1
 subset — request line, headers, ``Content-Length`` bodies, keep-alive —
-enough for ``http.client``, ``curl``, and any load generator.  Endpoints:
+enough for ``http.client``, ``curl``, and any load generator.  An HTTP/1.0
+request closes its connection unless it asks for ``keep-alive``, and a
+head the lane cannot read gets a ``bad_request`` 400 before the close.
+Endpoints:
 
 * ``GET /healthz`` — liveness (and drain state),
 * ``GET /stats`` — the service counters + cache accounting snapshot,
@@ -104,14 +107,19 @@ def _with_id(body: bytes, request_id: Any) -> bytes:
     return _encode({**json.loads(body), "id": request_id})
 
 
-def _wants_close(headers: Dict[str, str]) -> bool:
-    """Whether the ``Connection`` header lists the ``close`` option.
+def _wants_close(version: str, headers: Dict[str, str]) -> bool:
+    """Whether the connection ends after this reply (RFC 9112, section 9.3).
 
     Connection options are comma-separated, case-insensitive tokens
-    (RFC 9110, section 7.6.1).
+    (RFC 9110, section 7.6.1).  A ``close`` option always ends it; an
+    HTTP/1.0 request keeps it open only when it lists ``keep-alive``.
     """
-    tokens = headers.get("connection", "").split(",")
-    return any(token.strip().lower() == "close" for token in tokens)
+    tokens = {
+        token.strip().lower() for token in headers.get("connection", "").split(",")
+    }
+    if "close" in tokens:
+        return True
+    return version == "HTTP/1.0" and "keep-alive" not in tokens
 
 
 async def _route(
@@ -152,29 +160,43 @@ def _http_response(
     return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
 
 
+class _BadHead(Exception):
+    """A request head the lane refuses; its message goes into the 400."""
+
+
+async def _refuse(writer: asyncio.StreamWriter, message: str) -> None:
+    """Answer a request the lane cannot read with a 400 that closes."""
+    writer.write(_http_response(400, _bad_request(message), {}, close=True))
+    await writer.drain()
+
+
 async def _read_head(reader: asyncio.StreamReader):
-    """The request line and headers, or None at a clean EOF."""
+    """The request line's three parts and the headers.
+
+    None when the peer closes before the head is complete; raises
+    :class:`_BadHead` on a malformed request line or a line over
+    :data:`_MAX_HEAD_LINE` bytes.
+    """
     request_line = await reader.readline()
     if not request_line:
         return None
     if len(request_line) > _MAX_HEAD_LINE:
-        raise ValueError("request line too long")
+        raise _BadHead(f"request line exceeds {_MAX_HEAD_LINE} bytes")
     parts = request_line.decode("ascii", "replace").split()
     if len(parts) != 3:
-        raise ValueError(f"malformed request line: {request_line!r}")
-    method, target, _version = parts
+        raise _BadHead("malformed request line: want METHOD TARGET VERSION")
     headers: Dict[str, str] = {}
     while True:
         line = await reader.readline()
         if not line:
-            raise ValueError("connection closed mid-headers")
+            return None
         if len(line) > _MAX_HEAD_LINE:
-            raise ValueError("header line too long")
+            raise _BadHead(f"header line exceeds {_MAX_HEAD_LINE} bytes")
         if line in (b"\r\n", b"\n"):
             break
         name, _, value = line.decode("ascii", "replace").partition(":")
         headers[name.strip().lower()] = value.strip()
-    return method, target, headers
+    return (*parts, headers)
 
 
 async def _handle_http(
@@ -187,27 +209,29 @@ async def _handle_http(
         while True:
             try:
                 head = await _read_head(reader)
-            except (ValueError, ConnectionError):
+            except _BadHead as exc:
+                await _refuse(writer, str(exc))
                 break
+            except (ValueError, ConnectionError):
+                break  # a line over the StreamReader limit, or peer reset
             if head is None:
                 break
-            method, target, headers = head
+            method, target, version, headers = head
             path = target.split("?", 1)[0]
             length = _content_length(headers)
             if length is None or length > _MAX_BODY:
-                message = (
+                await _refuse(
+                    writer,
                     "Content-Length must be a non-negative decimal integer"
                     if length is None
-                    else f"body exceeds {_MAX_BODY} bytes"
+                    else f"body exceeds {_MAX_BODY} bytes",
                 )
-                writer.write(_http_response(400, _bad_request(message), {}, close=True))
-                await writer.drain()
                 break
             body = await reader.readexactly(length) if length else b""
             service.request_started()
             try:
                 reply, status, extra = await _route(service, method, path, body)
-                close = service.draining or _wants_close(headers)
+                close = service.draining or _wants_close(version, headers)
                 writer.write(_http_response(status, reply, extra, close))
                 await writer.drain()
             finally:

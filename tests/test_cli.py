@@ -198,33 +198,19 @@ class TestResilientRuns:
         strip = lambda s: [l for l in s.splitlines() if not l.startswith("runner:")]
         assert strip(pooled) == strip(serial)
 
-    def test_cache_line_serial_and_pooled(self, monkeypatch, capsys):
-        """In-process, the parent cache serves every lookup and reports its
-        counters.  Through the runner — even at one worker — each pool
-        worker serves them from its own cache, so the line says so instead
-        of printing the parent's untouched counters.  Either way the
-        tables are the uncached run's."""
+    def test_runner_path_at_one_worker_prints_the_in_process_tables(
+        self, monkeypatch, capsys
+    ):
+        """``--timeout`` sends even a one-worker run through the runner's
+        pool; above its ``runner:`` line it prints what the in-process run
+        prints."""
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert main(["exp", "E3", "E8"]) == 0
         plain = capsys.readouterr().out
-        assert main(["exp", "E3", "E8", "--cache"]) == 0
-        serial = capsys.readouterr().out
-        (cache_line,) = [l for l in serial.splitlines() if l.startswith("construction cache:")]
-        assert cache_line.endswith(" miss(es)")
-        assert " 0 miss(es)" not in cache_line
-
-        assert main(["exp", "E3", "E8", "--cache", "--timeout", "120"]) == 0
+        assert main(["exp", "E3", "E8", "--timeout", "120"]) == 0
         pooled = capsys.readouterr().out
-        assert (
-            "construction cache: one per worker (per-worker stats not aggregated)"
-        ) in pooled
-        assert "hit(s)" not in pooled
         assert "runner: 2 cell(s) done, 0 failed" in pooled
-        strip = lambda s: [
-            l for l in s.splitlines()
-            if not l.startswith(("runner:", "construction cache:"))
-        ]
-        assert strip(serial) == strip(plain)
+        strip = lambda s: [l for l in s.splitlines() if not l.startswith("runner:")]
         assert strip(pooled) == strip(plain)
 
 

@@ -10,7 +10,6 @@ without a matrix entry — the grid can't silently under-cover.
 import pytest
 
 from repro.analysis import EXPERIMENTS, run_experiment
-from repro.parallel import ConstructionCache
 
 #: Minimum-viable keyword arguments, per experiment.  Chosen so the whole
 #: matrix stays in smoke-test territory (seconds, not minutes) while still
@@ -48,13 +47,3 @@ def test_experiment_smoke(experiment_id):
     measured = [r for r in result.rows if not r.get("skipped")]
     assert measured, f"{experiment_id} produced no non-skipped rows"
 
-
-def test_cache_aware_experiments_accept_shared_cache():
-    """The cache-threaded experiments all run against one shared cache."""
-    cache = ConstructionCache()
-    for eid in ("E1", "E3", "E4"):
-        result = run_experiment(eid, cache=cache, **MATRIX[eid])
-        assert any(not r.get("skipped") for r in result.rows)
-    # E1, E3 and E4 all use the path-8 graph: one build, the rest hits.
-    assert cache.stats.misses >= 1
-    assert cache.stats.hits >= 2

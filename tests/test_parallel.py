@@ -1,14 +1,15 @@
-"""The process-pool fan-out's determinism contract, and the construction cache.
+"""The process-pool fan-out's determinism contract, and the construction memo.
 
 The headline guarantee of :mod:`repro.runner`'s pool: a pooled run of
 the registry experiments returns exactly what the serial
 :func:`repro.analysis.experiments.run_experiment` returns, and writes a
 ``results.json`` byte-identical to the serial results at any worker
-count; a construction cache, cold or warm, changes no result.
+count.
 
-The cache tests cover the memory LRU, the stats accounting, and the
-picklable :class:`~repro.parallel.cache.CacheSpec` hand-off that worker
-processes rebuild their caches from.
+The memo tests cover the serving daemon's
+:class:`~repro.service.jobs.ConstructionCache`: its keys, its LRU
+bound, its stats accounting, and that a job served through it is the
+job computed without it, byte for byte.
 """
 
 import json
@@ -22,9 +23,8 @@ import time
 import pytest
 
 from repro.analysis.experiments import run_experiment
-from repro.oracles import LightTreeBroadcastOracle, SpanningTreeWakeupOracle
-from repro.parallel import ConstructionCache
-from repro.parallel.cache import CacheSpec
+from repro.network.builders import FAMILY_BUILDERS
+from repro.oracles import LightTreeBroadcastOracle, SpanningTreeWakeupOracle, make_oracle
 from repro.runner import (
     RESULTS_NAME,
     WORKERS_ENV,
@@ -32,6 +32,8 @@ from repro.runner import (
     resolve_workers,
 )
 from repro.runner.core import experiment_result_to_dict
+from repro.service import RequestError, canonical_json, execute_job, normalize_request
+from repro.service.jobs import ConstructionCache
 
 FAMILIES = ("path", "cycle", "complete")
 SIZES = (3, 6, 8)
@@ -40,8 +42,8 @@ SIZES = (3, 6, 8)
 GRID = {eid: {"sizes": SIZES, "families": FAMILIES} for eid in ("E1", "E4")}
 
 
-def serial_results(cache=None):
-    return {eid: run_experiment(eid, cache=cache, **kwargs) for eid, kwargs in GRID.items()}
+def serial_results():
+    return {eid: run_experiment(eid, **kwargs) for eid, kwargs in GRID.items()}
 
 
 def assert_same_results(results, reference):
@@ -100,9 +102,9 @@ def test_env_workers_used_by_run_experiments(monkeypatch):
     widths = []
 
     class RecordingHost(core._PoolHost):
-        def __init__(self, workers, cache_spec):
+        def __init__(self, workers):
             widths.append(workers)
-            super().__init__(workers, cache_spec)
+            super().__init__(workers)
 
     monkeypatch.setattr(core, "_PoolHost", RecordingHost)
     monkeypatch.setenv(WORKERS_ENV, "2")
@@ -112,28 +114,30 @@ def test_env_workers_used_by_run_experiments(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Construction cache
+# The daemon's construction memo
 # ----------------------------------------------------------------------
 def test_cache_graph_memoizes_in_memory():
     cache = ConstructionCache()
     g1 = cache.graph("path", 6)
     g2 = cache.graph("path", 6)
     assert g1 is g2
+    assert g1.frozen
     assert cache.stats.hits == 1
     assert cache.stats.misses == 1
     assert len(cache) == 1
 
 
-def test_cache_keys_distinguish_kind_family_n_seed_oracle():
-    keys = {
-        ConstructionCache.key("graph", "path", 6, None),
-        ConstructionCache.key("graph", "path", 6, 1),
-        ConstructionCache.key("graph", "path", 8, None),
-        ConstructionCache.key("graph", "cycle", 6, None),
-        ConstructionCache.key("advice", "path", 6, None),
-        ConstructionCache.key("advice", "path", 6, None, "SpanningTree(bfs)"),
-    }
-    assert len(keys) == 6
+def test_cache_keys_distinguish_kind_family_n_oracle():
+    """A graph, its advice and another oracle's advice are three entries;
+    so are the members of two families or two sizes."""
+    cache = ConstructionCache()
+    graph = cache.graph("path", 6)
+    cache.graph("path", 8)
+    cache.graph("cycle", 6)
+    cache.advice("path", 6, SpanningTreeWakeupOracle(), graph)
+    cache.advice("path", 6, LightTreeBroadcastOracle(), graph)
+    assert cache.stats.hits == 0
+    assert len(cache) == 5
 
 
 def test_cache_advice_memoizes_and_matches_direct():
@@ -150,27 +154,13 @@ def test_cache_advice_memoizes_and_matches_direct():
 
 
 def test_cache_builder_exception_propagates_uncached():
+    """A size the family refuses is the client's error, and is not kept."""
     cache = ConstructionCache()
-
-    def boom():
-        raise RuntimeError("no such graph")
-
-    with pytest.raises(RuntimeError):
-        cache.graph("path", 6, builder=boom)
+    with pytest.raises(RequestError, match="n=1"):
+        cache.graph("complete", 1)
     assert len(cache) == 0
     # A later, working call still builds.
-    assert cache.graph("path", 6).num_nodes == 6
-
-
-def test_cache_spec_round_trip():
-    import pickle
-
-    cache = ConstructionCache(max_entries=9)
-    cache.graph("path", 5)
-    rebuilt = pickle.loads(pickle.dumps(cache.spec())).build()
-    assert rebuilt.max_entries == 9
-    assert len(rebuilt) == 0  # the entries do not travel: a worker starts cold
-    assert ConstructionCache().spec() == CacheSpec()
+    assert cache.graph("complete", 2).num_nodes == 2
 
 
 def test_cache_stats_accounting():
@@ -185,38 +175,9 @@ def test_cache_stats_accounting():
     assert stats["hit_rate"] == pytest.approx(1 / 3)
 
 
-# ----------------------------------------------------------------------
-# Cache + experiments integration
-# ----------------------------------------------------------------------
-def test_experiments_with_cache_match_without():
-    plain = serial_results()
+def test_cache_lru_evicts_least_recent(monkeypatch):
+    monkeypatch.setattr("repro.service.jobs.MAX_ENTRIES", 2)
     cache = ConstructionCache()
-    assert_same_results(serial_results(cache), plain)
-    # E1 builds each graph and its wakeup advice, E4 its broadcast advice:
-    # three constructions per cell, each built exactly once.
-    cells = len(FAMILIES) * len(SIZES)
-    assert cache.stats.misses == 3 * cells
-    hits = cache.stats.hits
-    assert_same_results(serial_results(cache), plain)
-    # The warm pass is all hits: a graph and an advice lookup per
-    # experiment per cell, and not one miss.
-    assert cache.stats.misses == 3 * cells
-    assert cache.stats.hits - hits == 4 * cells
-
-
-def test_parallel_experiments_with_cache_match():
-    report = resilient_run_experiments(
-        list(GRID), workers=2, cache=ConstructionCache(), kwargs_by_id=GRID
-    )
-    assert report.ok
-    assert_same_results(report.results, serial_results())
-
-
-# ----------------------------------------------------------------------
-# Bounded memory layer (LRU)
-# ----------------------------------------------------------------------
-def test_cache_lru_evicts_least_recent():
-    cache = ConstructionCache(max_entries=2)
     cache.graph("path", 3)      # [path3]
     cache.graph("path", 4)      # [path3, path4]
     cache.graph("path", 3)      # touch -> [path4, path3]
@@ -230,8 +191,9 @@ def test_cache_lru_evicts_least_recent():
     assert cache.stats.evictions == 2
 
 
-def test_cache_lru_counts_all_kinds():
-    cache = ConstructionCache(max_entries=2)
+def test_cache_lru_counts_all_kinds(monkeypatch):
+    monkeypatch.setattr("repro.service.jobs.MAX_ENTRIES", 2)
+    cache = ConstructionCache()
     g = cache.graph("path", 3)
     cache.advice("path", 3, LightTreeBroadcastOracle(), g)
     cache.graph("path", 4)  # third entry: evicts the path-3 graph
@@ -241,36 +203,65 @@ def test_cache_lru_counts_all_kinds():
     assert cache.stats.hits == 1
 
 
-def test_cache_rejects_nonpositive_bound():
-    with pytest.raises(ValueError):
-        ConstructionCache(max_entries=0)
-    unbounded = ConstructionCache(max_entries=None)
-    for n in range(3, 40):
-        unbounded.graph("path", n)
-    assert len(unbounded) == 37
-    assert unbounded.stats.evictions == 0
+def test_fresh_scheduler_seed_reuses_the_members_graph_and_advice(monkeypatch):
+    """A second ``simulate`` on one ``(family, n)`` builds nothing and
+    advises nothing, and its bytes are the job's computed without a memo."""
+    first, second = (
+        normalize_request(
+            {"job": "simulate", "family": "kstar", "n": 16, "scheduler": "random",
+             "scheduler_seed": seed}
+        )
+        for seed in (1, 2)
+    )
+    expected = canonical_json(execute_job(second))
+    cache = ConstructionCache()
+    execute_job(first, cache)
+
+    calls = []
+    builder = FAMILY_BUILDERS["kstar"]
+    oracle_cls = type(make_oracle(second["oracle"]))
+    advise = oracle_cls.advise
+
+    def counting_builder(n):
+        calls.append("build")
+        return builder(n)
+
+    def counting_advise(self, graph):
+        calls.append("advise")
+        return advise(self, graph)
+
+    monkeypatch.setitem(FAMILY_BUILDERS, "kstar", counting_builder)
+    monkeypatch.setattr(oracle_cls, "advise", counting_advise)
+    served = canonical_json(execute_job(second, cache))
+    assert calls == []
+    assert cache.stats.hits == 2
+    assert served == expected
 
 
-def test_cache_spec_carries_max_entries():
-    rebuilt = ConstructionCache(max_entries=7).spec().build()
-    assert rebuilt.max_entries == 7
-    assert ConstructionCache(max_entries=None).spec().build().max_entries is None
+def test_two_oracles_on_one_member_get_their_own_advice():
+    cache = ConstructionCache()
+    payloads = []
+    for oracle in ("light-tree", "spanning-tree"):
+        params = normalize_request({"job": "advice", "family": "kstar", "n": 16, "oracle": oracle})
+        payloads.append(execute_job(params, cache))
+        assert canonical_json(payloads[-1]) == canonical_json(execute_job(params))
+    assert payloads[0]["advice_json"] != payloads[1]["advice_json"]
+    assert (cache.stats.hits, cache.stats.misses) == (1, 3)
 
 
 # ----------------------------------------------------------------------
 # Pool workers outlive no parent
 # ----------------------------------------------------------------------
-#: Starts a 2-worker pool through init_worker_cache, writes the worker
-#: pids to argv[1] and SIGKILLs itself, so the pool is never shut down.
+#: Starts a 2-worker pool through the runner's initializer, writes the
+#: worker pids to argv[1] and SIGKILLs itself, so the pool is never shut
+#: down.
 _ORPHANING_PARENT = textwrap.dedent(
     """
     import os, signal, sys
     from concurrent.futures import ProcessPoolExecutor
-    from repro.parallel.cache import init_worker_cache
+    from repro.runner.core import init_worker
 
-    pool = ProcessPoolExecutor(
-        max_workers=2, initializer=init_worker_cache, initargs=(None,)
-    )
+    pool = ProcessPoolExecutor(max_workers=2, initializer=init_worker)
     list(pool.map(abs, range(8)))
     with open(sys.argv[1] + ".tmp", "w") as fh:
         fh.write(" ".join(str(pid) for pid in pool._processes))

@@ -34,7 +34,6 @@ from repro.core import run_task
 from repro.core.oracle import advice_to_json
 from repro.obs import MemorySink, MetricsRegistry, Observation, apply_event, encode_event
 from repro.oracles import make_oracle
-from repro.parallel.cache import ConstructionCache
 from repro.service import (
     AdviceService,
     HttpServiceClient,
@@ -52,7 +51,7 @@ from repro.service import (
 )
 from repro.service import core as service_core
 from repro.service import server as service_server
-from repro.service.jobs import build_graph
+from repro.service.jobs import ConstructionCache, build_graph
 from repro.simulator.schedulers import make_scheduler
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -706,6 +705,92 @@ def test_connection_keep_alive_serves_the_next_request():
                 response = client._conn.getresponse()
                 assert response.getheader("Connection") == "keep-alive"
                 assert json.loads(response.read())["status"] == "serving"
+
+
+def _read_response(stream):
+    """One HTTP response from a socket's file: its head lines and its body."""
+    head = []
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        head.append(line.rstrip(b"\r\n"))
+    (length,) = [
+        int(h.partition(b":")[2]) for h in head if h.lower().startswith(b"content-length:")
+    ]
+    return head, stream.read(length)
+
+
+@pytest.mark.parametrize(
+    "version,connection,stays_open",
+    [("HTTP/1.0", None, False), ("HTTP/1.0", "keep-alive", True), ("HTTP/1.1", None, True)],
+    ids=("http10", "http10-keep-alive", "http11"),
+)
+def test_connection_persists_by_the_request_version(version, connection, stays_open):
+    """An HTTP/1.0 request closes its connection unless it lists
+    ``keep-alive`` (RFC 9112, section 9.3); HTTP/1.1 keeps it open."""
+    request = f"GET /healthz {version}\r\n".encode()
+    if connection is not None:
+        request += f"Connection: {connection}\r\n".encode()
+    request += b"\r\n"
+    with ServiceThread(ServiceConfig()) as st:
+        with socket.create_connection(st.http_address, timeout=5) as sock:
+            stream = sock.makefile("rb")
+            for _ in range(2 if stays_open else 1):
+                sock.sendall(request)
+                head, body = _read_response(stream)
+                assert head[0] == b"HTTP/1.1 200 OK"
+                expected = b"keep-alive" if stays_open else b"close"
+                assert b"Connection: " + expected in head
+                assert json.loads(body) == {"ok": True, "status": "serving"}
+            if not stays_open:
+                assert stream.read() == b""  # times out if the daemon keeps it open
+
+
+def _read_to_eof(sock) -> bytes:
+    """Every byte the daemon sends before it closes the connection."""
+    chunks = []
+    while True:
+        try:
+            chunk = sock.recv(65536)  # times out if the daemon keeps it open
+        except ConnectionResetError:
+            chunk = b""  # closed with request bytes unread
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+@pytest.mark.parametrize(
+    "request_bytes,problem",
+    [
+        (b"GARBAGE\r\n\r\n", "malformed request line"),
+        (b"GET /" + b"x" * 20_000 + b" HTTP/1.1\r\n\r\n", "request line exceeds 16384 bytes"),
+        (
+            b"GET /healthz HTTP/1.1\r\nX-Filler: " + b"x" * 20_000 + b"\r\n\r\n",
+            "header line exceeds 16384 bytes",
+        ),
+    ],
+    ids=("malformed-request-line", "long-request-line", "long-header-line"),
+)
+def test_http_head_the_lane_refuses_gets_a_typed_400(request_bytes, problem):
+    """A head the lane cannot read is answered, then the connection closes."""
+    with ServiceThread(ServiceConfig()) as st:
+        with socket.create_connection(st.http_address, timeout=5) as sock:
+            sock.sendall(request_bytes)
+            raw = _read_to_eof(sock)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request")
+        assert b"\r\nConnection: close" in head
+        envelope = json.loads(body)
+        assert envelope["ok"] is False and envelope["error"] == "bad_request"
+        assert problem in envelope["message"]
+        with HttpServiceClient(*st.http_address) as client:
+            assert client.get("/healthz")["status"] == "serving"
+
+
+def test_http_eof_mid_head_closes_without_an_answer():
+    with ServiceThread(ServiceConfig()) as st:
+        with socket.create_connection(st.http_address, timeout=5) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+            sock.shutdown(socket.SHUT_WR)
+            assert _read_to_eof(sock) == b""
 
 
 #: Bodies the JSON decoder refuses with something other than a decode
