@@ -2,9 +2,9 @@
 
 Hypothesis drives arbitrary interleavings of add_node / add_edge /
 remove_edge / set_port against a mirror model (plain dicts), checking after
-every step that the graph agrees with the mirror and that the two port maps
-stay mutually consistent.  This catches state-machine bugs (stale reverse
-maps, port leaks after removal) that example-based tests miss.
+every step that the graph agrees with the mirror and that each port leads
+to the neighbour whose row entry names it.  This catches state-machine bugs
+(stale row entries, port leaks after removal) that example-based tests miss.
 """
 
 import random
