@@ -130,12 +130,9 @@ def build_graph(
     if cache is not None:
         return cache.graph(family, n)
     try:
-        graph = FAMILY_BUILDERS[family](n)
+        return FAMILY_BUILDERS[family](n)
     except GraphError as exc:
         raise RequestError(f"family {family!r} has no member at n={n}: {exc}") from exc
-    if not graph.frozen:
-        graph = graph.copy().freeze()
-    return graph
 
 
 def _advice_for(
