@@ -64,11 +64,18 @@ from .protocol import (
     request_key,
 )
 
-__all__ = ["ServiceConfig", "AdviceService"]
+__all__ = ["RESPONSE_ENTRIES", "RETRY_AFTER_S", "ServiceConfig", "AdviceService"]
 
 #: (envelope bytes, HTTP status, extra headers) — what one handled request
 #: yields.
 Response = Tuple[bytes, int, Dict[str, str]]
+
+#: The response LRU's bound, in envelopes, least recently used out first.
+RESPONSE_ENTRIES = 4096
+
+#: Seconds an ``overloaded`` rejection asks the client to wait: its
+#: ``retry_after_s`` field and its HTTP ``Retry-After`` header.
+RETRY_AFTER_S = 1.0
 
 
 def _encode(envelope: Mapping[str, Any]) -> bytes:
@@ -89,20 +96,10 @@ class ServiceConfig:
     port: int = 0
     uds: Optional[str] = None
     max_pending: int = 64
-    retry_after_s: float = 1.0
-    response_entries: int = 4096
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {self.max_pending}")
-        if self.response_entries < 0:
-            raise ValueError(
-                f"response_entries must be >= 0, got {self.response_entries}"
-            )
-        if self.retry_after_s <= 0:
-            raise ValueError(
-                f"retry_after_s must be > 0, got {self.retry_after_s}"
-            )
 
 
 class AdviceService:
@@ -298,7 +295,7 @@ class AdviceService:
 
         if self._pending >= self.config.max_pending:
             self.rejected += 1
-            retry = self.config.retry_after_s
+            retry = RETRY_AFTER_S
             self.obs.emit(
                 ServiceRejected(
                     job=job,
@@ -384,11 +381,9 @@ class AdviceService:
         return body
 
     def _response_put(self, key: str, body: bytes) -> None:
-        if self.config.response_entries == 0:
-            return
         self._responses[key] = body
         self._responses.move_to_end(key)
-        while len(self._responses) > self.config.response_entries:
+        while len(self._responses) > RESPONSE_ENTRIES:
             self._responses.popitem(last=False)
 
     def stats_snapshot(self) -> Dict[str, Any]:
