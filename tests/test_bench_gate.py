@@ -64,6 +64,7 @@ def test_regression_still_exits_one(tmp_path):
     proc = _run(str(base), str(fresh))
     assert proc.returncode == 1
     assert "REGRESSION" in proc.stdout
+    assert "a_fast_ns: 300ns vs baseline 100ns (+200%)" in proc.stderr
 
 
 def test_within_tolerance_exits_zero(tmp_path):
@@ -93,6 +94,7 @@ def test_service_benchmark_is_gated(tmp_path):
     proc = _run(str(base), str(fresh))
     assert proc.returncode == 1
     assert "warm_p99_us" in proc.stdout
+    assert "warm_p99_us: 2000us vs baseline 1000us (+100%)" in proc.stderr
 
 
 def test_service_cold_numbers_are_informational(tmp_path):
