@@ -8,8 +8,8 @@ environment.  The package has two halves:
   flat-array (CSR-style) form of a frozen
   :class:`~repro.network.graph.PortLabeledGraph`: nodes mapped to dense
   ``0..n-1`` indices, neighbor-via-port and arrival-port lookups turned
-  into two flat-array indexings.  Compiled at ``freeze()`` time and cached
-  on the graph.
+  into two flat-array indexings.  Compiled at ``freeze()`` time, by the
+  same pass that checks the network model, and carried by the graph.
 * :mod:`repro.fastpath.engine` — :func:`run_fastpath`, a scheduler-free
   round-batched core over plain tuples.  Every other scheduler runs the
   reference loop, ``Simulation._run_legacy``.
