@@ -14,18 +14,23 @@ from repro.network import (
     FAMILY_BUILDERS,
     GraphError,
     PortLabeledGraph,
+    all_connected_edge_sets,
     balanced_tree,
+    barbell_graph,
+    caterpillar_graph,
     complete_bipartite,
     complete_graph_star,
     cycle_graph,
     grid_graph,
     hypercube_graph,
+    lollipop_graph,
     path_graph,
     random_connected_gnp,
     random_regular,
     random_tree,
     star_graph,
     to_json,
+    wheel_graph,
 )
 
 
@@ -202,18 +207,16 @@ class TestRandomFamilies:
 
 def _reference_gnp(n, p, rng, port_order="sorted", max_tries=200):
     """The per-try networkx loop ``random_connected_gnp`` must replay."""
-    from repro.network.builders import _finish
-
     for __ in range(max_tries):
         g = nx.gnp_random_graph(n, p, seed=rng.randrange(2**32))
         if nx.is_connected(g):
-            return _finish(g, source=0, port_order=port_order, rng=rng)
+            return _from_nx(g, 0, port_order, rng)
     order = list(g.nodes())
     rng.shuffle(order)
     for prev, cur in zip(order, order[1:]):
         if not nx.has_path(g, prev, cur):
             g.add_edge(prev, cur)
-    return _finish(g, source=0, port_order=port_order, rng=rng)
+    return _from_nx(g, 0, port_order, rng)
 
 
 def _insertion_order(g):
@@ -417,6 +420,217 @@ class TestFamilyPins:
     def test_random_port_order_is_pinned(self, name):
         g = RANDOM_PORT_BUILDS[name](random.Random(2718))
         assert (_digest(g), _tables_digest(g)) == RANDOM_PORT_PINS[name]
+
+
+def _explicit_ports_graph():
+    """A networkx graph whose edges carry their ports, inserted out of label order."""
+    g = nx.Graph(source="c")
+    ports = {"a": {"b": 2, "d": 0, "e": 1}, "b": {"a": 1, "c": 0}, "c": {"b": 0, "d": 2, "e": 1},
+             "d": {"a": 0, "c": 1}, "e": {"a": 1, "c": 0}}
+    for u, v in (("c", "b"), ("a", "e"), ("d", "a"), ("b", "a"), ("e", "c"), ("c", "d")):
+        g.add_edge(u, v, ports={u: ports[u][v], v: ports[v][u]})
+    return g
+
+
+#: Builds that ``FAMILY_PINS`` does not reach: other parameters, other
+#: sources, the sorted port order of the builders only ``RANDOM_PORT_BUILDS``
+#: calls, ``random_regular``, and ``from_networkx``'s explicit-ports branch.
+EXTRA_BUILDS = {
+    "balanced_tree_2_4": lambda: balanced_tree(2, 4),
+    "balanced_tree_3_3": lambda: balanced_tree(3, 3),
+    "star_9_leaf_source": lambda: star_graph(9, center_source=False),
+    "lollipop_5_4_tail_source": lambda: lollipop_graph(5, 4, source_in_clique=False),
+    "wheel_9_center_source": lambda: wheel_graph(9, center_source=True),
+    "hypercube_4": lambda: hypercube_graph(4),
+    "complete_bipartite_3_5": lambda: complete_bipartite(3, 5),
+    "random_regular_16_3_seed_7": lambda: random_regular(16, 3, seed=7),
+    "from_networkx_explicit_ports": lambda: PortLabeledGraph.from_networkx(_explicit_ports_graph()).freeze(),
+}
+
+#: The ``FAMILY_PINS`` pair of each ``EXTRA_BUILDS`` graph, measured while
+#: every builder went through networkx.
+EXTRA_PINS = {
+    "balanced_tree_2_4": ("cdd8c42f39ecf7c4213a4465e92ec30de558f0d58c8df1c342e2677ef90c08f8", "2ae52f8d5b2e30541abfd611c63a20c0b48aac8b0e663a0e953c3176188472f7"),
+    "balanced_tree_3_3": ("a9f6e019c04a68dadec7e73ed598e07cf1297c57b267b588e3c20d76579458e7", "373f17d7b17b61c5e90e04eba1b5e342624bc5a8530a8a6e3e09372e2077e134"),
+    "star_9_leaf_source": ("a1eac8ce21b9751156b70dcd1cb857c95c5c4f53cba6e8d9bedf899835d14b71", "b16a65152feec6d0096a941a98bac254c936dc1d841e1f8a43f8fddae368bd2e"),
+    "lollipop_5_4_tail_source": ("d2455cd27c57d4986d071a00aa4b6f52aa021f3c466ed6b5471dd66daba2adbc", "544651cbef7ea55f456da22689714f1af5f07ee8c4fc814af180805f32e0e851"),
+    "wheel_9_center_source": ("38ae3064fa5f7d7bf1484cdd724e3dd21ab66c6225d0bcf27e623fd9c53595ea", "6321fab07f6f75fa96466438ae676178960fb04dabbc15a9750c222467528948"),
+    "hypercube_4": ("fc226d8ab43c7919fd04ee3ea15b02dddfb8d2b1bca1ca2a06a6e2841d434863", "ff845907a4743fde6b593cce8ea8f4bd6ad018858ff2e168ab10ff9a76872d82"),
+    "complete_bipartite_3_5": ("6f7ee363af07a431b699a3d7fb589984687cd922624092c5e6db606d6e498cde", "4b1f80f8216bf00eb69b64eeb799108e17d6fd7793daa3f7f9ef3d902ebaf25b"),
+    "random_regular_16_3_seed_7": ("6d59be802738d4038a09500cec3b33f7ba6763c3950e32bbae9db9db658ec287", "9dd4b84f795f9ff213249aaca6d7b0fd0dea326827d7fbc80cfe7438af13d612"),
+    "from_networkx_explicit_ports": ("23a41e7a740f27ded4512bffffaa3c23bb39eeca03994615025aef32dc79a335", "6fc395d1b46930dc1c9445f09191ef33a867f656890683bfe89f93783f3defdc"),
+}
+
+#: sha256 of ``repr(list(all_connected_edge_sets(n)))``, measured while
+#: connectivity was tested with ``networkx.is_connected``.
+EDGE_SET_PINS = {
+    2: "262e139c97fa9ad965ee0eaa13a415ec8fa0318f3f68c057eb2e1b495650c873",
+    3: "d8f9b44c3b2720759504846597a964ef2eae84697a81ada09b43fc0a81554d01",
+    4: "7defc2a7d8894f5cba9586db91b8864dd01359e372938f5ad86a80aaeabb8cbb",
+    5: "b64bd178ea35c484387d108ad077fe8f060ccb4cfe239b32d4f25dd8f94f5083",
+}
+
+
+class TestExtraPins:
+    @pytest.mark.parametrize("name", sorted(EXTRA_BUILDS))
+    def test_bytes_and_tables_are_pinned(self, name):
+        g = EXTRA_BUILDS[name]()
+        assert (_digest(g), _tables_digest(g)) == EXTRA_PINS[name]
+
+    @pytest.mark.parametrize("n", sorted(EDGE_SET_PINS))
+    def test_connected_edge_sets_are_pinned(self, n):
+        listed = repr(list(all_connected_edge_sets(n)))
+        assert hashlib.sha256(listed.encode()).hexdigest() == EDGE_SET_PINS[n]
+
+
+def _rows(g):
+    """A graph's source and each node's ``(neighbor, port)`` row, in insertion order."""
+    return g.source, [(v, list(row.items())) for v, row in g._neighbor_to_port.items()]
+
+
+def _from_nx(nxg, source, port_order="sorted", rng=None):
+    return PortLabeledGraph.from_networkx(nxg, source=source, port_order=port_order, rng=rng).freeze()
+
+
+def _nx_hypercube(dim):
+    g = nx.hypercube_graph(dim)
+    return nx.relabel_nodes(g, {v: int("".join(map(str, v)), 2) for v in g.nodes()})
+
+
+def _nx_random_tree(n, rng):
+    if n == 2:
+        return nx.path_graph(2)
+    return nx.from_prufer_sequence([rng.randrange(n) for __ in range(n - 2)])
+
+
+def _nx_caterpillar(spine, legs):
+    g = nx.Graph()
+    g.add_nodes_from(range(spine))
+    g.add_edges_from(zip(range(spine), range(1, spine)))
+    label = spine
+    for s in range(spine):
+        for __ in range(legs):
+            g.add_edge(s, label)
+            label += 1
+    return g
+
+
+def _gnp_probability(n, dense):
+    return 0.5 if dense else min(1.0, 3.0 / (n - 1))
+
+
+def _alternating(pairs):
+    """Each pair with a source flag that alternates along the list."""
+    return [pair + (k % 2 == 0,) for k, pair in enumerate(pairs)]
+
+
+#: Largest node count the differential below builds.
+DIFF_MAX_NODES = 40
+
+#: name -> (parameter tuples, direct build, networkx reference, whether the
+#: builder takes ``port_order``).  Each build is ``(args, port_order, rng)
+#: -> graph``; the parameters run over every size from the builder's
+#: minimum up to ``DIFF_MAX_NODES`` nodes.
+DIFFERENTIAL = {
+    "path": (
+        [(n,) for n in range(1, DIFF_MAX_NODES + 1)],
+        lambda a, o, r: path_graph(a[0], port_order=o, rng=r),
+        lambda a, o, r: _from_nx(nx.path_graph(a[0]), 0, o, r),
+        True,
+    ),
+    "cycle": (
+        [(n,) for n in range(3, DIFF_MAX_NODES + 1)],
+        lambda a, o, r: cycle_graph(a[0], port_order=o, rng=r),
+        lambda a, o, r: _from_nx(nx.cycle_graph(a[0]), 0, o, r),
+        True,
+    ),
+    "star": (
+        [(n, c) for n in range(2, DIFF_MAX_NODES + 1) for c in (True, False)],
+        lambda a, o, r: star_graph(a[0], center_source=a[1]),
+        lambda a, o, r: _from_nx(nx.star_graph(a[0] - 1), 0 if a[1] else 1),
+        False,
+    ),
+    "complete_bipartite": (
+        [(x, y) for x in range(1, DIFF_MAX_NODES) for y in range(1, DIFF_MAX_NODES + 1 - x)],
+        lambda a, o, r: complete_bipartite(*a, port_order=o, rng=r),
+        lambda a, o, r: _from_nx(nx.complete_bipartite_graph(*a), 0, o, r),
+        True,
+    ),
+    "grid": (
+        [(x, y) for x in range(1, DIFF_MAX_NODES + 1) for y in range(1, DIFF_MAX_NODES // x + 1)],
+        lambda a, o, r: grid_graph(*a, port_order=o, rng=r),
+        lambda a, o, r: _from_nx(nx.grid_2d_graph(*a), (0, 0), o, r),
+        True,
+    ),
+    # networkx's dim-1 hypercube has int labels, which its relabel cannot join.
+    "hypercube": (
+        [(d,) for d in range(2, 7)],
+        lambda a, o, r: hypercube_graph(a[0], port_order=o, rng=r),
+        lambda a, o, r: _from_nx(_nx_hypercube(a[0]), 0, o, r),
+        True,
+    ),
+    "balanced_tree": (
+        [(b, h) for b in range(1, DIFF_MAX_NODES) for h in range(1, DIFF_MAX_NODES)
+         if sum(b**k for k in range(h + 1)) <= DIFF_MAX_NODES],
+        lambda a, o, r: balanced_tree(*a),
+        lambda a, o, r: _from_nx(nx.balanced_tree(*a), 0),
+        False,
+    ),
+    "random_tree": (
+        [(n,) for n in range(2, DIFF_MAX_NODES + 1)],
+        lambda a, o, r: random_tree(a[0], r, port_order=o),
+        lambda a, o, r: _from_nx(_nx_random_tree(a[0], r), 0, o, r),
+        True,
+    ),
+    "random_connected_gnp": (
+        [(n, dense) for n in range(2, DIFF_MAX_NODES + 1) for dense in (False, True)],
+        lambda a, o, r: random_connected_gnp(a[0], _gnp_probability(*a), r, port_order=o),
+        lambda a, o, r: _reference_gnp(a[0], _gnp_probability(*a), r, port_order=o),
+        True,
+    ),
+    "lollipop": (
+        _alternating([(c, t) for c in range(3, DIFF_MAX_NODES) for t in range(1, DIFF_MAX_NODES + 1 - c)]),
+        lambda a, o, r: lollipop_graph(a[0], a[1], source_in_clique=a[2]),
+        lambda a, o, r: _from_nx(nx.lollipop_graph(a[0], a[1]), 0 if a[2] else a[0] + a[1] - 1),
+        False,
+    ),
+    "barbell": (
+        [(b, m) for b in range(3, DIFF_MAX_NODES // 2 + 1) for m in range(0, DIFF_MAX_NODES + 1 - 2 * b)],
+        lambda a, o, r: barbell_graph(*a),
+        lambda a, o, r: _from_nx(nx.barbell_graph(*a), 0),
+        False,
+    ),
+    "wheel": (
+        [(n, c) for n in range(4, DIFF_MAX_NODES + 1) for c in (False, True)],
+        lambda a, o, r: wheel_graph(a[0], center_source=a[1]),
+        lambda a, o, r: _from_nx(nx.wheel_graph(a[0]), 0 if a[1] else 1),
+        False,
+    ),
+    "caterpillar": (
+        [(s, k) for s in range(2, DIFF_MAX_NODES + 1) for k in range(0, DIFF_MAX_NODES) if s * (1 + k) <= DIFF_MAX_NODES],
+        lambda a, o, r: caterpillar_graph(*a),
+        lambda a, o, r: _from_nx(_nx_caterpillar(*a), 0),
+        False,
+    ),
+}
+
+
+class TestRowsMatchNetworkx:
+    """Each builder's graph is, row for row, ``from_networkx`` of networkx's graph."""
+
+    @pytest.mark.parametrize(
+        "name,port_order",
+        [(name, order) for name in sorted(DIFFERENTIAL)
+         for order in (("sorted", "random") if DIFFERENTIAL[name][3] else ("sorted",))],
+    )
+    def test_rows_match(self, name, port_order):
+        params, direct, reference, __ = DIFFERENTIAL[name]
+        for k, args in enumerate(params):
+            ours, theirs = random.Random(7919 * k), random.Random(7919 * k)
+            got, want = direct(args, port_order, ours), reference(args, port_order, theirs)
+            assert _rows(got) == _rows(want), (name, args, port_order)
+            assert to_json(got) == to_json(want), (name, args, port_order)
+            assert ours.getstate() == theirs.getstate(), (name, args, port_order)
 
 
 class TestFamilyRegistry:

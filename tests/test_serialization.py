@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from repro.network import GraphError, PortLabeledGraph, dump, from_json, load, to_json
+from repro.network import (
+    GraphError,
+    PortLabeledGraph,
+    complete_graph_star,
+    dump,
+    from_json,
+    load,
+    to_json,
+)
 
 
 class TestRoundTrip:
@@ -41,8 +49,44 @@ class TestRoundTrip:
         back = from_json(to_json(k5))
         assert back.frozen
 
+    def test_dense_roundtrip_gives_back_the_bytes(self):
+        text = to_json(complete_graph_star(500))
+        assert to_json(from_json(text)) == text
+
+
+def _document(edges, nodes=(0, 1, 2), source=0):
+    """A serialized graph with the given ``(u, v, port_u, port_v)`` edges."""
+    return json.dumps({
+        "format": "repro.port-labeled-graph.v1",
+        "nodes": list(nodes),
+        "edges": [{"u": u, "v": v, "port_u": pu, "port_v": pv} for u, v, pu, pv in edges],
+        "source": source,
+    })
+
+
+TRIANGLE = [(0, 1, 0, 0), (0, 2, 1, 0), (1, 2, 1, 1)]
+
+#: Documents that break the network model, each in one place.
+BAD_DOCUMENTS = {
+    "repeated-edge": TRIANGLE + [(0, 1, 0, 0)],
+    "repeated-edge-reversed": TRIANGLE + [(1, 0, 0, 0)],
+    "self-loop": TRIANGLE + [(2, 2, 2, 3)],
+    "port-gap": [(0, 1, 0, 0), (0, 2, 2, 0), (1, 2, 1, 1)],
+    "repeated-port": [(0, 1, 0, 0), (0, 2, 0, 0), (1, 2, 1, 1)],
+    "unknown-endpoint": TRIANGLE + [(0, 7, 2, 0)],
+}
+
 
 class TestErrors:
+    def test_triangle_document_loads(self):
+        g = from_json(_document(TRIANGLE))
+        assert [g.port(0, 2), g.port(2, 1)] == [1, 1]
+
+    @pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
+    def test_model_violations_raise(self, name):
+        with pytest.raises(GraphError):
+            from_json(_document(BAD_DOCUMENTS[name]))
+
     def test_unknown_format(self):
         doc = json.dumps({"format": "something-else", "nodes": [], "edges": []})
         with pytest.raises(GraphError):
