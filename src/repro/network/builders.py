@@ -18,17 +18,23 @@ Two kinds of builders live here:
   module-level RNG and is reproducible end to end; every builder returns a
   frozen, validated :class:`PortLabeledGraph` with node ``1`` (or the
   family's natural origin) as source.
+
+Each family lays out its nodes, and each node's neighbours, in the order
+the networkx 3.6 generator of the same name inserts them, and one port
+assigner (shared with :meth:`PortLabeledGraph.from_networkx`) numbers
+them, so every graph is the one the generator would have given.  Only
+:func:`random_regular` still calls networkx, imported when it runs.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Tuple
+from itertools import combinations, pairwise
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
-from .graph import GraphError, PortLabeledGraph
+from .graph import GraphError, Node, PortLabeledGraph, _assign_ports
 
 #: Seed used when a random builder is called with neither ``rng`` nor
 #: ``seed`` — an arbitrary but fixed default, so bare calls are still
@@ -91,23 +97,48 @@ def complete_graph_star(n: int) -> PortLabeledGraph:
     return PortLabeledGraph.from_port_rows(rows, source=1).freeze()
 
 
-def _finish(g: nx.Graph, source=None, port_order: str = "sorted", rng=None) -> PortLabeledGraph:
-    out = PortLabeledGraph.from_networkx(g, source=source, port_order=port_order, rng=rng)
-    return out.freeze()
+Adjacency = Dict[Node, Dict[Node, None]]
+
+
+def _nodes(labels: Iterable[Node]) -> Adjacency:
+    """An adjacency holding ``labels`` and no edges."""
+    return {v: {} for v in labels}
+
+
+def _add_edges(adj: Adjacency, edges: Iterable[Tuple[Node, Node]]) -> Adjacency:
+    """Add ``edges`` to ``adj`` in order, as ``networkx.Graph.add_edges_from`` does.
+
+    A new endpoint joins the nodes last (``u`` before ``v``), and a
+    neighbour keeps the place where it first joined a node's neighbours.
+    """
+    for u, v in edges:
+        if u not in adj:
+            adj[u] = {}
+        if v not in adj:
+            adj[v] = {}
+        adj[u][v] = None
+        adj[v][u] = None
+    return adj
+
+
+def _finish(adj, source: Node, port_order: str = "sorted", rng=None) -> PortLabeledGraph:
+    return _assign_ports(adj, source, port_order, rng).freeze()
 
 
 def path_graph(n: int, port_order: str = "sorted", rng=None) -> PortLabeledGraph:
     """Path on nodes ``0..n-1`` with source ``0``."""
     if n < 1:
         raise GraphError("path needs n >= 1... and n >= 2 to be a network")
-    return _finish(nx.path_graph(n), source=0, port_order=port_order, rng=rng)
+    adj = _add_edges(_nodes(range(n)), pairwise(range(n)))
+    return _finish(adj, 0, port_order, rng)
 
 
 def cycle_graph(n: int, port_order: str = "sorted", rng=None) -> PortLabeledGraph:
     """Cycle on nodes ``0..n-1`` with source ``0``."""
     if n < 3:
         raise GraphError("cycle needs n >= 3")
-    return _finish(nx.cycle_graph(n), source=0, port_order=port_order, rng=rng)
+    adj = _add_edges(_nodes(range(n)), zip(range(n), [*range(1, n), 0]))
+    return _finish(adj, 0, port_order, rng)
 
 
 def star_graph(n: int, center_source: bool = True) -> PortLabeledGraph:
@@ -118,40 +149,53 @@ def star_graph(n: int, center_source: bool = True) -> PortLabeledGraph:
     """
     if n < 2:
         raise GraphError("star needs n >= 2")
-    return _finish(nx.star_graph(n - 1), source=0 if center_source else 1)
+    adj = _add_edges(_nodes(range(n)), ((0, leaf) for leaf in range(1, n)))
+    return _finish(adj, 0 if center_source else 1)
 
 
 def complete_bipartite(a: int, b: int, port_order: str = "sorted", rng=None) -> PortLabeledGraph:
     """Complete bipartite graph ``K_{a,b}`` with source on the first side."""
     if a < 1 or b < 1:
         raise GraphError("both sides must be non-empty")
-    return _finish(nx.complete_bipartite_graph(a, b), source=0, port_order=port_order, rng=rng)
+    adj = _add_edges(_nodes(range(a + b)), ((u, v) for u in range(a) for v in range(a, a + b)))
+    return _finish(adj, 0, port_order, rng)
 
 
 def grid_graph(rows: int, cols: int, port_order: str = "sorted", rng=None) -> PortLabeledGraph:
     """2D grid with tuple-labeled nodes and source at the origin corner."""
     if rows < 1 or cols < 1:
         raise GraphError("grid needs positive dimensions")
-    g = nx.grid_2d_graph(rows, cols)
-    return _finish(g, source=(0, 0), port_order=port_order, rng=rng)
+    adj = _nodes((i, j) for i in range(rows) for j in range(cols))
+    # networkx adds the edges between rows first, then those within rows.
+    _add_edges(adj, (((i + 1, j), (i, j)) for i in range(rows - 1) for j in range(cols)))
+    _add_edges(adj, (((i, j + 1), (i, j)) for i in range(rows) for j in range(cols - 1)))
+    return _finish(adj, (0, 0), port_order, rng)
 
 
 def hypercube_graph(dim: int, port_order: str = "sorted", rng=None) -> PortLabeledGraph:
     """``dim``-dimensional hypercube on ``2^dim`` integer-labeled nodes."""
     if dim < 1:
         raise GraphError("hypercube needs dim >= 1")
-    g = nx.hypercube_graph(dim)
-    relabeled = nx.relabel_nodes(
-        g, {v: int("".join(map(str, v)), 2) for v in g.nodes()}
-    )
-    return _finish(relabeled, source=0, port_order=port_order, rng=rng)
+    # networkx builds the cube as a product of paths, then relabels it
+    # twice (to bit tuples, here to ints).  Each relabel re-adds the edges
+    # in edge-iteration order, which leaves every node's lower neighbours
+    # first, ascending, then its higher ones, descending.
+    bits = [1 << j for j in reversed(range(dim))]
+    adj = {
+        v: [v ^ b for b in bits if v & b] + [v ^ b for b in bits if not v & b]
+        for v in range(1 << dim)
+    }
+    return _finish(adj, 0, port_order, rng)
 
 
 def balanced_tree(branching: int, height: int) -> PortLabeledGraph:
     """Complete ``branching``-ary tree of the given height, root as source."""
     if branching < 1 or height < 1:
         raise GraphError("balanced tree needs branching >= 1 and height >= 1")
-    return _finish(nx.balanced_tree(branching, height), source=0)
+    n = sum(branching**k for k in range(height + 1))
+    # Breadth-first labels: node c's parent is (c - 1) // branching.
+    adj = _add_edges(_nodes(range(n)), (((c - 1) // branching, c) for c in range(1, n)))
+    return _finish(adj, 0)
 
 
 def random_tree(
@@ -165,11 +209,35 @@ def random_tree(
         raise GraphError("random tree needs n >= 2")
     rng = resolve_rng(rng, seed)
     if n == 2:
-        g = nx.path_graph(2)
+        edges = [(0, 1)]
     else:
-        prufer = [rng.randrange(n) for __ in range(n - 2)]
-        g = nx.from_prufer_sequence(prufer)
-    return _finish(g, source=0, port_order=port_order, rng=rng)
+        edges = _prufer_edges([rng.randrange(n) for __ in range(n - 2)])
+    return _finish(_add_edges(_nodes(range(n)), edges), 0, port_order, rng)
+
+
+def _prufer_edges(sequence: List[int]) -> List[Tuple[int, int]]:
+    """The tree edges of a Prüfer sequence, in the order
+    ``networkx.from_prufer_sequence`` adds them."""
+    n = len(sequence) + 2
+    degree = [1] * n
+    for v in sequence:
+        degree[v] += 1
+    orphaned = [True] * n
+    edges = []
+    index = u = degree.index(1)
+    for v in sequence:
+        edges.append((u, v))
+        orphaned[u] = False
+        degree[v] -= 1
+        if v < index and degree[v] == 1:
+            u = v
+        else:
+            index = u = next(k for k in range(index + 1, n) if degree[k] == 1)
+    # networkx unpacks the last two orphans from a set.  Their order does
+    # not matter: both nodes exist, and each gets the other as its last
+    # neighbour either way.
+    edges.append(tuple(k for k in range(n) if orphaned[k]))
+    return edges
 
 
 #: Pairs drawn per block of rows when sampling ``G(n, p)``.  It sets how
@@ -202,7 +270,7 @@ class _DisjointSets:
         self.count -= 1
         return True
 
-    def join(self, us: List[int], vs: List[int]) -> int:
+    def join(self, us: Iterable[int], vs: Iterable[int]) -> int:
         """Union the edges ``(us[i], vs[i])`` until one set is left; the set count."""
         for a, b in zip(us, vs):
             if self.union(a, b) and self.count == 1:
@@ -313,10 +381,8 @@ def random_connected_gnp(
         order = list(range(n))
         rng.shuffle(order)
         joins = [(prev, cur) for prev, cur in zip(order, order[1:]) if sets.union(prev, cur)]
-    g = nx.empty_graph(n)
-    g.add_edges_from(zip(*edges))
-    g.add_edges_from(joins)
-    return _finish(g, source=0, port_order=port_order, rng=rng)
+    adj = _add_edges(_nodes(range(n)), zip(*edges))
+    return _finish(_add_edges(adj, joins), 0, port_order, rng)
 
 
 def random_regular(
@@ -326,7 +392,12 @@ def random_regular(
     port_order: str = "sorted",
     seed: Optional[int] = None,
 ) -> PortLabeledGraph:
-    """Connected random ``degree``-regular graph on ``0..n-1``."""
+    """Connected random ``degree``-regular graph on ``0..n-1``.
+
+    The one builder that still samples with networkx, imported here.
+    """
+    import networkx as nx
+
     if degree < 0:
         raise GraphError("degree must be >= 0")
     if degree * n % 2 != 0:
@@ -337,7 +408,7 @@ def random_regular(
     for __ in range(200):
         g = nx.random_regular_graph(degree, n, seed=rng.randrange(2**32))
         if nx.is_connected(g):
-            return _finish(g, source=0, port_order=port_order, rng=rng)
+            return _finish(g.adj, 0, port_order, rng)
     raise GraphError("could not sample a connected regular graph")
 
 
@@ -349,42 +420,46 @@ def lollipop_graph(clique: int, tail: int, source_in_clique: bool = True) -> Por
     """
     if clique < 3 or tail < 1:
         raise GraphError("lollipop needs clique >= 3 and tail >= 1")
-    g = nx.lollipop_graph(clique, tail)
-    source = 0 if source_in_clique else clique + tail - 1
-    return _finish(g, source=source)
+    adj = _add_edges(_nodes(range(clique + tail)), combinations(range(clique), 2))
+    _add_edges(adj, pairwise(range(clique, clique + tail)))
+    _add_edges(adj, [(clique - 1, clique)])
+    return _finish(adj, 0 if source_in_clique else clique + tail - 1)
 
 
 def barbell_graph(bell: int, bridge: int) -> PortLabeledGraph:
     """Two ``bell``-cliques joined by a ``bridge``-node path; source in one bell."""
     if bell < 3 or bridge < 0:
         raise GraphError("barbell needs bell >= 3 and bridge >= 0")
-    g = nx.barbell_graph(bell, bridge)
-    return _finish(g, source=0)
+    right = bell + bridge
+    # networkx holds the left bell and all but the bridge's last node
+    # before it adds an edge.  The last one joins with its first edge; a
+    # one-node bridge's node joins last, with the edge to the left bell.
+    adj = _add_edges(_nodes(range(max(bell, right - 1))), combinations(range(bell), 2))
+    _add_edges(adj, pairwise(range(bell, right)))
+    _add_edges(adj, combinations(range(right, right + bell), 2))
+    _add_edges(adj, [(bell - 1, bell)])
+    if bridge > 0:
+        _add_edges(adj, [(right - 1, right)])
+    return _finish(adj, 0)
 
 
 def wheel_graph(n: int, center_source: bool = False) -> PortLabeledGraph:
     """Wheel on ``n`` nodes (hub 0 + cycle); source on the rim by default."""
     if n < 4:
         raise GraphError("wheel needs n >= 4")
-    g = nx.wheel_graph(n)
-    return _finish(g, source=0 if center_source else 1)
+    adj = _add_edges(_nodes(range(n)), ((0, v) for v in range(1, n)))
+    _add_edges(adj, zip(range(1, n), [*range(2, n), 1]))
+    return _finish(adj, 0 if center_source else 1)
 
 
 def caterpillar_graph(spine: int, legs_per_node: int) -> PortLabeledGraph:
     """A spine path with ``legs_per_node`` leaves hanging off every spine node."""
     if spine < 2 or legs_per_node < 0:
         raise GraphError("caterpillar needs spine >= 2 and legs >= 0")
-    g = nx.Graph()
-    g.add_nodes_from(range(spine))
-    for a, b in zip(range(spine), range(1, spine)):
-        g.add_edge(a, b)
-    next_label = spine
-    for s in range(spine):
-        for __ in range(legs_per_node):
-            g.add_node(next_label)
-            g.add_edge(s, next_label)
-            next_label += 1
-    return _finish(g, source=0)
+    adj = _add_edges(_nodes(range(spine)), pairwise(range(spine)))
+    # Spine node s carries the legs spine + s * legs_per_node onwards.
+    _add_edges(adj, ((s, spine + s * legs_per_node + k) for s in range(spine) for k in range(legs_per_node)))
+    return _finish(adj, 0)
 
 
 def _sized(family: str, build: Callable[[int], PortLabeledGraph]) -> Callable[[int], PortLabeledGraph]:

@@ -17,8 +17,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from typing import Iterator, List, Optional, Tuple
 
-import networkx as nx
-
+from .builders import _DisjointSets
 from .graph import PortLabeledGraph
 
 __all__ = [
@@ -36,8 +35,7 @@ def all_connected_edge_sets(n: int) -> Iterator[List[Edge]]:
     universe = list(combinations(range(n), 2))
     for size in range(n - 1, len(universe) + 1):
         for edges in combinations(universe, size):
-            g = nx.Graph(edges)
-            if g.number_of_nodes() == n and nx.is_connected(g):
+            if edges and _DisjointSets(n).join(*zip(*edges)) == 1:
                 yield list(edges)
 
 

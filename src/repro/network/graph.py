@@ -24,9 +24,10 @@ serialization.  Freezing checks the model as it compiles the rows into a
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["PortLabeledGraph", "GraphError", "edge_key", "label_key"]
 
@@ -187,6 +188,7 @@ class PortLabeledGraph:
 
     @property
     def frozen(self) -> bool:
+        """Whether :meth:`freeze` has checked and compiled the graph."""
         return self._compiled is not None
 
     def copy(self) -> "PortLabeledGraph":
@@ -201,20 +203,24 @@ class PortLabeledGraph:
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
+        """Number of nodes."""
         return len(self._neighbor_to_port)
 
     @property
     def num_edges(self) -> int:
+        """Number of (undirected) edges."""
         return sum(len(nbrs) for nbrs in self._neighbor_to_port.values()) // 2
 
     @property
     def source(self) -> Node:
+        """The source node; :class:`GraphError` if none is designated."""
         if self._source is None:
             raise GraphError("no source designated")
         return self._source
 
     @property
     def has_source(self) -> bool:
+        """Whether a source is designated."""
         return self._source is not None
 
     def nodes(self) -> Iterator[Node]:
@@ -295,12 +301,15 @@ class PortLabeledGraph:
     # ------------------------------------------------------------------
     # Interop
     # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.Graph:
+    def to_networkx(self) -> "nx.Graph":
         """Export to a :class:`networkx.Graph` with ports as edge attributes.
 
         Each edge carries ``ports={u: port_u, v: port_v}`` and the graph
-        carries ``source`` in ``G.graph``.
+        carries ``source`` in ``G.graph``.  networkx is imported here, on
+        the first call: nothing else in the library needs it.
         """
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(self._neighbor_to_port)
         for u, v in self.edges():
@@ -312,7 +321,7 @@ class PortLabeledGraph:
     @classmethod
     def from_networkx(
         cls,
-        g: nx.Graph,
+        g: "nx.Graph",
         source: Optional[Node] = None,
         port_order: str = "sorted",
         rng=None,
@@ -329,40 +338,18 @@ class PortLabeledGraph:
 
         The source defaults to ``g.graph['source']`` or the smallest label.
         """
-        by_label = {v: label_key(v) for v in g.nodes()}.__getitem__
-        out = cls()
-        for v in sorted(g.nodes(), key=by_label):
-            out.add_node(v)
-        explicit = all("ports" in data for __, __, data in g.edges(data=True)) and g.number_of_edges() > 0
-        if explicit:
-            for u, v, data in g.edges(data=True):
-                out.add_edge(u, v, port_u=data["ports"][u], port_v=data["ports"][v])
-        else:
-            order: Dict[Node, List[Node]] = {}
-            for v in g.nodes():
-                nbrs = sorted(g.neighbors(v), key=by_label)
-                if port_order == "random":
-                    if rng is None:
-                        raise GraphError("port_order='random' requires an rng")
-                    rng.shuffle(nbrs)
-                elif port_order != "sorted":
-                    raise GraphError(f"unknown port_order {port_order!r}")
-                order[v] = nbrs
-            ports: Dict[Node, Dict[Node, int]] = {
-                v: {u: i for i, u in enumerate(nbrs)} for v, nbrs in order.items()
-            }
-            # The ports number each node's neighbours, a bijection by
-            # construction, so the rows skip add_edge's per-edge checks.
-            rows = out._neighbor_to_port
-            for u, v in g.edges():
-                if u == v:
-                    raise GraphError("self-loops are not part of the network model")
-                rows[u][v] = ports[u][v]
-                rows[v][u] = ports[v][u]
         if source is None:
             source = g.graph.get("source")
         if source is None:
-            source = min(g.nodes(), key=by_label)
+            source = min(g.nodes(), key=label_key)
+        explicit = all("ports" in data for __, __, data in g.edges(data=True)) and g.number_of_edges() > 0
+        if not explicit:
+            return _assign_ports(g.adj, source, port_order, rng)
+        out = cls()
+        for v in sorted(g.nodes(), key=label_key):
+            out.add_node(v)
+        for u, v, data in g.edges(data=True):
+            out.add_edge(u, v, port_u=data["ports"][u], port_v=data["ports"][v])
         out.set_source(source)
         return out
 
@@ -388,3 +375,49 @@ class PortLabeledGraph:
     def __repr__(self) -> str:
         src = f", source={self._source!r}" if self._source is not None else ""
         return f"PortLabeledGraph(n={self.num_nodes}, m={self.num_edges}{src})"
+
+
+def _assign_ports(
+    adjacency: Mapping[Node, Iterable[Node]],
+    source: Node,
+    port_order: str = "sorted",
+    rng=None,
+) -> PortLabeledGraph:
+    """The unfrozen graph in which node ``v`` has the neighbours ``adjacency[v]``.
+
+    ``adjacency`` holds the nodes, and each node's neighbours, in the
+    order a :class:`networkx.Graph` holds them (its ``adj`` is one such
+    mapping).  Nodes are stored in :func:`label_key` order.  Each node
+    numbers its neighbours in that order too (``"sorted"``), or in a
+    permutation of it shuffled per node, in adjacency order, by ``rng``
+    (``"random"``).  A row lists the neighbours in the order
+    ``networkx.Graph.edges()`` meets their edges.  The ports are a
+    bijection by construction, so no edge goes through :meth:`add_edge`'s
+    checks; a self-loop raises :class:`GraphError`.
+    """
+    by_label = {v: label_key(v) for v in adjacency}.__getitem__
+    ports: Dict[Node, Dict[Node, int]] = {}
+    for v, nbrs in adjacency.items():
+        order = sorted(nbrs, key=by_label)
+        if port_order == "random":
+            if rng is None:
+                raise GraphError("port_order='random' requires an rng")
+            rng.shuffle(order)
+        elif port_order != "sorted":
+            raise GraphError(f"unknown port_order {port_order!r}")
+        ports[v] = {u: i for i, u in enumerate(order)}
+    rows: Dict[Node, Dict[Node, int]] = {v: {} for v in sorted(adjacency, key=by_label)}
+    met = set()
+    for u, nbrs in adjacency.items():
+        row, port_u = rows[u], ports[u]
+        for v in nbrs:
+            if v not in met:
+                if u == v:
+                    raise GraphError("self-loops are not part of the network model")
+                row[v] = port_u[v]
+                rows[v][u] = ports[v][u]
+        met.add(u)
+    out = PortLabeledGraph()
+    out._neighbor_to_port = rows
+    out.set_source(source)
+    return out

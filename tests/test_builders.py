@@ -130,6 +130,10 @@ class TestBasicFamilies:
         assert g.num_nodes == 16
         assert all(g.degree(v) == 4 for v in g.nodes())
 
+    def test_hypercube_of_dimension_one_is_an_edge(self):
+        g = hypercube_graph(1)
+        assert (list(g.edges()), g.source) == ([(0, 1)], 0)
+
     def test_balanced_tree(self):
         g = balanced_tree(2, 3)
         assert g.num_nodes == 15
