@@ -24,146 +24,103 @@ Quickstart::
     print(b.oracle_bits, b.messages)   # <= 8n bits, <= 2(n-1) messages
 """
 
-from .algorithms import (
-    AdvisedElection,
-    MinIdElection,
-    AdvisedTreeConstruction,
-    DFSTreeConstruction,
-    ChatterFlood,
-    FloodGossip,
-    HybridTreeFloodWakeup,
-    TreeGossip,
-    DFSTokenWakeup,
-    Flooding,
-    SchemeB,
-    TreeWakeup,
-    dfs_message_upper_bound,
-    flooding_message_count,
-)
-from .core import (
-    ElectionResult,
-    run_election,
-    TreeConstructionResult,
-    run_tree_construction,
-    GossipResult,
-    run_gossip,
-    AdviceMap,
-    Algorithm,
-    FullMapOracle,
-    FunctionalAlgorithm,
-    History,
-    NullOracle,
-    Oracle,
-    SeparationPoint,
-    TaskResult,
-    TruncatingOracle,
-    run_broadcast,
-    run_wakeup,
-    separation_point,
-    separation_profile,
-)
-from .encoding import BitReader, BitString
-from .network import (
-    FAMILY_BUILDERS,
-    GraphError,
-    PortLabeledGraph,
-    clique_family_graph,
-    clique_substitution,
-    complete_graph_star,
-    cycle_graph,
-    grid_graph,
-    hypercube_graph,
-    path_graph,
-    random_connected_gnp,
-    random_tree,
-    subdivision_family_graph,
-)
-from .oracles import (
-    ParentPointerOracle,
-    DepthLimitedTreeOracle,
-    GossipTreeOracle,
-    LightTreeBroadcastOracle,
-    SpanningTreeWakeupOracle,
-    light_spanning_tree,
-)
-from .runner import (
-    RetryPolicy,
-    resilient_run_experiments,
-)
-from .simulator import (
-    Simulation,
-    WakeupViolation,
-    make_scheduler,
-)
+import importlib
+from typing import Any, List
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # encoding
-    "BitString",
-    "BitReader",
-    # network
-    "PortLabeledGraph",
-    "GraphError",
-    "complete_graph_star",
-    "path_graph",
-    "cycle_graph",
-    "grid_graph",
-    "hypercube_graph",
-    "random_tree",
-    "random_connected_gnp",
-    "subdivision_family_graph",
-    "clique_substitution",
-    "clique_family_graph",
-    "FAMILY_BUILDERS",
-    # core
-    "Oracle",
-    "AdviceMap",
-    "NullOracle",
-    "FullMapOracle",
-    "TruncatingOracle",
-    "Algorithm",
-    "History",
-    "FunctionalAlgorithm",
-    "TaskResult",
-    "run_broadcast",
-    "run_wakeup",
-    "SeparationPoint",
-    "separation_point",
-    "separation_profile",
-    # oracles & algorithms
-    "SpanningTreeWakeupOracle",
-    "LightTreeBroadcastOracle",
-    "light_spanning_tree",
-    "TreeWakeup",
-    "SchemeB",
-    "Flooding",
-    "DFSTokenWakeup",
-    "ChatterFlood",
-    "HybridTreeFloodWakeup",
-    "TreeGossip",
-    "FloodGossip",
-    "GossipTreeOracle",
-    "DepthLimitedTreeOracle",
-    "GossipResult",
-    "run_gossip",
-    "ParentPointerOracle",
-    "AdvisedTreeConstruction",
-    "DFSTreeConstruction",
-    "TreeConstructionResult",
-    "run_tree_construction",
-    "ElectionResult",
-    "run_election",
-    "AdvisedElection",
-    "MinIdElection",
-    "flooding_message_count",
-    "dfs_message_upper_bound",
-    # simulator
-    "Simulation",
-    "WakeupViolation",
-    "make_scheduler",
-    # runner (fault tolerance)
-    "RetryPolicy",
-    "resilient_run_experiments",
-]
+#: The subpackage each public name comes from.  ``import repro`` imports
+#: none of them: PEP 562's ``__getattr__`` below imports a subpackage the
+#: first time one of its names is read.
+_SOURCES = {
+    "encoding": ("BitString", "BitReader"),
+    "network": (
+        "PortLabeledGraph",
+        "GraphError",
+        "complete_graph_star",
+        "path_graph",
+        "cycle_graph",
+        "grid_graph",
+        "hypercube_graph",
+        "random_tree",
+        "random_connected_gnp",
+        "subdivision_family_graph",
+        "clique_substitution",
+        "clique_family_graph",
+        "FAMILY_BUILDERS",
+    ),
+    "core": (
+        "Oracle",
+        "AdviceMap",
+        "NullOracle",
+        "FullMapOracle",
+        "TruncatingOracle",
+        "Algorithm",
+        "History",
+        "FunctionalAlgorithm",
+        "TaskResult",
+        "run_broadcast",
+        "run_wakeup",
+        "SeparationPoint",
+        "separation_point",
+        "separation_profile",
+        "GossipResult",
+        "run_gossip",
+        "TreeConstructionResult",
+        "run_tree_construction",
+        "ElectionResult",
+        "run_election",
+    ),
+    "oracles": (
+        "SpanningTreeWakeupOracle",
+        "LightTreeBroadcastOracle",
+        "light_spanning_tree",
+        "GossipTreeOracle",
+        "DepthLimitedTreeOracle",
+        "ParentPointerOracle",
+    ),
+    "algorithms": (
+        "TreeWakeup",
+        "SchemeB",
+        "Flooding",
+        "DFSTokenWakeup",
+        "ChatterFlood",
+        "HybridTreeFloodWakeup",
+        "TreeGossip",
+        "FloodGossip",
+        "AdvisedTreeConstruction",
+        "DFSTreeConstruction",
+        "AdvisedElection",
+        "MinIdElection",
+        "flooding_message_count",
+        "dfs_message_upper_bound",
+    ),
+    "simulator": ("Simulation", "WakeupViolation", "make_scheduler"),
+    # fault tolerance
+    "runner": ("RetryPolicy", "resilient_run_experiments"),
+}
+_SOURCE_OF = {name: package for package, names in _SOURCES.items() for name in names}
+
+__all__ = ["__version__", *_SOURCE_OF]
+
+
+def __getattr__(name: str) -> Any:
+    """A public name, or a subpackage, imported the first time it is read."""
+    package = _SOURCE_OF.get(name)
+    if package is not None:
+        value = getattr(importlib.import_module(f"{__name__}.{package}"), name)
+    elif name.startswith("_"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    else:
+        try:
+            value = importlib.import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))
