@@ -57,23 +57,34 @@ def to_json(graph: PortLabeledGraph) -> str:
 
 
 def from_json(text: str) -> PortLabeledGraph:
-    """Inverse of :func:`to_json`; returns a frozen, validated graph."""
+    """Inverse of :func:`to_json`; returns a frozen, validated graph.
+
+    The document's edges are written straight into each node's row, and
+    :meth:`PortLabeledGraph.freeze` checks the rows, so loading takes time
+    linear in the edges.  An edge listed twice is refused first, since its
+    second entry would overwrite the first's ports.
+    """
     doc = json.loads(text)
     if doc.get("format") != _FORMAT:
         raise GraphError(f"unrecognized format {doc.get('format')!r}")
-    g = PortLabeledGraph()
+    rows: Dict[Any, Dict[Any, int]] = {}
     for raw in doc["nodes"]:
-        g.add_node(_decode_label(raw))
+        v = _decode_label(raw)
+        if v in rows:
+            raise GraphError(f"duplicate node label {v!r}")
+        rows[v] = {}
     for e in doc["edges"]:
-        g.add_edge(
-            _decode_label(e["u"]),
-            _decode_label(e["v"]),
-            port_u=e["port_u"],
-            port_v=e["port_v"],
-        )
-    if doc.get("source") is not None:
-        g.set_source(_decode_label(doc["source"]))
-    return g.freeze()
+        u, v = _decode_label(e["u"]), _decode_label(e["v"])
+        for w in (u, v):
+            if w not in rows:
+                raise GraphError(f"edge endpoint {w!r} is not a node")
+        if v in rows[u]:
+            raise GraphError(f"edge {{{u!r}, {v!r}}} is listed twice")
+        rows[u][v] = e["port_u"]
+        rows[v][u] = e["port_v"]
+    if doc.get("source") is None:
+        raise GraphError("no source designated")
+    return PortLabeledGraph.from_port_rows(rows.items(), _decode_label(doc["source"])).freeze()
 
 
 def dump(graph: PortLabeledGraph, path: str) -> None:
