@@ -1,6 +1,9 @@
 #!/usr/bin/env python
 """Generate docs/API.md: one line per public symbol, from docstrings.
 
+Each public class is followed by one line per public method and property
+it defines itself, so deleting one changes the file.
+
 Run from the repository root:  python scripts/gen_api_docs.py
 """
 
@@ -44,12 +47,30 @@ def kind_of(obj) -> str:
     return "constant"
 
 
+def member_lines(cls) -> list:
+    """One line per public method or property ``cls`` defines, by name."""
+    lines = []
+    for name, value in sorted(vars(cls).items()):
+        if name.startswith("_"):
+            continue
+        if isinstance(value, property):
+            kind, value = "property", value.fget
+        elif isinstance(value, (classmethod, staticmethod)):
+            kind, value = "method", value.__func__
+        elif inspect.isfunction(value):
+            kind = "method"
+        else:
+            continue
+        lines.append(f"  - `.{name}` ({kind}) — {first_line(value)}")
+    return lines
+
+
 def main() -> int:
     lines = [
         "# API reference (generated)",
         "",
-        "One line per public symbol; regenerate with "
-        "`python scripts/gen_api_docs.py`.",
+        "One line per public symbol, and per public method and property "
+        "of each class; regenerate with `python scripts/gen_api_docs.py`.",
         "",
     ]
     seen_in_root = set()
@@ -69,6 +90,8 @@ def main() -> int:
             if module_name == "repro":
                 seen_in_root.add(name)
             lines.append(f"- **`{name}`** ({kind_of(obj)}) — {first_line(obj)}")
+            if inspect.isclass(obj):
+                lines.extend(member_lines(obj))
         lines.append("")
     out_path = os.path.join(os.path.dirname(__file__), "..", "docs", "API.md")
     with open(os.path.abspath(out_path), "w", encoding="utf-8") as f:
