@@ -109,8 +109,6 @@ def __getattr__(name: str) -> Any:
     package = _SOURCE_OF.get(name)
     if package is not None:
         value = getattr(importlib.import_module(f"{__name__}.{package}"), name)
-    elif name.startswith("_"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     else:
         try:
             value = importlib.import_module(f"{__name__}.{name}")
