@@ -26,7 +26,8 @@ per-round histogram instead.  The obs event stream is identical at every
 trace level — observability is a separate axis from trace retention.
 The per-message events are emitted inline, to keep attribute lookups off
 the hot loop; the run-boundary events (RunStarted, LimitHit, RunEnded)
-go through the shared :class:`~repro.simulator.emission.TraceEmitter`.
+come from the simulation's ``_run_started``, ``_limit`` and
+``_run_ended``, which the reference loop calls too.
 
 This module is a *friend* of :class:`~repro.simulator.engine.Simulation`:
 it reads the simulation's private configuration and writes its trace.
@@ -40,7 +41,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..obs.events import MessageDelivered, MessageSent, RoundStarted
-from ..simulator.emission import TraceEmitter
 from ..simulator.messages import InFlightMessage
 from ..simulator.node import WakeupViolation
 from ..simulator.trace import DeliveryRecord
@@ -63,14 +63,11 @@ def run_fastpath(sim) -> "ExecutionTrace":  # noqa: F821 - forward ref in doc on
 
 def _run_sync(sim, topo):
     trace = sim._trace
-    emitter = TraceEmitter(sim)
-    enabled = emitter.enabled
-    emit = emitter.emit
-    full = emitter.full
+    enabled = sim._obs.enabled
+    emit = sim._obs.emit
+    full = sim._trace_level == "full"
     wakeup = sim._wakeup
     max_messages = sim._max_messages
-    max_steps = sim._max_steps
-    stop_when_informed = sim._stop_when_informed
 
     labels = topo.labels
     reprs = topo.reprs
@@ -86,13 +83,12 @@ def _run_sync(sim, topo):
     deliveries_append = trace.deliveries.append
     round_counts = trace.round_counts
 
-    emitter.run_started(sim)
+    sim._run_started()
 
     seq = 0
     messages_sent = 0
-    delivered = 0
-    step = 0
-    limit_hit = trace.message_limit_hit
+    step = 0  # deliveries so far
+    limit_hit = False
 
     def enqueue(i: int, sends, deliver_at: int, out: List[Tuple], cause: int) -> None:
         """Turn one drain's send requests into round-``deliver_at`` tuples.
@@ -100,9 +96,9 @@ def _run_sync(sim, topo):
         Mirrors ``Simulation._enqueue`` exactly: the message limit is
         checked *before* each send, tripping it drops the rest of this
         drain and emits one LimitHit.  ``cause`` is the seq of the
-        delivery that triggered the drain (0 for init sends).  The
-        emitter reads its LimitHit figures off the trace, so the local
-        counters are written there first.
+        delivery that triggered the drain (0 for init sends).
+        ``sim._limit`` reads its LimitHit figures off the trace, so the
+        local counters are written there first.
         """
         nonlocal seq, messages_sent, limit_hit
         rt = runtimes[i]
@@ -112,15 +108,14 @@ def _run_sync(sim, topo):
         for request in sends:
             if max_messages is not None and messages_sent >= max_messages:
                 trace.messages_sent = messages_sent
-                trace.delivered = delivered
-                limit_hit = emitter.limit("message limit reached")
+                trace.delivered = step
+                limit_hit = sim._limit()
                 return
             port = request.port
             j = neighbor_at[base + port]
             aport = arrival_at[base + port]
             seq += 1
             messages_sent += 1
-            rt.sent_count += 1
             out.append(
                 (
                     reprs[j],
@@ -172,27 +167,15 @@ def _run_sync(sim, topo):
     rounds_seen = trace.rounds
     leftover: List[Tuple] = []
     leftover_next: List[Tuple] = []
-    stopped = False
     while pending:
         pending.sort()
-        if limit_hit or stopped:
+        if limit_hit:
             leftover = pending
             break
         nxt: List[Tuple] = []
-        count = len(pending)
-        idx = 0
-        broke = False
-        while idx < count:
-            if max_steps is not None and step >= max_steps:
-                trace.messages_sent = messages_sent
-                trace.delivered = delivered
-                limit_hit = emitter.limit("step limit reached")
-                broke = True
-                break
-            rrepr, aport, mseq, j, payload, sender_label, sport, s_informed = pending[
-                idx
-            ]
-            idx += 1
+        for idx, (rrepr, aport, mseq, j, payload, sender_label, sport, s_informed) in (
+            enumerate(pending, 1)
+        ):
             step += 1
             if full:
                 deliveries_append(
@@ -214,12 +197,9 @@ def _run_sync(sim, topo):
                     emit(RoundStarted(round=round_no))
                 rounds_seen = round_no
             rt = runtimes[j]
-            delivered += 1
-            rt.received_count += 1
             newly_informed = s_informed and not rt.informed
             if newly_informed:
                 rt.informed = True
-                rt.informed_at = step
                 informed_at[labels[j]] = step
             if enabled:
                 emit(
@@ -240,50 +220,36 @@ def _run_sync(sim, topo):
             if sends:
                 ctx._outbox = []
                 enqueue(j, sends, round_no + 1, nxt, mseq)
-            if stop_when_informed and len(informed_at) == n:
-                stopped = True
-                broke = True
-                break
-            if limit_hit:
-                broke = True
-                break
-        if broke:
-            leftover = pending[idx:]
-            leftover_next = nxt
+                if limit_hit:
+                    leftover = pending[idx:]
+                    leftover_next = nxt
+                    break
+        if limit_hit:
             break
         pending = nxt
         round_no += 1
 
     # ------------------------------------------------------------------
-    # Wind-down: counters, undelivered (heap drain order), outputs.
+    # Wind-down: counters and undelivered (heap drain order).
     # ------------------------------------------------------------------
     trace.messages_sent = messages_sent
-    trace.delivered = delivered
+    trace.delivered = step
     trace.rounds = rounds_seen
-    trace.message_limit_hit = limit_hit
-    trace.completed = not leftover and not leftover_next and not limit_hit
-    sim._seq = seq
-    if leftover or leftover_next:
-        leftover_next.sort()
-        undelivered = trace.undelivered
-        for deliver_at, batch in ((round_no, leftover), (round_no + 1, leftover_next)):
-            for t in batch:
-                undelivered.append(
-                    InFlightMessage(
-                        payload=t[4],
-                        sender=t[5],
-                        receiver=labels[t[3]],
-                        send_port=t[6],
-                        arrival_port=t[1],
-                        sender_informed=t[7],
-                        seq=t[2],
-                        deliver_at=deliver_at,
-                    )
+    trace.completed = not limit_hit
+    leftover_next.sort()
+    for deliver_at, batch in ((round_no, leftover), (round_no + 1, leftover_next)):
+        for t in batch:
+            trace.undelivered.append(
+                InFlightMessage(
+                    payload=t[4],
+                    sender=t[5],
+                    receiver=labels[t[3]],
+                    send_port=t[6],
+                    arrival_port=t[1],
+                    sender_informed=t[7],
+                    seq=t[2],
+                    deliver_at=deliver_at,
                 )
-    outputs = trace.outputs
-    for i in range(n):
-        ctx = contexts[i]
-        if ctx._has_output:
-            outputs[labels[i]] = ctx._output
-    emitter.run_ended(n)
+            )
+    sim._run_ended()
     return trace

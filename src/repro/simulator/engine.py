@@ -33,10 +33,10 @@ Execution paths
 every run to the reference loop.  Both loops are byte-identical at
 ``trace_level="full"`` — same trace, same obs events — and counter-exact
 at ``trace_level="counters"``, a contract enforced by
-``tests/test_fastpath.py`` and ``tests/test_differential.py``.  The
-trace/event bookkeeping of the legacy loop, and the run-boundary events
-of the synchronous core, live in
-:class:`repro.simulator.emission.TraceEmitter`.
+``tests/test_fastpath.py`` and ``tests/test_differential.py``.  Each
+loop writes its trace and emits its per-message events inline; both take
+their run-boundary events from :meth:`Simulation._run_started`,
+:meth:`Simulation._limit` and :meth:`Simulation._run_ended`.
 """
 
 from __future__ import annotations
@@ -46,12 +46,19 @@ from typing import Dict, Hashable, Mapping, Optional
 
 from ..encoding import BitString
 from ..network.graph import PortLabeledGraph
+from ..obs.events import (
+    LimitHit,
+    MessageDelivered,
+    MessageSent,
+    RoundStarted,
+    RunEnded,
+    RunStarted,
+)
 from ..obs.observe import Observation, resolve_obs
-from .emission import TraceEmitter
 from .messages import InFlightMessage
 from .node import NodeContext, NodeRuntime, Process, WakeupViolation
 from .schedulers import Scheduler, SynchronousScheduler
-from .trace import TRACE_LEVELS, ExecutionTrace
+from .trace import TRACE_LEVELS, DeliveryRecord, ExecutionTrace
 
 __all__ = ["Simulation"]
 
@@ -76,13 +83,10 @@ class Simulation:
     wakeup:
         Enforce the wakeup constraint: a non-source process that sends from
         ``on_init`` raises :class:`WakeupViolation`.
-    max_messages / max_steps:
-        Safety limits.  Tripping one truncates the run and sets
+    max_messages:
+        Safety limit on sends.  Tripping it truncates the run and sets
         ``message_limit_hit`` on the trace — lower-bound drivers *want* to
-        observe blowups, so limits never raise.
-    stop_when_informed:
-        End the run as soon as every node is informed (useful to measure
-        "messages until completion" rather than total scheme output).
+        observe blowups, so the limit never raises.
     no_source:
         Treat every node as a non-source (status bit 0) regardless of the
         graph's designated source, and start with no informed node.  Used by
@@ -112,8 +116,6 @@ class Simulation:
         anonymous: bool = False,
         wakeup: bool = False,
         max_messages: Optional[int] = None,
-        max_steps: Optional[int] = None,
-        stop_when_informed: bool = False,
         no_source: bool = False,
         obs: Optional[Observation] = None,
         trace_level: str = "full",
@@ -129,8 +131,6 @@ class Simulation:
         self._obs = resolve_obs(obs)
         self._wakeup = wakeup
         self._max_messages = max_messages
-        self._max_steps = max_steps
-        self._stop_when_informed = stop_when_informed
         self._trace_level = trace_level
         advice = advice or {}
         missing = set(processes) ^ set(graph.nodes())
@@ -155,7 +155,6 @@ class Simulation:
             )
         self._seq = 0
         self._trace = ExecutionTrace(trace_level=trace_level)
-        self._emitter: Optional[TraceEmitter] = None
         self._ran = False
 
     # ------------------------------------------------------------------
@@ -189,8 +188,10 @@ class Simulation:
         every non-synchronous or pre-seeded scheduler runs.
         """
         trace = self._trace
-        emitter = self._emitter = TraceEmitter(self)
-        emitter.run_started(self)
+        scheduler = self._scheduler
+        obs = self._obs
+        full = self._trace_level == "full"
+        self._run_started()
 
         # Init order is the graph's deterministic node order (insertion
         # order), the same order the runtimes dict was built in.  A
@@ -207,50 +208,54 @@ class Simulation:
 
         step = 0
         limit_hit = trace.message_limit_hit
-        while not self._scheduler.empty():
-            if limit_hit:
-                break
-            if self._max_steps is not None and step >= self._max_steps:
-                limit_hit = emitter.limit("step limit reached")
-                break
-            msg = self._scheduler.pop()
+        while not limit_hit and not scheduler.empty():
+            msg = scheduler.pop()
             step += 1
+            round_no = msg.deliver_at
+            if full:
+                trace.deliveries.append(
+                    DeliveryRecord(
+                        step, msg.payload, msg.sender, msg.receiver, msg.send_port,
+                        msg.arrival_port, msg.sender_informed, round_no,
+                    )
+                )
+            else:
+                trace.round_counts[round_no] = trace.round_counts.get(round_no, 0) + 1
+            if round_no > trace.rounds:
+                if obs.enabled:
+                    obs.emit(RoundStarted(round=round_no))
+                trace.rounds = round_no
+            trace.delivered += 1
             receiver = self._runtimes[msg.receiver]
-            emitter.delivery_started(
-                step, msg.payload, msg.sender, msg.receiver,
-                msg.send_port, msg.arrival_port, msg.sender_informed, msg.deliver_at,
-            )
-            receiver.received_count += 1
             newly_informed = msg.sender_informed and not receiver.informed
             if newly_informed:
                 receiver.informed = True
-                receiver.informed_at = step
-                emitter.informed(msg.receiver, step)
-            emitter.delivered(
-                step, msg.seq, msg.sender, msg.receiver,
-                msg.arrival_port, msg.payload, msg.deliver_at, newly_informed,
-            )
+                trace.informed_at[msg.receiver] = step
+            if obs.enabled:
+                obs.emit(
+                    MessageDelivered(
+                        step=step,
+                        seq=msg.seq,
+                        sender=msg.sender,
+                        receiver=msg.receiver,
+                        arrival_port=msg.arrival_port,
+                        payload=msg.payload,
+                        round=round_no,
+                        newly_informed=newly_informed,
+                    )
+                )
             receiver.process.on_receive(receiver.context, msg.payload, msg.arrival_port)
             limit_hit = self._enqueue(
-                receiver, receiver.context.drain(), deliver_at=msg.deliver_at + 1,
+                receiver, receiver.context.drain(), deliver_at=round_no + 1,
                 cause=msg.seq,
             )
-            if self._stop_when_informed and len(trace.informed_at) == self._graph.num_nodes:
-                break
-        trace.message_limit_hit = limit_hit
-        trace.completed = self._scheduler.empty() and not limit_hit
-        while not self._scheduler.empty():
-            trace.undelivered.append(self._scheduler.pop())
-        for v, runtime in self._runtimes.items():
-            if runtime.context.has_output:
-                trace.outputs[v] = runtime.context.output_value
-        emitter.run_ended(self._graph.num_nodes)
+        trace.completed = not limit_hit
+        while not scheduler.empty():
+            trace.undelivered.append(scheduler.pop())
+        self._run_ended()
         return trace
 
-    # ------------------------------------------------------------------
-    def _enqueue(
-        self, runtime: NodeRuntime, sends, deliver_at: int, cause: int = 0
-    ) -> bool:
+    def _enqueue(self, runtime: NodeRuntime, sends, deliver_at: int, cause: int) -> bool:
         """Turn send requests into in-flight messages; returns limit flag.
 
         ``cause`` is the seq of the delivery that triggered these sends
@@ -258,13 +263,11 @@ class Simulation:
         causal tracer consumes.
         """
         graph = self._graph
-        emitter = self._emitter
+        trace = self._trace
+        obs = self._obs
         for request in sends:
-            if (
-                self._max_messages is not None
-                and self._trace.messages_sent >= self._max_messages
-            ):
-                return emitter.limit("message limit reached")
+            if self._max_messages is not None and trace.messages_sent >= self._max_messages:
+                return self._limit()
             neighbor = graph.neighbor_via(runtime.label, request.port)
             self._seq += 1
             msg = InFlightMessage(
@@ -277,13 +280,81 @@ class Simulation:
                 seq=self._seq,
                 deliver_at=deliver_at,
             )
-            runtime.sent_count += 1
             self._scheduler.push(msg)
-            emitter.sent(
-                msg.seq, msg.sender, msg.receiver, msg.send_port, msg.arrival_port,
-                msg.payload, msg.sender_informed, deliver_at, cause,
-            )
+            trace.messages_sent += 1
+            if obs.enabled:
+                obs.emit(
+                    MessageSent(
+                        seq=msg.seq,
+                        sender=msg.sender,
+                        receiver=msg.receiver,
+                        send_port=msg.send_port,
+                        arrival_port=msg.arrival_port,
+                        payload=msg.payload,
+                        sender_informed=msg.sender_informed,
+                        round=deliver_at,
+                        cause=cause,
+                    )
+                )
         return False
+
+    # -- run boundaries, shared with the synchronous core ----------------
+    def _run_started(self) -> None:
+        """``RunStarted`` plus the source's step-0 informed mark."""
+        graph = self._graph
+        if self._obs.enabled:
+            self._obs.emit(
+                RunStarted(
+                    task="wakeup" if self._wakeup else "broadcast",
+                    nodes=graph.num_nodes,
+                    edges=graph.num_edges,
+                    source=graph.source,
+                    scheduler=type(self._scheduler).__name__,
+                    anonymous=self._anonymous,
+                    wakeup=self._wakeup,
+                )
+            )
+        if not self._no_source:
+            self._trace.informed_at[graph.source] = 0
+
+    def _limit(self) -> bool:
+        """Record the tripped message limit; returns ``True`` for the caller's flag.
+
+        ``LimitHit`` reads its figures off the trace, so a loop that keeps
+        its counters in locals writes them there first.
+        """
+        trace = self._trace
+        trace.message_limit_hit = True
+        if self._obs.enabled:
+            self._obs.emit(
+                LimitHit(
+                    reason="message limit reached",
+                    messages_sent=trace.messages_sent,
+                    step=trace.delivered,
+                )
+            )
+        return True
+
+    def _run_ended(self) -> None:
+        """Each node's output onto the trace, then ``RunEnded``, reading
+        every figure off the finished trace."""
+        trace = self._trace
+        for v, runtime in self._runtimes.items():
+            if runtime.context.has_output:
+                trace.outputs[v] = runtime.context.output_value
+        if self._obs.enabled:
+            self._obs.emit(
+                RunEnded(
+                    messages=trace.messages_sent,
+                    delivered=trace.delivered,
+                    rounds=trace.rounds,
+                    informed=len(trace.informed_at),
+                    nodes=self._graph.num_nodes,
+                    undelivered=len(trace.undelivered),
+                    completed=trace.completed,
+                    limit_hit=trace.message_limit_hit,
+                )
+            )
 
     # ------------------------------------------------------------------
     @property

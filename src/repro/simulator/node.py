@@ -63,6 +63,7 @@ class NodeContext:
 
     @property
     def has_output(self) -> bool:
+        """(Engine/tests.)  Whether :meth:`output` was called."""
         return self._has_output
 
     def send(self, payload: Payload, port: int) -> None:
@@ -109,10 +110,10 @@ class Process(Protocol):
     """
 
     def on_init(self, ctx: NodeContext) -> None:  # pragma: no cover - protocol
-        ...
+        """Run the scheme on the empty history; sends go through ``ctx``."""
 
     def on_receive(self, ctx: NodeContext, payload: Payload, port: int) -> None:  # pragma: no cover
-        ...
+        """Run the scheme after ``payload`` arrives on local ``port``."""
 
 
 @dataclass
@@ -123,6 +124,3 @@ class NodeRuntime:
     context: NodeContext
     process: Process
     informed: bool
-    informed_at: Optional[int] = None
-    received_count: int = 0
-    sent_count: int = 0

