@@ -90,15 +90,14 @@ def classify_clique(
     n: int,
     k: int,
     index: int,
-    max_steps: Optional[int] = None,
 ) -> CliqueClassification:
     """Observe the advice-less synchronous execution inside clique ``index``.
 
     The execution is exactly the paper's: all status bits 0, all advice
     empty, message delivery synchronous and deterministic.  The run is
-    truncated at ``max_steps`` deliveries (default ``k^3``); chatter still
-    going by then counts as *internal-in-progress* and we take the latest
-    first-traversal seen, which only helps the scheme.
+    truncated at ``k^3 + 10`` messages; chatter still going by then counts
+    as *internal-in-progress* and we take the latest first-traversal seen,
+    which only helps the scheme.
     """
     clique = _labeled_clique(n, k, index)
     labels = clique_node_labels(n, k, index)
@@ -112,13 +111,12 @@ def classify_clique(
             return CliqueClassification(
                 index=index, kind="heavy", hidden_edge=(1, 2), internal_messages=0
             )
-    limit = max_steps if max_steps is not None else k**3 + 10
     sim = Simulation(
         clique,
         schemes,
         scheduler=SynchronousScheduler(),
         no_source=True,
-        max_messages=limit,
+        max_messages=k**3 + 10,
     )
     trace = sim.run()
     first_traversal: Dict[Tuple[int, int], int] = {}
