@@ -2,7 +2,9 @@
 """Generate docs/API.md: one line per public symbol, from docstrings.
 
 Each public class is followed by one line per public method and property
-it defines itself, so deleting one changes the file.
+it defines itself, so deleting one changes the file.  A constant carries
+no docstring of its own, so its line comes from the ``#:`` comment above
+its assignment.
 
 Run from the repository root:  python scripts/gen_api_docs.py
 """
@@ -10,6 +12,7 @@ Run from the repository root:  python scripts/gen_api_docs.py
 import importlib
 import inspect
 import os
+import re
 import sys
 
 MODULES = [
@@ -34,9 +37,51 @@ MODULES = [
 ]
 
 
+#: A top-level assignment, ``NAME = ...`` or ``NAME: type = ...``.
+ASSIGNMENT = re.compile(r"([A-Za-z_]\w*)\s*(?::[^=]*)?=")
+
+
 def first_line(obj) -> str:
     doc = inspect.getdoc(obj) or ""
     return doc.strip().splitlines()[0] if doc.strip() else "(no docstring)"
+
+
+def comment_line(name: str, obj) -> str:
+    """First sentence of the ``#:`` comment above ``name``'s assignment.
+
+    The assignment is looked up in every loaded ``repro`` module that
+    binds ``name`` to ``obj``.  A ``#:`` block documents the run of
+    one-line assignments directly below it.
+    """
+    for module_name in sorted(sys.modules):
+        if module_name != "repro" and not module_name.startswith("repro."):
+            continue
+        module = sys.modules[module_name]
+        if vars(module).get(name) is not obj:
+            continue
+        lines = inspect.getsource(module).splitlines()
+        for i, line in enumerate(lines):
+            match = ASSIGNMENT.match(line)
+            if match is None or match.group(1) != name:
+                continue
+            while i > 0 and ASSIGNMENT.match(lines[i - 1]):
+                i -= 1
+            block = []
+            while i > 0 and lines[i - 1].startswith("#:"):
+                i -= 1
+                block.insert(0, lines[i][2:].strip())
+            if block:
+                text = " ".join(block)
+                sentence = re.match(r".*?\.(?=\s|$)", text)
+                return sentence.group(0) if sentence else text
+    return "(no #: comment)"
+
+
+def describe(name: str, obj) -> str:
+    """The line for an exported ``name``: its docstring or ``#:`` comment."""
+    if inspect.isclass(obj) or inspect.isfunction(obj):
+        return first_line(obj)
+    return comment_line(name, obj)
 
 
 def kind_of(obj) -> str:
@@ -48,13 +93,17 @@ def kind_of(obj) -> str:
 
 
 def member_lines(cls) -> list:
-    """One line per public method or property ``cls`` defines, by name."""
+    """One line per public method or property ``cls`` defines, by name.
+
+    A property or method without a docstring of its own shows the one it
+    overrides, as :func:`inspect.getdoc` finds it.
+    """
     lines = []
     for name, value in sorted(vars(cls).items()):
         if name.startswith("_"):
             continue
         if isinstance(value, property):
-            kind, value = "property", value.fget
+            kind = "property"
         elif isinstance(value, (classmethod, staticmethod)):
             kind, value = "method", value.__func__
         elif inspect.isfunction(value):
@@ -89,7 +138,7 @@ def main() -> int:
             obj = getattr(module, name)
             if module_name == "repro":
                 seen_in_root.add(name)
-            lines.append(f"- **`{name}`** ({kind_of(obj)}) — {first_line(obj)}")
+            lines.append(f"- **`{name}`** ({kind_of(obj)}) — {describe(name, obj)}")
             if inspect.isclass(obj):
                 lines.extend(member_lines(obj))
         lines.append("")

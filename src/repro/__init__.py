@@ -27,6 +27,7 @@ Quickstart::
 import importlib
 from typing import Any, List
 
+#: The package version, ``MAJOR.MINOR.PATCH``.
 __version__ = "1.0.0"
 
 #: The subpackage each public name comes from.  ``import repro`` imports

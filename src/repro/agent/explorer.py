@@ -88,6 +88,7 @@ class ExplorationResult:
         return self.halted and self.visited == self.graph_nodes
 
     def summary(self) -> str:
+        """One line: sizes, oracle and explorer, moves, nodes visited, status."""
         status = "ok" if self.success else "FAILED"
         return (
             f"exploration on n={self.graph_nodes}, m={self.graph_edges}: "

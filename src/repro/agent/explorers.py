@@ -22,12 +22,12 @@ from __future__ import annotations
 from typing import Dict, Hashable, Optional, Set
 
 from ..oracles.gossip_tree import decode_gossip_advice
-from .explorer import AgentView
+from .explorer import AgentView, Explorer
 
 __all__ = ["AdvisedTreeExplorer", "DFSExplorer", "RotorRouterExplorer"]
 
 
-class AdvisedTreeExplorer:
+class AdvisedTreeExplorer(Explorer):
     """Memoryless DFS over the advised spanning tree (see module docs)."""
 
     name = "AdvisedTreeExplorer"
@@ -50,7 +50,7 @@ class AdvisedTreeExplorer:
         return None
 
 
-class DFSExplorer:
+class DFSExplorer(Explorer):
     """Classical DFS with agent-side memory; requires node labels."""
 
     name = "DFSExplorer"
@@ -84,7 +84,7 @@ class DFSExplorer:
         return self._parent[v]  # None at the start node = halt
 
 
-class RotorRouterExplorer:
+class RotorRouterExplorer(Explorer):
     """Round-robin pointers; covers within ``O(m * D)`` but cannot halt."""
 
     name = "RotorRouterExplorer"

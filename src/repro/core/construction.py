@@ -51,6 +51,7 @@ class TreeConstructionResult:
 
     @property
     def success(self) -> bool:
+        """The outputs form a valid tree and the run went quiet."""
         return self.valid_tree and self.quiescent
 
     def summary(self) -> str:

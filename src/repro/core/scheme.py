@@ -92,7 +92,7 @@ class Algorithm(abc.ABC):
 SchemeFunction = Callable[[History], Sequence[SendRequest]]
 
 
-class FunctionalScheme:
+class FunctionalScheme(Process):
     """Adapter: a pure function ``history -> sends`` as a runnable process.
 
     This is the paper's scheme notion taken literally.  The adapter keeps the

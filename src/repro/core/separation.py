@@ -50,10 +50,12 @@ class SeparationPoint:
 
     @property
     def wakeup_bits_per_node(self) -> float:
+        """Wakeup advice bits divided by ``n``."""
         return self.wakeup_oracle_bits / self.n
 
     @property
     def broadcast_bits_per_node(self) -> float:
+        """Broadcast advice bits divided by ``n``."""
         return self.broadcast_oracle_bits / self.n
 
 

@@ -69,10 +69,12 @@ class TaskResult:
 
     @property
     def bits_per_node(self) -> float:
+        """Oracle bits divided by the number of nodes."""
         return self.oracle_bits / self.graph_nodes
 
     @property
     def messages_per_node(self) -> float:
+        """Messages sent divided by the number of nodes."""
         return self.messages / self.graph_nodes
 
     def summary(self) -> str:

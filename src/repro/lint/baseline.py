@@ -39,6 +39,7 @@ __all__ = [
     "DEFAULT_BASELINE_NAME",
 ]
 
+#: The baseline file ``repro lint`` applies from the working directory.
 DEFAULT_BASELINE_NAME = "lint_baseline.json"
 
 _PLACEHOLDER_REASON = "TODO: justify"

@@ -654,6 +654,7 @@ def _check_det008(project: ProjectModel) -> Iterator[Finding]:
 # Catalog
 # ----------------------------------------------------------------------
 
+#: The determinism rules, DET001 to DET008, in code order.
 DET_RULES: Sequence[Rule] = (
     Rule(
         code="DET001",

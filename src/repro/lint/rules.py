@@ -379,6 +379,7 @@ def _check_mdl005(model: ModuleModel) -> Iterator[Finding]:
 # Catalog
 # ----------------------------------------------------------------------
 
+#: The model-compliance rules, MDL001 to MDL005, in code order.
 RULES: Sequence[Rule] = (
     Rule(
         code="MDL001",

@@ -248,6 +248,7 @@ class DiscoveryAccounting:
 
     @property
     def total(self) -> int:
+        """Cliques counted in all three kinds."""
         return self.self_revealing + self.discovered_outside + self.untouched
 
     @property

@@ -71,6 +71,7 @@ class Instance:
 
     @staticmethod
     def make(n: int, labeled_edges: Iterable[Tuple[Edge, int]], excluded: Iterable[Edge] = ()) -> "Instance":
+        """Validate and normalize ``(edge, label)`` pairs and ``Y`` into an instance."""
         special = tuple(sorted(((edge_key(*e), l) for e, l in labeled_edges), key=lambda t: t[0]))
         exc = frozenset(edge_key(*e) for e in excluded)
         labels = sorted(l for __, l in special)
@@ -85,6 +86,7 @@ class Instance:
 
     @property
     def x_size(self) -> int:
+        """``|X|``, the number of special edges."""
         return len(self.special)
 
     def label_of(self, edge: Edge) -> Optional[int]:
@@ -113,6 +115,7 @@ class Knowledge:
 
     @property
     def done(self) -> bool:
+        """Every special edge has been discovered."""
         return self.found == self.x_size
 
     def unprobed(self, edges: Sequence[Edge]) -> List[Edge]:

@@ -55,6 +55,7 @@ __all__ = [
     "causal_dags",
 ]
 
+#: Schema tag of the canonical causal-DAG JSON.
 CAUSAL_SCHEMA = "repro-causal/1"
 
 #: ``cause`` value marking a spontaneous (init-phase) send — a DAG root.

@@ -73,6 +73,7 @@ class DepthLimitedTreeOracle(Oracle):
 
     @property
     def depth(self) -> int:
+        """BFS depth below which a node gets its children ports."""
         return self._depth
 
     def advise(self, graph: PortLabeledGraph) -> AdviceMap:

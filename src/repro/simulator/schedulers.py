@@ -52,16 +52,16 @@ class Scheduler(Protocol):
     """The queue discipline interface consumed by the engine."""
 
     def push(self, msg: InFlightMessage) -> None:  # pragma: no cover - protocol
-        ...
+        """Put ``msg`` in flight."""
 
     def pop(self) -> InFlightMessage:  # pragma: no cover - protocol
-        ...
+        """Remove and return the message this discipline delivers next."""
 
     def empty(self) -> bool:  # pragma: no cover - protocol
-        ...
+        """Whether no message is in flight."""
 
 
-class SynchronousScheduler:
+class SynchronousScheduler(Scheduler):
     """Deterministic lockstep rounds (see module docstring).
 
     Delivery order is exactly what a heap on the key
@@ -115,7 +115,7 @@ class SynchronousScheduler:
         return self._size == 0
 
 
-class FIFOLinkScheduler:
+class FIFOLinkScheduler(Scheduler):
     """Asynchronous delivery with per-link FIFO order."""
 
     def __init__(self, seed: int = 0) -> None:
@@ -150,7 +150,7 @@ class FIFOLinkScheduler:
         return self._size == 0
 
 
-class RandomScheduler:
+class RandomScheduler(Scheduler):
     """Fully asynchronous delivery: uniform choice among in-flight messages."""
 
     def __init__(self, seed: int = 0) -> None:
@@ -169,7 +169,7 @@ class RandomScheduler:
         return not self._pool
 
 
-class PriorityScheduler:
+class PriorityScheduler(Scheduler):
     """Adversarial delivery: smallest ``key(message)`` first, seq tie-break."""
 
     def __init__(self, key: Callable[[InFlightMessage], float]) -> None:

@@ -146,6 +146,7 @@ class Criterion:
     checks: Tuple[Check, ...] = field(default_factory=tuple)
 
 
+#: Experiment id -> its pre-registered criterion.
 CRITERIA: Dict[str, Criterion] = {
     "E1": Criterion(
         experiment="E1",

@@ -61,6 +61,7 @@ __all__ = [
     "render_markdown_table",
 ]
 
+#: The three statuses a check, and an experiment, can render.
 CONFIRMED = "CONFIRMED"
 REFUTED = "REFUTED"
 INCONCLUSIVE = "INCONCLUSIVE"

@@ -6,7 +6,9 @@ holds, enforced mechanically.
 """
 
 import importlib
+import importlib.util
 import inspect
+import os
 
 import pytest
 
@@ -49,21 +51,23 @@ class TestPublicSurface:
 
 class TestPublicClasses:
     def test_public_methods_documented(self):
-        """Every public method of every exported class has a docstring."""
-        import repro
-
+        """Every public method and property of every class a public module
+        exports has a docstring, its own or the one it overrides."""
         missing = []
-        for name in repro.__all__:
-            obj = getattr(repro, name)
-            if not inspect.isclass(obj):
-                continue
-            for attr_name, attr in vars(obj).items():
-                if attr_name.startswith("_"):
+        for module_name in PUBLIC_MODULES:
+            module = importlib.import_module(module_name)
+            for name in getattr(module, "__all__", []):
+                obj = getattr(module, name)
+                if not inspect.isclass(obj):
                     continue
-                if inspect.isfunction(attr) and not (
-                    inspect.getdoc(getattr(obj, attr_name)) or ""
-                ).strip():
-                    missing.append(f"{name}.{attr_name}")
+                for attr_name, attr in vars(obj).items():
+                    if attr_name.startswith("_") or not (
+                        inspect.isfunction(attr)
+                        or isinstance(attr, (property, classmethod, staticmethod))
+                    ):
+                        continue
+                    if not (inspect.getdoc(getattr(obj, attr_name)) or "").strip():
+                        missing.append(f"{module_name}.{name}.{attr_name}")
         assert not missing, f"undocumented public methods: {missing}"
 
     def test_version_string(self):
@@ -72,3 +76,40 @@ class TestPublicClasses:
         parts = repro.__version__.split(".")
         assert len(parts) == 3
         assert all(p.isdigit() for p in parts)
+
+
+def _gen_api_docs():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "gen_api_docs.py")
+    spec = importlib.util.spec_from_file_location("gen_api_docs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _constants_without_their_own_line(gen):
+    """Exported constants that docs/API.md describes by their type's
+    docstring, or by nothing."""
+    wrong = []
+    for module_name in gen.MODULES:
+        module = importlib.import_module(module_name)
+        for name in getattr(module, "__all__", []):
+            obj = getattr(module, name)
+            if gen.kind_of(obj) != "constant":
+                continue
+            line = gen.describe(name, obj)
+            if line in (gen.first_line(type(obj)), "(no #: comment)"):
+                wrong.append(f"{module_name}.{name}: {line}")
+    return wrong
+
+
+class TestApiDocs:
+    def test_constants_are_described_by_their_comments(self):
+        wrong = _constants_without_their_own_line(_gen_api_docs())
+        assert not wrong, f"constants without a #: comment: {wrong}"
+
+    def test_type_docstring_is_caught(self, monkeypatch):
+        """A generator describing constants by docstring alone fails the check."""
+        gen = _gen_api_docs()
+        monkeypatch.setattr(gen, "describe", lambda name, obj: gen.first_line(obj))
+        wrong = _constants_without_their_own_line(gen)
+        assert "repro.FAMILY_BUILDERS: dict() -> new empty dictionary" in wrong
