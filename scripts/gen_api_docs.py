@@ -39,6 +39,8 @@ MODULES = [
 
 #: A top-level assignment, ``NAME = ...`` or ``NAME: type = ...``.
 ASSIGNMENT = re.compile(r"([A-Za-z_]\w*)\s*(?::[^=]*)?=")
+#: The line of a constant whose assignment has no ``#:`` comment.
+NO_COMMENT = "(no #: comment)"
 
 
 def first_line(obj) -> str:
@@ -74,14 +76,7 @@ def comment_line(name: str, obj) -> str:
                 text = " ".join(block)
                 sentence = re.match(r".*?\.(?=\s|$)", text)
                 return sentence.group(0) if sentence else text
-    return "(no #: comment)"
-
-
-def describe(name: str, obj) -> str:
-    """The line for an exported ``name``: its docstring or ``#:`` comment."""
-    if inspect.isclass(obj) or inspect.isfunction(obj):
-        return first_line(obj)
-    return comment_line(name, obj)
+    return NO_COMMENT
 
 
 def kind_of(obj) -> str:
@@ -90,6 +85,13 @@ def kind_of(obj) -> str:
     if inspect.isfunction(obj):
         return "function"
     return "constant"
+
+
+def describe(name: str, obj) -> str:
+    """The line for an exported ``name``: its docstring or ``#:`` comment."""
+    if kind_of(obj) == "constant":
+        return comment_line(name, obj)
+    return first_line(obj)
 
 
 def member_lines(cls) -> list:

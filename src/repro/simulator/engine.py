@@ -8,8 +8,8 @@ The engine executes one communication task on one network:
 2. while messages are in flight, the scheduler picks which one arrives next;
    the receiving node's process runs and may queue further sends;
 3. the run ends at quiescence (no messages in flight — every sent message is
-   eventually delivered, exactly once, unmodified) or when a safety limit
-   trips.
+   eventually delivered, exactly once, unmodified) or when the message
+   limit trips.
 
 The engine maintains the *informed* relation exactly as the paper defines
 it: the source starts informed, and a node becomes informed by receiving any
@@ -159,7 +159,7 @@ class Simulation:
 
     # ------------------------------------------------------------------
     def run(self) -> ExecutionTrace:
-        """Execute to quiescence (or a limit) and return the trace.
+        """Execute to quiescence (or the message limit) and return the trace.
 
         A fresh synchronous scheduler runs the compiled synchronous core;
         every other scheduler, and every run under ``REPRO_FASTPATH=0``,
@@ -336,8 +336,7 @@ class Simulation:
         return True
 
     def _run_ended(self) -> None:
-        """Each node's output onto the trace, then ``RunEnded``, reading
-        every figure off the finished trace."""
+        """Each node's output onto the trace, then ``RunEnded`` read off it."""
         trace = self._trace
         for v, runtime in self._runtimes.items():
             if runtime.context.has_output:

@@ -114,7 +114,7 @@ def check_byte_identity(graphs, task, oracle, algorithm, scheduler_name,
 
 def check_engine_modes(graphs, scheduler_name, mode, monkeypatch):
     """Engine-level switches that the task wrappers don't expose."""
-    sim_kwargs = {"no_source": {"no_source": True}}[mode]
+    sim_kwargs = {mode: True}
     for graph in graphs:
         frozen = graph if graph.frozen else graph.copy().freeze()
         traces = {}

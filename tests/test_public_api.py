@@ -97,7 +97,7 @@ def _constants_without_their_own_line(gen):
             if gen.kind_of(obj) != "constant":
                 continue
             line = gen.describe(name, obj)
-            if line in (gen.first_line(type(obj)), "(no #: comment)"):
+            if line in (gen.first_line(type(obj)), gen.NO_COMMENT):
                 wrong.append(f"{module_name}.{name}: {line}")
     return wrong
 
